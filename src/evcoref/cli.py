@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,15 @@ from . import clustering as clus
 from . import features as feat
 from . import network as net
 from . import scoring
-from .config import LEARNED_VARIANTS, RunConfig, load_config, normalize_variant
-from .corpus import Clustering, Corpus, load_corpus, split_by_topics
+from .config import LEARNED_VARIANTS, RunConfig, load_config
+from .corpus import (
+    Clustering,
+    Corpus,
+    LabelScheme,
+    chain_members,
+    load_corpus,
+    split_by_topics,
+)
 from .errors import (
     ConfigError,
     EvcorefError,
@@ -116,25 +122,12 @@ def _split_corpora(run: RunConfig) -> dict[str, Corpus]:
     return {"train": train_c, "validation": val_c, "test": test_c}
 
 
-def _gold_from_rows(rows) -> Clustering:
-    chains: dict[str, set[str]] = {}
-    for mention_id, chain_id, _, _ in rows:
-        chains.setdefault(chain_id, set()).add(mention_id)
-    return Clustering.from_sets(chains[k] for k in sorted(chains))
+def _chains(rows) -> dict[str, list[str]]:
+    return chain_members((mention_id, chain_id) for mention_id, chain_id, _, _ in rows)
 
 
-def _scheme_from_rows(rows) -> tuple[np.ndarray, int]:
-    """Class labels per row: one class per multi-mention chain (sorted by
-    chain id), singletons merged into the trailing class."""
-    counts = Counter(chain_id for _, chain_id, _, _ in rows)
-    multi = sorted(c for c, n in counts.items() if n >= 2)
-    class_of = {c: i for i, c in enumerate(multi)}
-    singleton = len(multi)
-    labels = np.array(
-        [class_of.get(chain_id, singleton) for _, chain_id, _, _ in rows],
-        dtype=np.int64,
-    )
-    return labels, singleton + 1
+def _gold(rows) -> Clustering:
+    return Clustering.from_sets(_chains(rows).values())
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +182,10 @@ def cmd_train(run: RunConfig) -> None:
         raise ConfigError(f"variant {run.variant} has no training stage")
     train_x, train_rows = _load_split(run, "train")
     val_x, val_rows = _load_split(run, "validation")
-    labels, n_classes = _scheme_from_rows(train_rows)
+    scheme = LabelScheme.from_chains(_chains(train_rows))
     chain_ids = [chain_id for _, chain_id, _, _ in train_rows]
-    val_gold = _gold_from_rows(val_rows)
+    labels = np.array([scheme.class_of_id(c) for c in chain_ids], dtype=np.int64)
+    val_gold = _gold(val_rows)
     val_ids = [mention_id for mention_id, _, _, _ in val_rows]
 
     out = run.output / "train"
@@ -217,7 +211,7 @@ def cmd_train(run: RunConfig) -> None:
             train_x,
             labels,
             chain_ids,
-            n_classes,
+            scheme.n_classes,
             run.training,
             val_features=val_x,
             val_mention_ids=val_ids,
@@ -268,7 +262,7 @@ def cmd_cluster(run: RunConfig) -> None:
         if delta is None:
             _, val_rows = _load_split(run, "validation")
             delta, _, score = clus.tune_delta(
-                corpora["validation"], tfidf, _gold_from_rows(val_rows)
+                corpora["validation"], tfidf, _gold(val_rows)
             )
             print(f"tuned delta {delta:.4f} (validation B3 {score:.4f})")
         meta["delta"] = delta
@@ -279,7 +273,7 @@ def cmd_cluster(run: RunConfig) -> None:
         if tau is None:
             val_x, val_rows = _load_split(run, "validation")
             tau, score = clus.tune_tau(
-                val_x, [r[0] for r in val_rows], _gold_from_rows(val_rows)
+                val_x, [r[0] for r in val_rows], _gold(val_rows)
             )
             print(f"tuned tau {tau:.4f} (validation B3 {score:.4f})")
         meta["tau"] = tau
@@ -297,7 +291,7 @@ def cmd_cluster(run: RunConfig) -> None:
         eval_emb, _ = _embeddings_for(run, params, eval_name)
         val_emb, val_rows = _embeddings_for(run, params, "validation")
         val_ids = [r[0] for r in val_rows]
-        val_gold = _gold_from_rows(val_rows)
+        val_gold = _gold(val_rows)
 
         if run.variant == "CORE+CCE+LEMMA":
             delta, tau = run.delta, run.tau
@@ -326,7 +320,7 @@ def cmd_cluster(run: RunConfig) -> None:
             meta["tau"] = tau
             sys_clustering = clus.agglomerate(eval_ids, tau, embeddings=eval_emb)
 
-    gold = _gold_from_rows(eval_rows)
+    gold = _gold(eval_rows)
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
     clus.write_chains(sys_clustering, out / f"{eval_name}.sys.chains", meta)
     clus.write_chains(gold, out / f"{eval_name}.gold.chains", meta)
@@ -403,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         run.training.seed = args.seed
-    if args.variant is not None:
-        run.variant = normalize_variant(args.variant)
-        run.training.use_cce = run.variant != "CORE"
     if args.tau is not None:
         run.tau = args.tau
     if args.delta is not None:
@@ -416,7 +407,7 @@ def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = _apply_overrides(load_config(args.config), args)
+        run = _apply_overrides(load_config(args.config, variant=args.variant), args)
         if args.command == "features":
             cmd_features(run)
         elif args.command == "train":

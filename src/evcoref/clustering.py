@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Clustering, Corpus, Document, Mention
 from .errors import IntegrityError
 from .kernels import merge_sequence
-from .scoring import score_b3
+from .scoring import Contingency, score_b3
 
 TAU_GRID_SIZE = 20
 DELTA_GRID_SIZE = 100
@@ -40,44 +40,54 @@ def cosine_similarity_matrix(vectors: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _groups(labels: np.ndarray) -> list[set[int]]:
+    """Mention indices of each label, in label order."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    return [set(part.tolist()) for part in np.split(order, bounds)] if len(order) else []
+
+
 @dataclass(frozen=True)
 class MergeRun:
     """Full single-linkage merge sequence from an initial partition.
 
     Slots are initial clusters ordered by their smallest mention index; a
-    merge (sim, i, j) folds slot j into slot i. partition_at(tau) replays the
+    merge (sim, i, j) folds slot j into slot i. labels_at(tau) replays the
     prefix with similarity >= tau.
     """
 
-    init_sets: tuple
+    slot_of: np.ndarray  # initial cluster (slot) of each mention
     sims: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
 
-    def partition_at(self, tau: float) -> list[set[int]]:
-        k = len(self.init_sets)
-        parent = list(range(k))
+    @property
+    def init_sets(self) -> list[set[int]]:
+        """The initial partition: the mention indices of each slot."""
+        return _groups(self.slot_of)
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+    def labels_at(self, tau: float) -> np.ndarray:
+        """Cluster label of each mention, numbered by each cluster's smallest
+        mention. A merge folds slot j into the smaller, still active slot i,
+        so following the folds leads every slot to its cluster's first slot."""
         n_merges = int(np.searchsorted(-self.sims, -tau, side="right"))
-        for step in range(n_merges):
-            a, b = find(int(self.lefts[step])), find(int(self.rights[step]))
-            if a != b:
-                parent[b] = a
-        groups: dict[int, set[int]] = {}
-        for slot in range(k):
-            groups.setdefault(find(slot), set()).update(self.init_sets[slot])
-        return [groups[r] for r in sorted(groups, key=lambda r: min(groups[r]))]
+        into = np.arange(len(self.sims) + 1)  # k slots merge k - 1 times
+        into[self.rights[:n_merges]] = self.lefts[:n_merges]
+        while True:
+            nxt = into[into]
+            if np.array_equal(nxt, into):
+                break
+            into = nxt
+        return np.unique(into, return_inverse=True)[1][self.slot_of]
+
+    def partition_at(self, tau: float) -> list[set[int]]:
+        """The clusters of labels_at(tau) as index sets, in label order."""
+        return _groups(self.labels_at(tau))
 
 
-def _init_slots(n: int, init: list[set[int]] | None) -> list[frozenset[int]]:
+def _init_slots(n: int, init: list[set[int]] | None) -> np.ndarray:
     if init is None:
-        return [frozenset([i]) for i in range(n)]
+        return np.arange(n)
     covered: set[int] = set()
     for part in init:
         if not part:
@@ -87,24 +97,25 @@ def _init_slots(n: int, init: list[set[int]] | None) -> list[frozenset[int]]:
         covered |= part
     if covered != set(range(n)):
         raise IntegrityError("init partition must cover all mention indices")
-    return [frozenset(p) for p in sorted(init, key=min)]
+    slot_of = np.empty(n, dtype=np.int64)
+    for slot, part in enumerate(sorted(init, key=min)):
+        slot_of[list(part)] = slot
+    return slot_of
 
 
 def build_merge_run(sims: np.ndarray, init: list[set[int]] | None = None) -> MergeRun:
     """Aggregate mention similarities to cluster level (single linkage: the
     max cross pair) and run the merge kernel down to one cluster."""
     sims = np.asarray(sims, dtype=np.float64)
-    n = sims.shape[0]
-    slots = _init_slots(n, init)
-    k = len(slots)
-    cluster_sims = np.full((k, k), -np.inf)
-    row_max = [sims[list(slot)].max(axis=0) for slot in slots]
-    for a in range(k):
-        for b in range(a + 1, k):
-            s = row_max[a][list(slots[b])].max()
-            cluster_sims[a, b] = cluster_sims[b, a] = s
+    slot_of = _init_slots(sims.shape[0], init)
+    # sort mentions by slot, then take the max over each slot's run of
+    # rows and then of columns
+    order = np.argsort(slot_of, kind="stable")
+    starts = np.flatnonzero(np.diff(slot_of[order], prepend=-1))
+    slot_rows = np.maximum.reduceat(sims[order], starts, axis=0)
+    cluster_sims = np.maximum.reduceat(slot_rows[:, order], starts, axis=1)
     seq_sims, lefts, rights = merge_sequence(cluster_sims)
-    return MergeRun(init_sets=tuple(slots), sims=seq_sims, lefts=lefts, rights=rights)
+    return MergeRun(slot_of=slot_of, sims=seq_sims, lefts=lefts, rights=rights)
 
 
 def agglomerate_indices(
@@ -133,16 +144,18 @@ def agglomerate(
     index_of = {m: i for i, m in enumerate(mention_ids)}
     if len(index_of) != len(mention_ids):
         raise IntegrityError("duplicate mention ids")
-    init_sets = None
     if init is not None:
         unknown = init.mention_ids() - index_of.keys()
         if unknown:
             raise IntegrityError(f"init partition names unknown mentions {sorted(unknown)[:3]}")
-        init_sets = [{index_of[m] for m in chain} for chain in init.chains]
-    parts = agglomerate_indices(sim_matrix, tau, init_sets)
-    return Clustering.from_sets(
-        {mention_ids[i] for i in part} for part in parts
-    )
+    run = build_merge_run(sim_matrix, _index_sets(init, index_of))
+    return Clustering.from_labels(mention_ids, run.labels_at(tau))
+
+
+def _index_sets(init: Clustering | None, index_of: dict) -> list[set[int]] | None:
+    if init is None:
+        return None
+    return [{index_of[m] for m in chain} for chain in init.chains]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +232,6 @@ def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
 # ---------------------------------------------------------------------------
 
 
-def _partition_to_clustering(parts: list[set[int]], mention_ids: list[str]) -> Clustering:
-    return Clustering.from_sets({mention_ids[i] for i in part} for part in parts)
-
-
 def tune_tau(
     embeddings: np.ndarray | None,
     mention_ids: list[str],
@@ -238,16 +247,11 @@ def tune_tau(
     if sims is None:
         sims = cosine_similarity_matrix(embeddings)
     index_of = {m: i for i, m in enumerate(mention_ids)}
-    init_sets = (
-        [{index_of[m] for m in chain} for chain in init.chains]
-        if init is not None
-        else None
-    )
-    run = build_merge_run(sims, init_sets)
+    run = build_merge_run(sims, _index_sets(init, index_of))
+    gold_labels = gold.labels(mention_ids)
 
     def evaluate(tau: float) -> float:
-        sys = _partition_to_clustering(run.partition_at(tau), mention_ids)
-        return score_b3(gold, sys).f1
+        return Contingency.from_labels(gold_labels, run.labels_at(tau)).b3().f1
 
     grid1 = np.linspace(0.0, 1.0, grid_size)
     scores1 = [evaluate(t) for t in grid1]

@@ -93,7 +93,10 @@ def config_text_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, variant: str | None = None) -> RunConfig:
+    """Parse and validate a run configuration; `variant` overrides [model]
+    variant before anything derived from it (use_cce, the CORE lr default,
+    the lambda checks)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -140,7 +143,7 @@ def load_config(path) -> RunConfig:
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}")
 
-    variant = normalize_variant(_get(cfg, "model", "variant", "CORE+CCE"))
+    variant = normalize_variant(variant or _get(cfg, "model", "variant", "CORE+CCE"))
     base = TrainConfig()
     lr = f("model", "lr", base.lr)
     if variant == "CORE" and _get(cfg, "model", "lr") is None:
@@ -159,8 +162,6 @@ def load_config(path) -> RunConfig:
         use_cce=variant not in ("CORE",),
     )
 
-    tau_raw = _get(cfg, "cluster", "tau")
-    delta_raw = _get(cfg, "cluster", "delta")
     pool = _get(cfg, "cluster", "pool", "global")
     if pool not in ("global", "topic"):
         raise ConfigError(f"[cluster] pool must be global or topic, got {pool!r}")
@@ -180,8 +181,8 @@ def load_config(path) -> RunConfig:
         test_topics=test_topics,
         variant=variant,
         training=training,
-        tau=float(tau_raw) if tau_raw is not None else None,
-        delta=float(delta_raw) if delta_raw is not None else None,
+        tau=f("cluster", "tau", None),
+        delta=f("cluster", "delta", None),
         pool=pool,
         eval_split=eval_split,
         mode=mode,

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, IntegrityError, ParseError
 
@@ -131,8 +133,30 @@ class Clustering:
             out |= chain
         return frozenset(out)
 
-    def chain_of(self) -> dict[str, frozenset[str]]:
-        return {m: chain for chain in self.chains for m in chain}
+    def labels(self, mention_ids: Sequence[str]) -> np.ndarray:
+        """Chain label of each mention in `mention_ids` order, which must list
+        exactly this clustering's mentions. Chains are numbered by their first
+        mention in that order, so the labels do not depend on the order of
+        `chains` or of their members."""
+        chain_of = {m: c for c, chain in enumerate(self.chains) for m in chain}
+        missing = [m for m in mention_ids if m not in chain_of]
+        if missing or len(chain_of) != len(mention_ids):
+            raise IntegrityError(
+                f"clustering does not partition the given mentions (missing {missing[:3]})"
+            )
+        label_of: dict[int, int] = {}
+        return np.array(
+            [label_of.setdefault(chain_of[m], len(label_of)) for m in mention_ids],
+            dtype=np.int64,
+        )
+
+    @classmethod
+    def from_labels(cls, mention_ids: Sequence[str], labels) -> "Clustering":
+        """Inverse of `labels`: one chain per distinct label."""
+        chains: dict[int, set[str]] = {}
+        for m, label in zip(mention_ids, np.asarray(labels).tolist()):
+            chains.setdefault(label, set()).add(m)
+        return cls.from_sets(chains.values())
 
     def sorted_chains(self) -> list[list[str]]:
         """Chains ordered by smallest member id, members sorted."""
@@ -151,8 +175,19 @@ class LabelScheme:
     def n_classes(self) -> int:
         return self.singleton_class + 1
 
+    @classmethod
+    def from_chains(cls, chains: dict[str, list[str]]) -> "LabelScheme":
+        """From `chain_members` output: classes follow the sorted chain ids."""
+        if not chains:
+            raise IntegrityError("cannot build a label scheme from a split with no mentions")
+        multi = [chain for chain, members in chains.items() if len(members) >= 2]
+        return cls({chain: i for i, chain in enumerate(multi)}, len(multi))
+
     def class_of(self, mention: Mention) -> int:
-        return self.class_of_chain.get(mention.gold_chain, self.singleton_class)
+        return self.class_of_id(mention.gold_chain)
+
+    def class_of_id(self, chain_id: str) -> int:
+        return self.class_of_chain.get(chain_id, self.singleton_class)
 
 
 class _DocBuilder:
@@ -299,22 +334,25 @@ def ecbplus_default_split() -> tuple[set[str], set[str], set[str]]:
     return train, validation, test
 
 
+def chain_members(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """Group (mention id, gold chain id) pairs: chain id -> its mention ids,
+    chain ids in sorted order."""
+    chains: dict[str, list[str]] = {}
+    for mention_id, chain_id in pairs:
+        chains.setdefault(chain_id, []).append(mention_id)
+    return {chain: chains[chain] for chain in sorted(chains)}
+
+
+def _corpus_chains(corpus: Corpus) -> dict[str, list[str]]:
+    return chain_members((m.id, m.gold_chain) for m in corpus.mentions())
+
+
 def build_label_scheme(train: Corpus) -> LabelScheme:
     """Map every multi-mention train chain to its own class (sorted by chain
     id) and all singletons to one merged trailing class."""
-    sizes: dict[str, int] = {}
-    for m in train.mentions():
-        sizes[m.gold_chain] = sizes.get(m.gold_chain, 0) + 1
-    if not sizes:
-        raise IntegrityError("cannot build a label scheme from a corpus with no mentions")
-    multi = sorted(chain for chain, n in sizes.items() if n >= 2)
-    class_of_chain = {chain: i for i, chain in enumerate(multi)}
-    return LabelScheme(class_of_chain=class_of_chain, singleton_class=len(multi))
+    return LabelScheme.from_chains(_corpus_chains(train))
 
 
 def gold_clustering(corpus: Corpus) -> Clustering:
     """One chain per distinct gold chain id; singletons stay singleton."""
-    chains: dict[str, set[str]] = {}
-    for m in corpus.mentions():
-        chains.setdefault(m.gold_chain, set()).add(m.id)
-    return Clustering.from_sets(chains[k] for k in sorted(chains))
+    return Clustering.from_sets(_corpus_chains(corpus).values())

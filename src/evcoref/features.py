@@ -326,22 +326,6 @@ def fit_feature_models(train: Corpus, word_vectors: WordVectors) -> FeatureModel
     )
 
 
-def assemble(mention: Mention, doc: Document, models: FeatureModels,
-             view: MentionView, same_doc, pool) -> np.ndarray:
-    vec = np.concatenate(
-        [
-            contextual_features(mention, doc, models.word_vectors, models.lemma_vocab),
-            doc_features(doc, models.tfidf, models.pca),
-            comparative_features(view, same_doc, pool),
-        ]
-    )
-    if vec.size != models.dim:
-        raise RuntimeError(
-            f"internal error: assembled {vec.size} entries, expected {models.dim}"
-        )
-    return vec
-
-
 def extract_split(
     corpus: Corpus, models: FeatureModels, pool: str = "global"
 ) -> tuple[np.ndarray, list[Mention]]:

@@ -1,37 +1,14 @@
-"""Hot inner loops with numba-jitted and pure-numpy twins.
-
-The agglomerative merge loop and the optimal-assignment solver are the two
-scalar-loop-bound kernels in the package; everything else is BLAS-bound and
-stays plain numpy. Set ``EVCOREF_NO_NUMBA=1`` to force the numpy fallbacks
-(also used automatically when numba is not importable). Both paths produce
-identical results; ``benchmarks/bench_kernels.py`` compares their speed.
+"""The two scalar-loop kernels: the agglomerative merge loop and the
+optimal-assignment solver. Everything else is BLAS-bound plain numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCED_OFF = bool(os.environ.get("EVCOREF_NO_NUMBA"))
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and not _FORCED_OFF
+# There is one numpy path for each kernel. Run records read this flag to
+# name the kernel path (pipebench's environment report and trace files).
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +23,15 @@ USE_NUMBA = HAS_NUMBA and not _FORCED_OFF
 # ---------------------------------------------------------------------------
 
 
-def _merge_sequence_py(S):
+def merge_sequence(S: np.ndarray):
+    S = np.array(S, dtype=np.float64)
     k = S.shape[0]
-    S = S.copy()
+    if k < 2:
+        return (
+            np.empty(0),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
     sims = np.empty(k - 1)
     lefts = np.empty(k - 1, dtype=np.int64)
     rights = np.empty(k - 1, dtype=np.int64)
@@ -73,66 +56,6 @@ def _merge_sequence_py(S):
     return sims, lefts, rights
 
 
-@njit(cache=True)
-def _merge_sequence_jit(S):  # pragma: no cover - exercised via dispatch
-    k = S.shape[0]
-    active = np.ones(k, dtype=np.bool_)
-    sims = np.empty(k - 1)
-    lefts = np.empty(k - 1, dtype=np.int64)
-    rights = np.empty(k - 1, dtype=np.int64)
-    for step in range(k - 1):
-        best = -np.inf
-        bi = -1
-        bj = -1
-        for i in range(k):
-            if not active[i]:
-                continue
-            for j in range(i + 1, k):
-                if not active[j]:
-                    continue
-                if S[i, j] > best:
-                    best = S[i, j]
-                    bi = i
-                    bj = j
-        sims[step] = best
-        lefts[step] = bi
-        rights[step] = bj
-        for t in range(k):
-            if active[t] and t != bi and t != bj:
-                m = S[bi, t]
-                if S[bj, t] > m:
-                    m = S[bj, t]
-                S[bi, t] = m
-                S[t, bi] = m
-        active[bj] = False
-    return sims, lefts, rights
-
-
-def merge_sequence_numpy(S: np.ndarray):
-    S = np.array(S, dtype=np.float64)
-    if S.shape[0] < 2:
-        return (
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    return _merge_sequence_py(S)
-
-
-def merge_sequence_numba(S: np.ndarray):
-    S = np.array(S, dtype=np.float64)
-    if S.shape[0] < 2:
-        return (
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    return _merge_sequence_jit(np.ascontiguousarray(S))
-
-
-merge_sequence = merge_sequence_numba if USE_NUMBA else merge_sequence_numpy
-
-
 # ---------------------------------------------------------------------------
 # Optimal assignment (Kuhn-Munkres via shortest augmenting paths, O(n^3))
 #
@@ -142,7 +65,11 @@ merge_sequence = merge_sequence_numba if USE_NUMBA else merge_sequence_numpy
 # ---------------------------------------------------------------------------
 
 
-def _lsap_py(cost):
+def lsap_min(cost: np.ndarray) -> np.ndarray:
+    """Column index assigned to each row, minimizing total cost."""
+    cost = np.array(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError("lsap expects a square cost matrix")
     n = cost.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -180,70 +107,3 @@ def _lsap_py(cost):
     for j in range(1, n + 1):
         col_of_row[p[j] - 1] = j - 1
     return col_of_row
-
-
-@njit(cache=True)
-def _lsap_jit(cost):  # pragma: no cover - exercised via dispatch
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=np.bool_)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col_of_row = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
-    return col_of_row
-
-
-def _lsap(cost: np.ndarray, impl) -> np.ndarray:
-    cost = np.array(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError("lsap expects a square cost matrix")
-    n = cost.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return impl(np.ascontiguousarray(cost))
-
-
-def lsap_min_numpy(cost: np.ndarray) -> np.ndarray:
-    """Column index assigned to each row, minimizing total cost."""
-    return _lsap(cost, _lsap_py)
-
-
-def lsap_min_numba(cost: np.ndarray) -> np.ndarray:
-    return _lsap(cost, _lsap_jit)
-
-
-lsap_min = lsap_min_numba if USE_NUMBA else lsap_min_numpy

@@ -10,6 +10,7 @@ only when neither side has links of that type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,131 +62,168 @@ def _check_mentions(gold: Clustering, sys: Clustering) -> None:
         )
 
 
-def _intersection_counts(gold: Clustering, sys: Clustering) -> dict:
-    """(gold chain index, sys chain index) -> shared mention count."""
-    sys_idx = {m: j for j, chain in enumerate(sys.chains) for m in chain}
-    counts: dict[tuple[int, int], int] = {}
-    for i, chain in enumerate(gold.chains):
-        for m in chain:
-            key = (i, sys_idx[m])
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _pairs(sizes) -> int:
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
 # ---------------------------------------------------------------------------
-# MUC (link-based)
+# The gold x system contingency table: every measure is read off it
 # ---------------------------------------------------------------------------
 
 
-def _muc_half(base: Clustering, other: Clustering) -> tuple[int, int]:
-    other_of = other.chain_of()
-    num = den = 0
-    for chain in base.chains:
-        partitions = {other_of[m] for m in chain}
-        num += len(chain) - len(partitions)
-        den += len(chain) - 1
-    return num, den
+@dataclass(frozen=True)
+class Contingency:
+    """Overlap counts of a gold and a system partition of one mention set:
+    the nonzero cells (gold chain `rows`, system chain `cols`, shared mention
+    `counts`) in row-major order, and the chain sizes of each side."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    gold_sizes: np.ndarray
+    sys_sizes: np.ndarray
 
-def score_muc(gold: Clustering, sys: Clustering) -> MetricScore:
-    """Minimum-link-edit measure; singleton chains contribute nothing, and an
-    all-singleton side yields 0 for the affected ratio."""
-    _check_mentions(gold, sys)
-    r_num, r_den = _muc_half(gold, sys)
-    p_num, p_den = _muc_half(sys, gold)
-    return _score(r_num, r_den, p_num, p_den)
+    @classmethod
+    def from_labels(cls, gold: np.ndarray, sys: np.ndarray) -> "Contingency":
+        """From two label vectors over the same mention order, each using
+        every label in 0..k-1 (as `Clustering.labels` and
+        `MergeRun.labels_at` give them)."""
+        gold_sizes, sys_sizes = np.bincount(gold), np.bincount(sys)
+        cells, counts = np.unique(gold * len(sys_sizes) + sys, return_counts=True)
+        rows, cols = np.divmod(cells, len(sys_sizes))
+        return cls(rows, cols, counts, gold_sizes, sys_sizes)
 
+    @classmethod
+    def between(cls, gold: Clustering, sys: Clustering) -> "Contingency":
+        _check_mentions(gold, sys)
+        ids = sorted(gold.mention_ids())
+        return cls.from_labels(gold.labels(ids), sys.labels(ids))
 
-# ---------------------------------------------------------------------------
-# B3 (mention-based)
-# ---------------------------------------------------------------------------
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
 
+    def muc(self) -> MetricScore:
+        """Minimum-link-edit measure: a chain of size s split into p parts by
+        the other side keeps s - p of its s - 1 links; summed over the chains
+        of one side that is (n - cells) / (n - chains)."""
+        n, cells = self.n, len(self.counts)
+        return _score(n - cells, n - len(self.gold_sizes), n - cells, n - len(self.sys_sizes))
 
-def score_b3(gold: Clustering, sys: Clustering) -> MetricScore:
-    _check_mentions(gold, sys)
-    n = len(gold.mention_ids())
-    if n == 0:
+    def b3(self) -> MetricScore:
+        n = self.n
+        if n == 0:
+            return MetricScore(0.0, 0.0, 0.0)
+        squares = self.counts * self.counts
+        recall = (np.bincount(self.rows, squares) / self.gold_sizes).sum()
+        precision = (np.bincount(self.cols, squares) / self.sys_sizes).sum()
+        return _score(float(recall), n, float(precision), n)
+
+    @cached_property
+    def _components(self) -> list[np.ndarray]:
+        """Cell indices of each connected component of the overlap graph
+        (chains are nodes, cells are edges); chains in different components
+        share no mention, so an alignment pairing them scores 0."""
+        ng = len(self.gold_sizes)
+        root = list(range(ng + len(self.sys_sizes)))
+
+        def find(a):
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+
+        for r, c in zip(self.rows.tolist(), self.cols.tolist()):
+            a, b = find(r), find(ng + c)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+        comp = np.array([find(r) for r in self.rows.tolist()], dtype=np.int64)
+        order = np.argsort(comp, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+
+    def ceaf(self, phi: str) -> MetricScore:
+        """Optimal one-to-one chain alignment, solved by the Kuhn-Munkres
+        kernel inside each component of the overlap graph."""
+        ng, ns = len(self.gold_sizes), len(self.sys_sizes)
+        if ng == 0 or ns == 0:
+            return MetricScore(0.0, 0.0, 0.0)
+        if phi == "mention":
+            weights = self.counts.astype(np.float64)
+            r_den, p_den = float(self.n), float(self.n)
+        else:
+            weights = 2.0 * self.counts / (self.gold_sizes[self.rows] + self.sys_sizes[self.cols])
+            r_den, p_den = float(ng), float(ns)
+        best_of_row = np.zeros(ng)
+        for cells in self._components:
+            row_ids, r = np.unique(self.rows[cells], return_inverse=True)
+            col_ids, c = np.unique(self.cols[cells], return_inverse=True)
+            size = max(len(row_ids), len(col_ids))
+            block = np.zeros((size, size))
+            block[r, c] = weights[cells]
+            assigned = lsap_min(-block)[: len(row_ids)]
+            best_of_row[row_ids] = block[np.arange(len(row_ids)), assigned]
+        best = float(best_of_row.sum())
+        return _score(best, r_den, best, p_den)
+
+    def blanc(self) -> MetricScore:
+        """Coreference and non-coreference links, each scored like a
+        retrieval task; BLANC averages the link types either side has."""
+        total = self.n * (self.n - 1) // 2
+        coref_gold = _pairs(self.gold_sizes)
+        coref_sys = _pairs(self.sys_sizes)
+        coref_both = _pairs(self.counts)
+        noncoref_gold = total - coref_gold
+        noncoref_sys = total - coref_sys
+        noncoref_both = total - coref_gold - coref_sys + coref_both
+
+        coref = _score(coref_both, coref_gold, coref_both, coref_sys)
+        noncoref = _score(noncoref_both, noncoref_gold, noncoref_both, noncoref_sys)
+
+        have_coref = coref_gold > 0 or coref_sys > 0
+        have_noncoref = noncoref_gold > 0 or noncoref_sys > 0
+        if have_coref and have_noncoref:
+            return MetricScore(
+                recall=(coref.recall + noncoref.recall) / 2.0,
+                precision=(coref.precision + noncoref.precision) / 2.0,
+                f1=(coref.f1 + noncoref.f1) / 2.0,
+            )
+        if have_coref:
+            return coref
+        if have_noncoref:
+            return noncoref
         return MetricScore(0.0, 0.0, 0.0)
-    gold_of = gold.chain_of()
-    sys_of = sys.chain_of()
-    recall = precision = 0.0
-    for m in gold_of:
-        inter = len(gold_of[m] & sys_of[m])
-        recall += inter / len(gold_of[m])
-        precision += inter / len(sys_of[m])
-    return _score(recall, n, precision, n)
 
 
-# ---------------------------------------------------------------------------
-# CEAF (aligned chains via optimal assignment)
-# ---------------------------------------------------------------------------
+# Each scorer takes the pair's table when the caller already built it, as
+# `report` does once for all five measures.
 
 
-def score_ceaf(gold: Clustering, sys: Clustering, phi: str = "mention") -> MetricScore:
+def _table(gold: Clustering, sys: Clustering, table: Contingency | None) -> Contingency:
+    return table if table is not None else Contingency.between(gold, sys)
+
+
+def score_muc(gold: Clustering, sys: Clustering, table: Contingency | None = None) -> MetricScore:
+    """Singleton chains contribute nothing, and an all-singleton side yields
+    0 for the affected ratio."""
+    return _table(gold, sys, table).muc()
+
+
+def score_b3(gold: Clustering, sys: Clustering, table: Contingency | None = None) -> MetricScore:
+    return _table(gold, sys, table).b3()
+
+
+def score_ceaf(
+    gold: Clustering, sys: Clustering, phi: str = "mention", table: Contingency | None = None
+) -> MetricScore:
     """phi="mention" scores |K & S| per aligned pair; phi="entity" scores the
-    Dice value 2|K & S| / (|K| + |S|). The one-to-one alignment maximizing the
-    total is found with the Kuhn-Munkres kernel."""
+    Dice value 2|K & S| / (|K| + |S|)."""
     if phi not in ("mention", "entity"):
         raise ValueError(f"unknown CEAF variant {phi!r}")
-    _check_mentions(gold, sys)
-    ng, ns = len(gold.chains), len(sys.chains)
-    if ng == 0 or ns == 0:
-        return MetricScore(0.0, 0.0, 0.0)
-    size = max(ng, ns)
-    scores = np.zeros((size, size))
-    for (i, j), inter in _intersection_counts(gold, sys).items():
-        if phi == "mention":
-            scores[i, j] = inter
-        else:
-            scores[i, j] = 2.0 * inter / (len(gold.chains[i]) + len(sys.chains[j]))
-    assignment = lsap_min(-scores)
-    best = float(scores[np.arange(size), assignment].sum())
-    if phi == "mention":
-        r_den = float(sum(len(c) for c in gold.chains))
-        p_den = float(sum(len(c) for c in sys.chains))
-    else:
-        r_den, p_den = float(ng), float(ns)
-    return _score(best, r_den, best, p_den)
+    return _table(gold, sys, table).ceaf(phi)
 
 
-# ---------------------------------------------------------------------------
-# BLANC (pair-based, coreferent and non-coreferent link types)
-# ---------------------------------------------------------------------------
-
-
-def _pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def score_blanc(gold: Clustering, sys: Clustering) -> MetricScore:
-    _check_mentions(gold, sys)
-    n = len(gold.mention_ids())
-    total = _pair_count(n)
-    coref_gold = sum(_pair_count(len(c)) for c in gold.chains)
-    coref_sys = sum(_pair_count(len(c)) for c in sys.chains)
-    coref_both = sum(
-        _pair_count(k) for k in _intersection_counts(gold, sys).values()
-    )
-    noncoref_gold = total - coref_gold
-    noncoref_sys = total - coref_sys
-    noncoref_both = total - coref_gold - coref_sys + coref_both
-
-    coref = _score(coref_both, coref_gold, coref_both, coref_sys)
-    noncoref = _score(noncoref_both, noncoref_gold, noncoref_both, noncoref_sys)
-
-    have_coref = coref_gold > 0 or coref_sys > 0
-    have_noncoref = noncoref_gold > 0 or noncoref_sys > 0
-    if have_coref and have_noncoref:
-        return MetricScore(
-            recall=(coref.recall + noncoref.recall) / 2.0,
-            precision=(coref.precision + noncoref.precision) / 2.0,
-            f1=(coref.f1 + noncoref.f1) / 2.0,
-        )
-    if have_coref:
-        return coref
-    if have_noncoref:
-        return noncoref
-    return MetricScore(0.0, 0.0, 0.0)
+def score_blanc(gold: Clustering, sys: Clustering, table: Contingency | None = None) -> MetricScore:
+    return _table(gold, sys, table).blanc()
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +250,14 @@ def within_doc_projection(clustering: Clustering, docs) -> Clustering:
 
 
 def report(gold: Clustering, sys: Clustering) -> MetricReport:
-    """All six measures; CoNLL is the mean of the MUC, B3, and CEAF-entity
+    """All six measures from one contingency table; CoNLL is the mean of the MUC, B3, and CEAF-entity
     F-scores."""
-    muc = score_muc(gold, sys)
-    b3 = score_b3(gold, sys)
-    ceaf_m = score_ceaf(gold, sys, phi="mention")
-    ceaf_e = score_ceaf(gold, sys, phi="entity")
-    blanc = score_blanc(gold, sys)
+    table = Contingency.between(gold, sys)
+    muc = score_muc(gold, sys, table)
+    b3 = score_b3(gold, sys, table)
+    ceaf_m = score_ceaf(gold, sys, "mention", table)
+    ceaf_e = score_ceaf(gold, sys, "entity", table)
+    blanc = score_blanc(gold, sys, table)
     conll = (muc.f1 + b3.f1 + ceaf_e.f1) / 3.0
     return MetricReport(
         muc=muc, b3=b3, ceaf_m=ceaf_m, ceaf_e=ceaf_e, blanc=blanc, conll=conll

@@ -105,6 +105,25 @@ def test_cce_variant_rejects_lambdas(tmp_path):
         load_config(cfg_path)
 
 
+def test_variant_override_goes_through_config_checks(tmp_path, capsys):
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")  # lambda1 = 2
+    assert main(["train", "--config", str(cfg), "--variant", "CCE"]) == 2
+    assert "CCE variant must not set lambda1/lambda2" in capsys.readouterr().err
+    run = load_config(cfg, variant="CORE")
+    assert run.variant == "CORE"
+    assert run.training.use_cce is False
+    assert run.training.lr == pytest.approx(0.003)  # set in the file, so not scaled
+
+
+@pytest.mark.parametrize("key", ["tau", "delta"])
+def test_non_numeric_threshold_is_exit_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")
+    cfg.write_text(cfg.read_text() + f"\n[cluster]\n{key} = high\n")
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a number" in err and "Traceback" not in err
+
+
 def test_missing_config_file_is_exit_2():
     assert main(["features", "--config", "/nonexistent.ini"]) == 2
 

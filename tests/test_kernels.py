@@ -6,11 +6,8 @@ import pytest
 from evcoref import kernels
 from oracles import naive_merge_sequence
 
-MERGE_IMPLS = [kernels.merge_sequence_numpy]
-LSAP_IMPLS = [kernels.lsap_min_numpy]
-if kernels.HAS_NUMBA:
-    MERGE_IMPLS.append(kernels.merge_sequence_numba)
-    LSAP_IMPLS.append(kernels.lsap_min_numba)
+MERGE_IMPLS = [kernels.merge_sequence]
+LSAP_IMPLS = [kernels.lsap_min]
 
 
 def random_sim(rng, n):
@@ -50,17 +47,6 @@ def test_merge_sims_are_non_increasing(rng):
             assert np.all(np.diff(sims) <= 1e-15)
 
 
-def test_both_merge_paths_identical(rng):
-    if len(MERGE_IMPLS) < 2:
-        pytest.skip("numba unavailable")
-    for _ in range(30):
-        sims = random_sim(rng, int(rng.integers(2, 25)))
-        a = kernels.merge_sequence_numpy(sims.copy())
-        b = kernels.merge_sequence_numba(sims.copy())
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-
 def test_merge_sequence_trivial_sizes():
     for impl in MERGE_IMPLS:
         sims, lefts, rights = impl(np.zeros((1, 1)))
@@ -98,26 +84,6 @@ def test_lsap_with_ties_and_integers(impl):
     assert total == 5.0
 
 
-def test_lsap_paths_agree_on_totals(rng):
-    if len(LSAP_IMPLS) < 2:
-        pytest.skip("numba unavailable")
-    for _ in range(40):
-        n = int(rng.integers(1, 30))
-        cost = rng.normal(size=(n, n))
-        ta = cost[np.arange(n), kernels.lsap_min_numpy(cost)].sum()
-        tb = cost[np.arange(n), kernels.lsap_min_numba(cost)].sum()
-        assert ta == pytest.approx(tb, abs=1e-9)
-
-
 def test_lsap_rejects_non_square():
     with pytest.raises(ValueError):
-        kernels.lsap_min_numpy(np.zeros((2, 3)))
-
-
-def test_dispatch_respects_env_flag():
-    # the installed default must be one of the two concrete paths
-    assert kernels.merge_sequence in (
-        kernels.merge_sequence_numpy,
-        kernels.merge_sequence_numba if kernels.HAS_NUMBA else kernels.merge_sequence_numpy,
-    )
-    assert kernels.USE_NUMBA == (kernels.HAS_NUMBA and kernels.merge_sequence is kernels.merge_sequence_numba)
+        kernels.lsap_min(np.zeros((2, 3)))

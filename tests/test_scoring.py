@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcoref.corpus import Clustering
 from evcoref.errors import ScoringMismatchError
+from evcoref.kernels import lsap_min
 from evcoref.scoring import (
     MetricScore,
     format_report,
@@ -270,3 +272,58 @@ def test_report_file_format(tmp_path):
     assert lines[-1].startswith("conll\t")
     pct = format_report(rep, percent=True)
     assert "muc\t100\t100\t100" in pct
+
+# ---------------------------------------------------------------------------
+# Determinism and the per-component CEAF alignment
+# ---------------------------------------------------------------------------
+
+
+def shuffled(clustering, rng):
+    """The same partition with its chain tuple and each chain's members in
+    another order."""
+    chains = [sorted(c) for c in clustering.chains]
+    rng.shuffle(chains)
+    for chain in chains:
+        rng.shuffle(chain)
+    return Clustering.from_sets(chains)
+
+
+def test_report_is_bit_identical_under_chain_and_member_order(rng):
+    # float sums in chain or set order round differently; a score on a
+    # 4-decimal rounding tie then prints differently from run to run
+    for _ in range(5):
+        n = 200
+        gold = labels_to_clustering(rng.integers(0, 30, size=n).tolist())
+        sys = labels_to_clustering(rng.integers(0, 45, size=n).tolist())
+        first = report(gold, sys)
+        for _ in range(2):
+            assert report(shuffled(gold, rng), shuffled(sys, rng)) == first
+
+
+def test_ceaf_components_match_one_padded_assignment(rng):
+    # beyond the brute-force oracle's reach: 50-200 chains per side, scored
+    # against one Kuhn-Munkres run over the full zero-padded matrix
+    for _ in range(6):
+        n = int(rng.integers(150, 400))
+        k = int(rng.integers(60, 201))
+        gold_labels = rng.integers(0, k, size=n)
+        # the system keeps most gold links and moves the rest at random:
+        # one large overlap component, or many small ones
+        moved = rng.random(n) < rng.choice([0.03, 0.3])
+        sys_labels = np.where(moved, rng.integers(0, k, size=n), gold_labels)
+        gold = labels_to_clustering(gold_labels.tolist())
+        sys = labels_to_clustering(sys_labels.tolist())
+        ng, ns = len(gold.chains), len(sys.chains)
+        assert 50 <= ng <= 200 and 50 <= ns <= 200
+        size = max(ng, ns)
+        for phi in ("mention", "entity"):
+            full = np.zeros((size, size))
+            for i, g in enumerate(gold.chains):
+                for j, s in enumerate(sys.chains):
+                    inter = len(g & s)
+                    full[i, j] = inter if phi == "mention" else 2.0 * inter / (len(g) + len(s))
+            best = full[np.arange(size), lsap_min(-full)].sum()
+            r_den, p_den = (n, n) if phi == "mention" else (ng, ns)
+            got = score_ceaf(gold, sys, phi)
+            assert got.recall == pytest.approx(best / r_den, abs=1e-12)
+            assert got.precision == pytest.approx(best / p_den, abs=1e-12)
