@@ -243,7 +243,10 @@ def tune_tau(
     """Two-pass grid search for the stop threshold, maximizing B3 F1 against
     the gold clustering. Pass one scans `grid_size` equally spaced values in
     [0, 1]; pass two rescans the interval between the best value's neighbors.
-    Ties prefer the larger tau."""
+    Ties prefer the larger tau. A split with no mentions has nothing to tune
+    on and raises IntegrityError."""
+    if len(mention_ids) == 0:
+        raise IntegrityError("cannot tune tau on a split with no mentions")
     if sims is None:
         sims = cosine_similarity_matrix(embeddings)
     index_of = {m: i for i, m in enumerate(mention_ids)}
@@ -278,9 +281,12 @@ def tune_delta(
     """Scan `n_values` delta thresholds for the lemma-delta partition on the
     tuning split. With embeddings, each delta seeds agglomeration and tau is
     re-tuned on top (returns (delta, tau, B3)); without, the partition itself
-    is scored (returns (delta, None, B3)). Ties prefer the larger delta."""
+    is scored (returns (delta, None, B3)). Ties prefer the larger delta. A
+    split with no mentions raises IntegrityError, as in tune_tau."""
     if mention_ids is None:
         mention_ids = [m.id for m in corpus.mentions()]
+    if len(mention_ids) == 0:
+        raise IntegrityError("cannot tune delta on a split with no mentions")
     sims = cosine_similarity_matrix(embeddings) if embeddings is not None else None
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):

@@ -13,6 +13,8 @@ before dropout, both for the pairwise loss terms and at inference.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -210,41 +212,56 @@ def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return embeddings / safe[:, None], norms
 
 
-def _pair_masks(chain_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric same-chain / different-chain indicator matrices, zero diagonal."""
+@dataclass(frozen=True)
+class _Pairs:
+    """Unit rows, their cosine matrix and the same-chain / different-chain
+    indicator matrices (zero diagonal) of one batch, with the number of
+    unordered pairs of each kind."""
+
+    units: np.ndarray
+    norms: np.ndarray
+    cos: np.ndarray
+    same: np.ndarray
+    diff: np.ndarray
+    n_same: int
+    n_diff: int
+
+
+def _pairs(embeddings: np.ndarray, chain_codes: np.ndarray) -> _Pairs:
+    units, norms = _unit_rows(embeddings)
     codes = np.asarray(chain_codes)
-    same = codes[:, None] == codes[None, :]
+    diff = codes[:, None] != codes[None, :]
+    same = ~diff
     np.fill_diagonal(same, False)
-    diff = ~(codes[:, None] == codes[None, :])
-    return same, diff
+    n_same = int(same.sum()) // 2
+    n_diff = int(diff.sum()) // 2
+    return _Pairs(units, norms, units @ units.T, same, diff, n_same, n_diff)
 
 
-def _pairwise_distance_matrix(embeddings: np.ndarray) -> np.ndarray:
-    units, _ = _unit_rows(embeddings)
-    cos = units @ units.T
-    return 0.5 * (1.0 - cos)
+def _attract(pairs: _Pairs) -> float:
+    if pairs.n_same == 0:
+        warnings.warn("no same-chain pair in batch; attractive term is 0")
+        return 0.0
+    dist = 0.5 * (1.0 - pairs.cos[pairs.same])
+    return float(dist.sum() / 2.0 / pairs.n_same)
+
+
+def _repulse(pairs: _Pairs) -> float:
+    if pairs.n_diff == 0:
+        warnings.warn("no cross-chain pair in batch; repulsive term is 0")
+        return 0.0
+    dist = 0.5 * (1.0 - pairs.cos[pairs.diff])
+    return float(1.0 - dist.sum() / 2.0 / pairs.n_diff)
 
 
 def loss_attract(embeddings: np.ndarray, chain_codes: np.ndarray) -> float:
     """Mean cosine distance over unordered same-chain pairs."""
-    same, _ = _pair_masks(chain_codes)
-    n_pairs = int(same.sum()) // 2
-    if n_pairs == 0:
-        warnings.warn("no same-chain pair in batch; attractive term is 0")
-        return 0.0
-    dist = _pairwise_distance_matrix(embeddings)
-    return float(dist[same].sum() / 2.0 / n_pairs)
+    return _attract(_pairs(embeddings, chain_codes))
 
 
 def loss_repulse(embeddings: np.ndarray, chain_codes: np.ndarray) -> float:
     """One minus the mean cosine distance over unordered cross-chain pairs."""
-    _, diff = _pair_masks(chain_codes)
-    n_pairs = int(diff.sum()) // 2
-    if n_pairs == 0:
-        warnings.warn("no cross-chain pair in batch; repulsive term is 0")
-        return 0.0
-    dist = _pairwise_distance_matrix(embeddings)
-    return float(1.0 - dist[diff].sum() / 2.0 / n_pairs)
+    return _repulse(_pairs(embeddings, chain_codes))
 
 
 def loss_total(
@@ -261,8 +278,9 @@ def loss_total(
     variant), reported as cce=0 so total = cce + l1*attract + l2*repulse
     always holds."""
     cce = loss_cce(probs, labels) if use_cce else 0.0
-    attract = loss_attract(embeddings, chain_codes) if lambda1 != 0.0 else 0.0
-    repulse = loss_repulse(embeddings, chain_codes) if lambda2 != 0.0 else 0.0
+    pairs = _pairs(embeddings, chain_codes) if lambda1 != 0.0 or lambda2 != 0.0 else None
+    attract = _attract(pairs) if lambda1 != 0.0 else 0.0
+    repulse = _repulse(pairs) if lambda2 != 0.0 else 0.0
     total = cce + lambda1 * attract + lambda2 * repulse
     return LossBreakdown(
         total=float(total),
@@ -288,21 +306,17 @@ def core_embedding_grad(
     minus in the repulsive term). Zero-norm rows have constant distance to
     everything, so they receive and contribute no gradient.
     """
-    units, norms = _unit_rows(embeddings)
-    same, diff = _pair_masks(chain_codes)
-    n_same = int(same.sum()) // 2
-    n_diff = int(diff.sum()) // 2
-    weights = np.zeros_like(same, dtype=np.float64)
-    if lambda1 != 0.0 and n_same > 0:
-        weights[same] += lambda1 / n_same
-    if lambda2 != 0.0 and n_diff > 0:
-        weights[diff] -= lambda2 / n_diff
-    cos = units @ units.T
-    projected = weights @ units
-    radial = (weights * cos).sum(axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    grad = -(projected - radial[:, None] * units) / (2.0 * safe[:, None])
-    grad[norms == 0.0] = 0.0
+    p = _pairs(embeddings, chain_codes)
+    weights = np.zeros_like(p.same, dtype=np.float64)
+    if lambda1 != 0.0 and p.n_same > 0:
+        weights[p.same] += lambda1 / p.n_same
+    if lambda2 != 0.0 and p.n_diff > 0:
+        weights[p.diff] -= lambda2 / p.n_diff
+    projected = weights @ p.units
+    radial = (weights * p.cos).sum(axis=1)
+    safe = np.where(p.norms > 0.0, p.norms, 1.0)
+    grad = -(projected - radial[:, None] * p.units) / (2.0 * safe[:, None])
+    grad[p.norms == 0.0] = 0.0
     return grad
 
 
@@ -319,11 +333,15 @@ def backward(
     lambda1: float,
     lambda2: float,
     use_cce: bool = True,
+    out: NetParams | None = None,
 ) -> NetParams:
-    """Exact gradients of loss_total for every parameter, returned in a
-    NetParams-shaped container. The pairwise terms feed the embedding layer
+    """Exact gradients of loss_total for every parameter, written into `out`
+    (a NetParams-shaped container of C-contiguous float64 arrays, allocated
+    when None) and returned. The pairwise terms feed the embedding layer
     directly (pre-dropout); the cross-entropy path routes through the same
     dropout masks the forward pass used."""
+    if out is None:
+        out = NetParams(*[np.empty_like(a, order="C") for a in params.arrays()])
     n = cache.inputs.shape[0]
     train = cache.masks is not None
     scale = 1.0 / (1.0 - cache.dropout) if train else 1.0
@@ -335,15 +353,15 @@ def backward(
     else:
         d_z4 = np.zeros_like(cache.probs)
 
-    g_w4 = cache.d3.T @ d_z4
-    g_b4 = d_z4.sum(axis=0)
+    np.matmul(cache.d3.T, d_z4, out=out.w4)
+    d_z4.sum(axis=0, out=out.b4)
 
     d_d3 = d_z4 @ params.w4.T
     d_a3 = d_d3 * cache.masks[2] * scale if train else d_d3
     d_z3 = d_a3 * (cache.z3 > 0.0)
 
-    g_w3 = cache.d2.T @ d_z3
-    g_b3 = d_z3.sum(axis=0)
+    np.matmul(cache.d2.T, d_z3, out=out.w3)
+    d_z3.sum(axis=0, out=out.b3)
 
     d_d2 = d_z3 @ params.w3.T
     d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
@@ -353,22 +371,26 @@ def backward(
         )
     d_z2 = d_emb * (cache.z2 > 0.0)
 
-    g_w2 = cache.d1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
+    np.matmul(cache.d1.T, d_z2, out=out.w2)
+    d_z2.sum(axis=0, out=out.b2)
 
     d_d1 = d_z2 @ params.w2.T
     d_a1 = d_d1 * cache.masks[0] * scale if train else d_d1
     d_z1 = d_a1 * (cache.z1 > 0.0)
 
-    g_w1 = cache.inputs.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
+    np.matmul(cache.inputs.T, d_z1, out=out.w1)
+    d_z1.sum(axis=0, out=out.b1)
 
-    return NetParams(g_w1, g_b1, g_w2, g_b2, g_w3, g_b3, g_w4, g_b4)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+# Elements per block of the Adam update: the four operand blocks and the two
+# scratch blocks (6 x 256 KiB) stay in cache between the operations on them.
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -386,6 +408,14 @@ class AdamState:
         )
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """1-d view of an array updated in place (a reshaped copy would drop
+    the update)."""
+    if not a.flags.c_contiguous:
+        raise ValueError("Adam updates C-contiguous arrays in place")
+    return a.reshape(-1)
+
+
 def adam_step(
     params: NetParams,
     state: AdamState,
@@ -395,15 +425,40 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction.
+
+    Per element, in exactly this floating-point order:
+    m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g, then
+    param -= (lr*(m/(1-beta1**t))) / (sqrt(v/(1-beta2**t)) + eps).
+    m, v and the parameters are updated where they are, ADAM_BLOCK elements
+    at a time through two scratch blocks, so a step allocates nothing the
+    size of a parameter."""
     state.t += 1
     t = state.t
-    for i, (param, grad) in enumerate(zip(params.arrays(), grads.arrays())):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * grad
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * grad * grad
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    scratch1 = np.empty(ADAM_BLOCK)
+    scratch2 = np.empty(ADAM_BLOCK)
+    for param, grad, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        param, m, v, grad = _flat(param), _flat(m), _flat(v), grad.reshape(-1)
+        for lo in range(0, param.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            p_b, g_b, m_b, v_b = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
+            m_b *= beta1
+            np.multiply(g_b, 1.0 - beta1, out=a)
+            m_b += a
+            np.multiply(g_b, 1.0 - beta2, out=a)
+            a *= g_b
+            v_b *= beta2
+            v_b += a
+            np.divide(m_b, c1, out=a)
+            a *= lr
+            np.divide(v_b, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p_b -= a
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +481,8 @@ def save_checkpoint(
         out.write(struct.pack("<IQQ", epoch, seed, config_hash))
         out.write(struct.pack("<Q", state.t))
         for arr in params.arrays() + state.m + state.v:
-            out.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # a view, not a copy, for the C-contiguous float64 arrays training keeps
+            out.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> tuple[NetParams, AdamState, dict]:
@@ -434,23 +490,30 @@ def load_checkpoint(path) -> tuple[NetParams, AdamState, dict]:
         magic = handle.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-        dims = struct.unpack("<5I", handle.read(20))
-        epoch, seed, config_hash = struct.unpack("<IQQ", handle.read(20))
-        (t,) = struct.unpack("<Q", handle.read(8))
+
+        def read(array):
+            """Fill a preallocated buffer from the file."""
+            if handle.readinto(array) != memoryview(array).nbytes:
+                raise ParseError(path, 1, "truncated checkpoint")
+            return array
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(bytearray(struct.calcsize(fmt))))
+
+        dims = unpack("<5I")
+        epoch, seed, config_hash = unpack("<IQQ")
+        (t,) = unpack("<Q")
         d, h1, he, h3, k = dims
         shapes = [
             (d, h1), (h1,), (h1, he), (he,), (he, h3), (h3,), (h3, k), (k,),
         ]
+        # checked before allocating, so corrupt dims cannot ask for terabytes
+        body = 3 * 8 * sum(math.prod(shape) for shape in shapes)
+        if os.fstat(handle.fileno()).st_size - handle.tell() < body:
+            raise ParseError(path, 1, "truncated checkpoint")
 
         def read_arrays():
-            out = []
-            for shape in shapes:
-                count = int(np.prod(shape))
-                buf = handle.read(count * 8)
-                if len(buf) != count * 8:
-                    raise ParseError(path, 1, "truncated checkpoint")
-                out.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-            return out
+            return [read(np.empty(shape, dtype="<f8")) for shape in shapes]
 
         params = NetParams(*read_arrays())
         state = AdamState(m=read_arrays(), v=read_arrays(), t=t)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import tune_tau
 from .corpus import Clustering
-from .errors import SamplerError, TrainingDivergedError
+from .errors import IntegrityError, SamplerError, TrainingDivergedError
 from .network import (
     AdamState,
     LossBreakdown,
@@ -130,8 +130,13 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def _copy_adam(state: AdamState) -> AdamState:
-    return AdamState(m=[a.copy() for a in state.m], v=[a.copy() for a in state.v], t=state.t)
+def _snapshot(params: NetParams, adam: AdamState, best_params: NetParams, best_adam: AdamState) -> None:
+    """Copy the current parameters and Adam state into the best-epoch buffers."""
+    for src, dst in zip(
+        params.arrays() + adam.m + adam.v, best_params.arrays() + best_adam.m + best_adam.v
+    ):
+        np.copyto(dst, src)
+    best_adam.t = adam.t
 
 
 def train(
@@ -162,10 +167,15 @@ def train(
     has_val = val_features is not None
     if has_val and (val_mention_ids is None or val_gold is None):
         raise ValueError("validation needs features, mention ids, and gold chains")
+    if has_val and len(val_mention_ids) == 0:
+        raise IntegrityError("the validation split has no mentions to select an epoch on")
 
+    # allocated once: every step writes its gradients into `grads`, and each
+    # new best epoch is copied into `best_params`/`best_adam`
+    grads = NetParams(*[np.empty_like(a) for a in params.arrays()])
     history: list[EpochLog] = []
     best_params = params.copy()
-    best_adam = _copy_adam(adam)
+    best_adam = AdamState.for_params(params)
     best_tau: float | None = None
     best_b3: float | None = None
     best_epoch = 0
@@ -204,7 +214,7 @@ def train(
                     f"attract={breakdown.attract!r} repulse={breakdown.repulse!r} "
                     f"(lr={config.lr}, lambda1={config.lambda1}, lambda2={config.lambda2})"
                 )
-            grads = backward(
+            backward(
                 params,
                 cache,
                 batch.class_labels,
@@ -212,6 +222,7 @@ def train(
                 config.lambda1,
                 config.lambda2,
                 use_cce=config.use_cce,
+                out=grads,
             )
             adam_step(params, adam, grads, config.lr)
             sums += (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
@@ -233,11 +244,11 @@ def train(
             tau, b3 = tune_tau(val_emb, val_mention_ids, val_gold)
             log.val_b3, log.tau = b3, tau
             if best_b3 is None or b3 > best_b3:
-                best_params = params.copy()
-                best_adam = _copy_adam(adam)
+                _snapshot(params, adam, best_params, best_adam)
                 best_tau, best_b3, best_epoch = tau, b3, epoch
         else:
-            best_params, best_adam, best_epoch = params.copy(), _copy_adam(adam), epoch
+            _snapshot(params, adam, best_params, best_adam)
+            best_epoch = epoch
         history.append(log)
         if progress is not None:
             progress(log)

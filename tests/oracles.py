@@ -8,6 +8,7 @@ differentiation. None of it shares code with the package.
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -266,3 +267,32 @@ def pairwise_loss_loops(embeddings, chain_ids, lam1, lam2):
         else 0.0
     )
     return attract, repulse, lam1 * attract + lam2 * repulse
+
+
+# ---------------------------------------------------------------------------
+# Adam and checkpoints: whole-array expression forms
+# ---------------------------------------------------------------------------
+
+
+def adam_step_expression(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step (Kingma & Ba 2015) over lists of arrays, written as
+    whole-array expressions; returns new (params, m, v) lists."""
+    new_params, new_m, new_v = [], [], []
+    for param, m_i, v_i, grad in zip(params, m, v, grads):
+        m_i = beta1 * m_i + (1.0 - beta1) * grad
+        v_i = beta2 * v_i + (1.0 - beta2) * grad * grad
+        m_hat = m_i / (1.0 - beta1**t)
+        v_hat = v_i / (1.0 - beta2**t)
+        new_params.append(param - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_params, new_m, new_v
+
+
+def checkpoint_bytes(magic, dims, epoch, seed, config_hash, t, arrays):
+    """The checkpoint layout: magic, five uint32 dims, uint32 epoch, uint64
+    seed and config hash, uint64 Adam step, then every array as
+    little-endian float64 in C order."""
+    head = magic + struct.pack("<5I", *dims) + struct.pack("<IQQ", epoch, seed, config_hash)
+    head += struct.pack("<Q", t)
+    return head + b"".join(np.asarray(a, dtype="<f8").tobytes(order="C") for a in arrays)

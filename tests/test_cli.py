@@ -124,6 +124,23 @@ def test_non_numeric_threshold_is_exit_2(tmp_path, capsys, key):
     assert f"{key} must be a number" in err and "Traceback" not in err
 
 
+def test_empty_validation_split_is_exit_2(tmp_path, capsys):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    cfg = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o")
+    cfg.write_text(cfg.read_text().replace("validation = 5-6", "validation = 9"))  # no topic 9
+    assert main(["features", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "validation split has no mentions" in captured.err
+    assert "Traceback" not in captured.err
+    assert "epoch" not in captured.out  # refused before training, not after an epoch
+    lemma = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o", variant="LEMMA-DELTA")
+    lemma.write_text(lemma.read_text().replace("validation = 5-6", "validation = 9"))
+    assert main(["cluster", "--config", str(lemma)]) == 2  # delta is tuned on validation
+    assert "no mentions" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_exit_2():
     assert main(["features", "--config", "/nonexistent.ini"]) == 2
 

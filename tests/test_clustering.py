@@ -15,7 +15,7 @@ from evcoref.clustering import (
     write_chains,
     read_chains,
 )
-from evcoref.corpus import Clustering
+from evcoref.corpus import Clustering, Corpus
 from evcoref.errors import IntegrityError
 from evcoref.features import fit_tfidf
 from oracles import naive_single_linkage
@@ -301,6 +301,16 @@ def test_tune_tau_with_init(rng):
     init = Clustering.from_sets([set(ids[:2])] + [{m} for m in ids[2:]])
     tau, score = tune_tau(emb, ids, gold, init=init)
     assert score == 1.0
+
+
+def test_tau_and_delta_searches_refuse_a_split_without_mentions():
+    # at zero mentions every threshold scores the same empty B3; there is
+    # nothing to select
+    with pytest.raises(IntegrityError, match="no mentions"):
+        tune_tau(np.zeros((0, 4)), [], Clustering.from_sets([]))
+    tfidf = fit_tfidf(lemma_corpus())
+    with pytest.raises(IntegrityError, match="no mentions"):
+        tune_delta(Corpus(()), tfidf, Clustering.from_sets([]))
 
 
 def test_tune_delta_baseline_and_zero_grid():

@@ -1,11 +1,16 @@
 import math
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from evcoref.errors import ModelMismatchError
+from evcoref import network
+from evcoref.errors import ModelMismatchError, ParseError
 from evcoref.network import (
+    ADAM_BLOCK,
+    CHECKPOINT_MAGIC,
     AdamState,
     NetParams,
     adam_step,
@@ -25,6 +30,8 @@ from evcoref.network import (
 )
 from conftest import gradcheck_case
 from oracles import (
+    adam_step_expression,
+    checkpoint_bytes,
     finite_difference,
     max_relative_error,
     pairwise_loss_loops,
@@ -231,6 +238,19 @@ def test_pairwise_terms_stay_in_unit_interval(rng):
             assert 0.0 <= loss_repulse(e, codes) <= 1.0
 
 
+def test_loss_total_computes_the_pair_geometry_once(rng, monkeypatch):
+    e = rng.normal(size=(9, 4))
+    codes = np.array([0, 0, 1, 1, 1, 2, 3, 3, 0])
+    calls = []
+    pairs = network._pairs
+    monkeypatch.setattr(network, "_pairs", lambda *a: calls.append(1) or pairs(*a))
+    breakdown = loss_total(np.full((9, 2), 0.5), e, np.zeros(9, dtype=int), codes, 2.0, 0.5)
+    assert len(calls) == 1
+    # the shared geometry gives the standalone terms' values bit for bit
+    assert breakdown.attract == loss_attract(e, codes)
+    assert breakdown.repulse == loss_repulse(e, codes)
+
+
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
@@ -330,6 +350,16 @@ def test_zero_norm_embedding_rows_get_zero_core_gradient():
     assert np.all(np.isfinite(grad))
 
 
+def test_backward_writes_into_the_given_buffer(rng):
+    params, x, labels, codes, masks = gradcheck_case(rng, dropout=0.25)
+    cache = forward(params, x, mode="train", masks=masks)
+    fresh = backward(params, cache, labels, codes, 1.5, 0.5)
+    buffer = NetParams(*[np.full_like(a, np.nan) for a in params.arrays()])
+    assert backward(params, cache, labels, codes, 1.5, 0.5, out=buffer) is buffer
+    for a, b in zip(fresh.arrays(), buffer.arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -371,6 +401,51 @@ def test_adam_first_step_closed_form():
     assert state.t == 1
 
 
+def test_adam_step_bit_identical_to_expression_form(rng):
+    # sizes straddle the block boundary; one array is 2-d
+    sizes = [1, ADAM_BLOCK - 1, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 7, (7, 5), 2, ADAM_BLOCK, 3]
+    arrays = [rng.normal(size=s) for s in sizes]
+    params = NetParams(*[a.copy() for a in arrays])
+    state = AdamState.for_params(params)
+    ref_params = [a.copy() for a in arrays]
+    ref_m = [np.zeros_like(a) for a in arrays]
+    ref_v = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 33):
+        grads = []
+        for a in arrays:
+            g = rng.normal(size=a.shape) * 10.0 ** rng.integers(-8, 3, size=a.shape)
+            g[rng.random(a.shape) < 0.2] = 0.0
+            g[rng.random(a.shape) < 0.01] *= 1e150  # squares near the float64 limit
+            grads.append(g)
+        adam_step(params, state, NetParams(*grads), lr=0.003)
+        ref_params, ref_m, ref_v = adam_step_expression(
+            ref_params, ref_m, ref_v, grads, t, lr=0.003
+        )
+        assert state.t == t
+        for ours, ref in zip(params.arrays() + state.m + state.v, ref_params + ref_m + ref_v):
+            assert ours.tobytes() == ref.tobytes()
+
+
+def test_adam_step_allocates_no_parameter_sized_array(rng):
+    params = NetParams(rng.normal(size=(1000, 500)), *[rng.normal(size=3) for _ in range(7)])
+    grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
+    state = AdamState.for_params(params)
+    tracemalloc.start()
+    try:
+        adam_step(params, state, grads, lr=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
+
+
+def test_adam_step_refuses_a_non_contiguous_parameter(rng):
+    params = NetParams(np.zeros((4, 3)).T, *[np.zeros(2) for _ in range(7)])
+    grads = NetParams(*[np.ones_like(a) for a in params.arrays()])
+    with pytest.raises(ValueError, match="contiguous"):
+        adam_step(params, AdamState.for_params(params), grads, lr=0.01)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -396,4 +471,51 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(Exception):
+        load_checkpoint(path)
+
+
+def stepped_checkpoint_case(rng):
+    params = tiny_params(rng)
+    state = AdamState.for_params(params)
+    grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
+    adam_step(params, state, grads, lr=0.01)
+    adam_step(params, state, grads, lr=0.01)
+    return params, state
+
+
+def test_checkpoint_bytes_match_the_documented_layout(tmp_path, rng):
+    params, state = stepped_checkpoint_case(rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, epoch=4, seed=2**40 + 3, config_hash=2**63 + 5)
+    expected = checkpoint_bytes(
+        CHECKPOINT_MAGIC, params.dims, 4, 2**40 + 3, 2**63 + 5, 2,
+        params.arrays() + state.m + state.v,
+    )
+    assert path.read_bytes() == expected
+
+
+def test_truncated_checkpoint_is_a_parse_error(tmp_path, rng):
+    params, state = stepped_checkpoint_case(rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, epoch=1, seed=0)
+    whole = path.read_bytes()
+    header = len(CHECKPOINT_MAGIC) + 48
+    # inside the magic, the dims, the Adam step count, the first array and
+    # the last one
+    for keep in (5, len(CHECKPOINT_MAGIC) + 7, header - 1, header + 3, len(whole) - 1):
+        cut = tmp_path / f"cut{keep}.ckpt"
+        cut.write_bytes(whole[:keep])
+        with pytest.raises(ParseError):
+            load_checkpoint(cut)
+
+
+def test_checkpoint_with_corrupt_dims_is_a_parse_error(tmp_path, rng):
+    params, state = stepped_checkpoint_case(rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, state, epoch=1, seed=0)
+    whole = bytearray(path.read_bytes())
+    at = len(CHECKPOINT_MAGIC)
+    whole[at : at + 8] = struct.pack("<2I", 2**31, 2**31)  # a 2^62-entry w1
+    path.write_bytes(bytes(whole))
+    with pytest.raises(ParseError, match="truncated"):
         load_checkpoint(path)

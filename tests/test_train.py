@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evcoref.corpus import Clustering
-from evcoref.errors import SamplerError, TrainingDivergedError
+from evcoref.errors import IntegrityError, SamplerError, TrainingDivergedError
 from evcoref.network import forward
 from evcoref.train import (
     TrainConfig,
@@ -21,6 +21,16 @@ def blob_data(rng, n_per=20, k=3, d=10, noise=0.3):
     labels = np.repeat(np.arange(k), n_per)
     chains = [f"c{i}" for i in labels]
     return x, labels, chains
+
+
+def val_split(rng, n_per=5, noise=0.3):
+    val_x, _, val_chains = blob_data(rng, n_per=n_per, noise=noise)
+    val_ids = [f"v{i}" for i in range(len(val_chains))]
+    val_gold = Clustering.from_sets(
+        {val_ids[i] for i in range(len(val_chains)) if val_chains[i] == c}
+        for c in set(val_chains)
+    )
+    return val_x, val_ids, val_gold
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +160,7 @@ def test_training_with_core_terms(rng):
 
 def test_training_tracks_best_validation_b3(rng):
     x, labels, chains = blob_data(rng, n_per=15)
-    val_x, _, val_chains = blob_data(rng, n_per=5)
-    val_ids = [f"v{i}" for i in range(len(val_chains))]
-    val_gold = Clustering.from_sets(
-        {val_ids[i] for i in range(len(val_chains)) if val_chains[i] == c}
-        for c in set(val_chains)
-    )
+    val_x, val_ids, val_gold = val_split(rng)
     cfg = tiny_config(epochs=6, lambda1=1.0)
     result = train(
         x,
@@ -177,6 +182,43 @@ def test_training_tracks_best_validation_b3(rng):
 
     _, score = tune_tau(emb, val_ids, val_gold)
     assert score == pytest.approx(result.best_b3)
+
+
+def test_best_epoch_snapshot_equals_a_run_stopped_there():
+    # the snapshot buffers are reused across epochs: the retained state must
+    # be exactly the state at the best epoch, untouched by later steps
+    rng = np.random.default_rng(2)
+    x, labels, chains = blob_data(rng, n_per=15, noise=2.0)
+    val_x, val_ids, val_gold = val_split(rng, n_per=6, noise=2.0)  # best at epoch 2
+
+    def run(epochs):
+        return train(
+            x, labels, chains, n_classes=4, config=tiny_config(epochs=epochs, lambda1=1.0),
+            val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+        )
+
+    full = run(8)
+    assert 1 < full.best_epoch < 8
+    stopped = run(full.best_epoch)
+    assert full.best_adam.t == stopped.adam.t
+    for ours, ref in zip(
+        full.best_params.arrays() + full.best_adam.m + full.best_adam.v,
+        stopped.params.arrays() + stopped.adam.m + stopped.adam.v,
+    ):
+        assert ours.tobytes() == ref.tobytes()
+    assert not np.array_equal(full.best_params.w1, full.params.w1)
+
+
+def test_empty_validation_split_is_refused_before_training(rng):
+    x, labels, chains = blob_data(rng)
+    seen = []
+    with pytest.raises(IntegrityError, match="no mentions"):
+        train(
+            x, labels, chains, n_classes=4, config=tiny_config(epochs=2),
+            val_features=np.zeros((0, x.shape[1])), val_mention_ids=[],
+            val_gold=Clustering.from_sets([]), progress=seen.append,
+        )
+    assert seen == []
 
 
 def test_divergence_aborts_with_diagnostics(rng):
