@@ -186,45 +186,71 @@ def _doc_unit_vectors(corpus: Corpus, tfidf) -> dict[str, np.ndarray]:
     return out
 
 
+def _components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on n nodes with the given edges, as
+    each node's smallest component member.
+
+    Labels only fall (each edge takes the lower of its ends' labels) and stay
+    inside the component, and a label's own label is no larger (shortcut), so
+    the fixpoint is constant on each component and equal to its minimum.
+    """
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[lefts], labels[rights])
+        nxt = labels.copy()
+        np.minimum.at(nxt, lefts, low)
+        np.minimum.at(nxt, rights, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+@dataclass(frozen=True)
+class _LemmaPairs:
+    """The mention pairs of one split that share a head lemma, each with its
+    documents' TF-IDF cosine; computed once, thresholded per delta."""
+
+    mention_ids: list[str]
+    lefts: np.ndarray
+    rights: np.ndarray
+    same_doc: np.ndarray
+    cosines: np.ndarray  # 0 for same-document pairs, which always merge
+
+    @classmethod
+    def of(cls, corpus: Corpus, tfidf) -> "_LemmaPairs":
+        doc_vecs = _doc_unit_vectors(corpus, tfidf)
+        mention_ids, by_lemma = [], {}
+        for doc in corpus.documents:
+            for m in doc.mentions:
+                by_lemma.setdefault(head_lemma(m, doc), []).append((len(mention_ids), m.doc_id))
+                mention_ids.append(m.id)
+        pairs = [
+            (i, j, di == dj, 0.0 if di == dj else float(doc_vecs[di] @ doc_vecs[dj]))
+            for group in by_lemma.values()
+            for a, (i, di) in enumerate(group)
+            for j, dj in group[a + 1 :]
+        ]
+        lefts, rights, same_doc, cosines = zip(*pairs) if pairs else ((), (), (), ())
+        return cls(
+            mention_ids=mention_ids,
+            lefts=np.array(lefts, dtype=np.int64),
+            rights=np.array(rights, dtype=np.int64),
+            same_doc=np.array(same_doc, dtype=bool),
+            cosines=np.array(cosines, dtype=np.float64),
+        )
+
+    def init_at(self, delta: float) -> Clustering:
+        keep = self.same_doc | (self.cosines > delta)
+        labels = _components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
+        return Clustering.from_labels(self.mention_ids, labels)
+
+
 def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
     """Transitive closure of: same head lemma AND document TF-IDF cosine
     strictly above delta. Same-document mentions with one head lemma always
     merge (a document's self-similarity is 1 > delta for delta < 1)."""
-    doc_vecs = _doc_unit_vectors(corpus, tfidf)
-    mentions: list[tuple[str, str, str]] = []  # (mention_id, head lemma, doc)
-    for doc in corpus.documents:
-        for m in doc.mentions:
-            mentions.append((m.id, head_lemma(m, doc), m.doc_id))
-
-    parent = {m_id: m_id for m_id, _, _ in mentions}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    by_lemma: dict[str, list[tuple[str, str]]] = {}
-    for m_id, lemma, doc_id in mentions:
-        by_lemma.setdefault(lemma, []).append((m_id, doc_id))
-    for group in by_lemma.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                (mi, di), (mj, dj) = group[i], group[j]
-                if di == dj:
-                    union(mi, mj)
-                elif float(doc_vecs[di] @ doc_vecs[dj]) > delta:
-                    union(mi, mj)
-
-    groups: dict[str, set[str]] = {}
-    for m_id, _, _ in mentions:
-        groups.setdefault(find(m_id), set()).add(m_id)
-    return Clustering.from_sets(groups[k] for k in sorted(groups))
+    return _LemmaPairs.of(corpus, tfidf).init_at(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +314,10 @@ def tune_delta(
     if len(mention_ids) == 0:
         raise IntegrityError("cannot tune delta on a split with no mentions")
     sims = cosine_similarity_matrix(embeddings) if embeddings is not None else None
+    pairs = _LemmaPairs.of(corpus, tfidf)
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):
-        init = lemma_delta_init(corpus, tfidf, float(delta))
+        init = pairs.init_at(float(delta))
         if sims is not None:
             tau, score = tune_tau(None, mention_ids, gold, init=init, sims=sims)
         else:

@@ -235,24 +235,16 @@ def doc_features(doc: Document, tfidf: TfidfModel, pca: PcaModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_overlap(a: Counter, b: Counter) -> float:
-    """Dice overlap of two token multisets, 2|A&B| / (|A|+|B|)."""
-    total = sum(a.values()) + sum(b.values())
-    if total == 0:
-        return 0.0
-    inter = sum((a & b).values())
-    return 2.0 * inter / total
-
-
 @dataclass(frozen=True)
 class MentionView:
-    """Mention with resolved token strings plus its rank inside the document."""
+    """Mention with its span's word and lemma strings plus its rank inside
+    the document."""
 
     mention_id: str
     doc_id: str
     topic_id: str
-    words: Counter
-    lemmas: Counter
+    words: tuple[str, ...]
+    lemmas: tuple[str, ...]
     rank: int
     n_in_doc: int
 
@@ -262,39 +254,91 @@ class MentionView:
             mention_id=mention.id,
             doc_id=doc.doc_id,
             topic_id=doc.topic_id,
-            words=Counter(doc.tokens[i].word for i in mention.token_indices),
-            lemmas=Counter(doc.tokens[i].lemma for i in mention.token_indices),
+            words=tuple(doc.tokens[i].word for i in mention.token_indices),
+            lemmas=tuple(doc.tokens[i].lemma for i in mention.token_indices),
             rank=rank,
             n_in_doc=len(doc.mentions),
         )
 
 
-def comparative_features(view: MentionView, same_doc, pool) -> np.ndarray:
-    """[is_first, rank/n, is_last] plus average word/lemma overlap against the
-    rest of the document and against the whole clustering pool. The mention
-    itself is excluded from both averages; an empty comparison set gives 0."""
+def _count_matrix(bags: list[tuple[str, ...]]) -> np.ndarray:
+    """Token counts of each bag (rows) over the bags' own vocabulary."""
+    column: dict[str, int] = {}
+    cells = [(row, column.setdefault(t, len(column))) for row, bag in enumerate(bags) for t in bag]
+    counts = np.zeros((len(bags), len(column)))
+    if cells:
+        np.add.at(counts, tuple(np.array(cells).T), 1.0)
+    return counts
 
-    def averages(others):
-        others = [o for o in others if o.mention_id != view.mention_id]
-        if not others:
-            return 0.0, 0.0
-        w = sum(harmonic_overlap(view.words, o.words) for o in others) / len(others)
-        l = sum(harmonic_overlap(view.lemmas, o.lemmas) for o in others) / len(others)
-        return w, l
 
-    doc_w, doc_l = averages(same_doc)
-    pool_w, pool_l = averages(pool)
-    return np.array(
-        [
-            1.0 if view.rank == 1 else 0.0,
-            view.rank / view.n_in_doc,
-            1.0 if view.rank == view.n_in_doc else 0.0,
-            doc_w,
-            doc_l,
-            pool_w,
-            pool_l,
-        ]
-    )
+def _dice_matrix(counts: np.ndarray) -> np.ndarray:
+    """Pairwise multiset Dice overlap 2|A&B| / (|A|+|B|) of count rows; 0
+    where both bags are empty.
+
+    |A&B| = sum_k (C >= k)(C >= k)^T over k = 1..max count. The products sum
+    0/1 values, so the integer intersections are exact whatever order BLAS
+    adds them in, and so is each quotient.
+    """
+    n = counts.shape[0]
+    inter = np.zeros((n, n))
+    for k in range(1, int(counts.max(initial=0.0)) + 1):
+        at_least = (counts >= k).astype(np.float64)
+        inter += at_least @ at_least.T
+    sizes = counts.sum(axis=1)
+    total = sizes[:, None] + sizes[None, :]
+    inter *= 2.0  # both bags empty: inter and total are 0, and the entry stays 0
+    return np.divide(inter, total, out=inter, where=total > 0)
+
+
+def _mean_over_others(dice: np.ndarray, same: np.ndarray | None) -> np.ndarray:
+    """Each row's mean over the other columns (within `same`, or all of
+    them); 0 for a row with no other column.
+
+    The terms are added left to right (np.add.accumulate, not the pairwise
+    np.sum) with excluded terms set to +0.0, which adds exactly; so each mean
+    equals sum(terms) / count taken over the kept columns in order.
+    """
+    n = dice.shape[0]
+    keep = np.ones((n, n), dtype=bool) if same is None else same.copy()
+    np.fill_diagonal(keep, False)
+    terms = np.where(keep, dice, 0.0)
+    sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    counts = keep.sum(axis=1)
+    return np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+
+
+def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
+    """Positional and comparative entries of every mention of a split, in the
+    order of `views` (corpus order), as an (n, 7) block:
+    [is_first, rank/n, is_last, doc_w, doc_l, pool_w, pool_l].
+
+    doc_* and pool_* average the Dice word/lemma overlap with the other
+    mentions of the same document and of the clustering pool: the whole split
+    for pool "global", the mentions sharing the document's topic for "topic".
+    The mention itself is excluded from both averages; an empty comparison set
+    gives 0.
+    """
+    if pool not in ("global", "topic"):
+        raise ValueError(f"unknown pool scope {pool!r}")
+    out = np.zeros((len(views), N_POSITIONAL + N_COMPARATIVE))
+    rank = np.array([v.rank for v in views], dtype=np.float64)
+    n_in_doc = np.array([v.n_in_doc for v in views], dtype=np.float64)
+    out[:, 0] = rank == 1
+    out[:, 1] = rank / n_in_doc
+    out[:, 2] = rank == n_in_doc
+    # a document lies inside one topic, so a topic's mentions are all the
+    # comparison sets its mentions need; the n x n work stays per topic
+    groups: dict[str, list[int]] = {}
+    for i, v in enumerate(views):
+        groups.setdefault(v.topic_id if pool == "topic" else "", []).append(i)
+    for rows in groups.values():
+        doc = np.unique([views[i].doc_id for i in rows], return_inverse=True)[1]
+        same_doc = doc[:, None] == doc[None, :]
+        for col, attr in ((3, "words"), (4, "lemmas")):
+            dice = _dice_matrix(_count_matrix([getattr(views[i], attr) for i in rows]))
+            out[rows, col] = _mean_over_others(dice, same_doc)
+            out[rows, col + 2] = _mean_over_others(dice, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,38 +379,20 @@ def extract_split(
     "global" compares against all mentions of the split, "topic" against
     mentions sharing the document's topic.
     """
-    if pool not in ("global", "topic"):
-        raise ValueError(f"unknown pool scope {pool!r}")
+    matrix = np.empty((sum(len(doc.mentions) for doc in corpus.documents), models.dim))
+    width = 8 * (models.word_vectors.dimension + LEMMA_VOCAB_SIZE)
     mentions: list[Mention] = []
     views: list[MentionView] = []
-    by_doc: dict[str, list[MentionView]] = {}
-    by_topic: dict[str, list[MentionView]] = {}
     for doc in corpus.documents:
+        first = len(mentions)
+        matrix[first : first + len(doc.mentions), width : width + PCA_DIM] = doc_features(
+            doc, models.tfidf, models.pca
+        )
         for rank, mention in enumerate(doc.mentions, start=1):
-            view = MentionView.of(mention, doc, rank)
+            matrix[len(mentions), :width] = contextual_features(
+                mention, doc, models.word_vectors, models.lemma_vocab
+            )
             mentions.append(mention)
-            views.append(view)
-            by_doc.setdefault(doc.doc_id, []).append(view)
-            by_topic.setdefault(doc.topic_id, []).append(view)
-
-    doc_cache = {
-        doc.doc_id: doc_features(doc, models.tfidf, models.pca)
-        for doc in corpus.documents
-    }
-    rows = []
-    for mention, view in zip(mentions, views):
-        doc = corpus.doc(mention.doc_id)
-        pool_views = views if pool == "global" else by_topic[view.topic_id]
-        contextual = contextual_features(
-            mention, doc, models.word_vectors, models.lemma_vocab
-        )
-        comparative = comparative_features(view, by_doc[view.doc_id], pool_views)
-        rows.append(np.concatenate([contextual, doc_cache[mention.doc_id], comparative]))
-    if not rows:
-        return np.zeros((0, models.dim)), mentions
-    matrix = np.stack(rows)
-    if matrix.shape[1] != models.dim:
-        raise RuntimeError(
-            f"internal error: feature width {matrix.shape[1]}, expected {models.dim}"
-        )
+            views.append(MentionView.of(mention, doc, rank))
+    matrix[:, width + PCA_DIM :] = comparative_features(views, pool)
     return matrix, mentions

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -20,10 +21,13 @@ def write_matrix(path, arr: np.ndarray) -> None:
     with open(path, "wb") as out:
         out.write(MATRIX_MAGIC)
         out.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        out.write(arr.tobytes())
+        # the array's own buffer, not a tobytes() copy of it
+        out.write(arr.data)
 
 
 def read_matrix(path) -> np.ndarray:
+    """Read a matrix file; a payload shorter or longer than the header's
+    row and column counts imply is a ParseError, found before allocating."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
@@ -32,7 +36,11 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 16:
             raise ParseError(path, 1, "truncated matrix header")
         rows, cols = struct.unpack("<QQ", header)
-        data = np.frombuffer(handle.read(), dtype="<f8")
-    if data.size != rows * cols:
-        raise ParseError(path, 1, f"expected {rows * cols} values, found {data.size}")
-    return data.reshape(rows, cols).astype(np.float64)
+        payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        if payload != 8 * rows * cols:
+            expected = f"expected {rows * cols} values ({8 * rows * cols} bytes)"
+            raise ParseError(path, 1, f"{expected}, found {payload} bytes")
+        data = np.empty((rows, cols), dtype="<f8")
+        if handle.readinto(data) != data.nbytes:
+            raise ParseError(path, 1, "matrix file changed while being read")
+    return data

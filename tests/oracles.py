@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -296,3 +297,83 @@ def checkpoint_bytes(magic, dims, epoch, seed, config_hash, t, arrays):
     head = magic + struct.pack("<5I", *dims) + struct.pack("<IQQ", epoch, seed, config_hash)
     head += struct.pack("<Q", t)
     return head + b"".join(np.asarray(a, dtype="<f8").tobytes(order="C") for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# Comparative features: one Counter overlap per mention pair
+# ---------------------------------------------------------------------------
+
+
+def harmonic_overlap(a: Counter, b: Counter) -> float:
+    """Dice overlap of two token multisets, 2|A&B| / (|A|+|B|)."""
+    total = sum(a.values()) + sum(b.values())
+    if total == 0:
+        return 0.0
+    inter = sum((a & b).values())
+    return 2.0 * inter / total
+
+
+def comparative_row(view, same_doc, pool) -> np.ndarray:
+    """[is_first, rank/n, is_last] plus the mean word/lemma overlap of one
+    mention view against the rest of its document and of its pool, each mean
+    summed left to right in the given order; an empty set gives 0."""
+
+    def averages(others):
+        others = [o for o in others if o.mention_id != view.mention_id]
+        if not others:
+            return 0.0, 0.0
+        w = sum(harmonic_overlap(Counter(view.words), Counter(o.words)) for o in others)
+        l = sum(harmonic_overlap(Counter(view.lemmas), Counter(o.lemmas)) for o in others)
+        return w / len(others), l / len(others)
+
+    doc_w, doc_l = averages(same_doc)
+    pool_w, pool_l = averages(pool)
+    return np.array(
+        [
+            1.0 if view.rank == 1 else 0.0,
+            view.rank / view.n_in_doc,
+            1.0 if view.rank == view.n_in_doc else 0.0,
+            doc_w,
+            doc_l,
+            pool_w,
+            pool_l,
+        ]
+    )
+
+
+def comparative_block(views, pool: str) -> np.ndarray:
+    """comparative_row for every view of a split, in order."""
+    rows = []
+    for v in views:
+        same_doc = [o for o in views if o.doc_id == v.doc_id]
+        in_pool = views if pool == "global" else [o for o in views if o.topic_id == v.topic_id]
+        rows.append(comparative_row(v, same_doc, in_pool))
+    return np.array(rows).reshape(len(views), 7)
+
+
+# ---------------------------------------------------------------------------
+# Lemma-delta partition: the pair loop recomputed for one delta
+# ---------------------------------------------------------------------------
+
+
+def lemma_delta_chains(corpus, tfidf, delta: float) -> list[list[str]]:
+    """Sorted chains of the transitive closure of: same head lemma (the
+    span's last token) AND (same document OR document TF-IDF cosine > delta)."""
+    units = {}
+    for doc in corpus.documents:
+        vec = tfidf.doc_vector(doc)
+        norm = np.linalg.norm(vec)
+        units[doc.doc_id] = vec / norm if norm > 0 else vec
+    mentions = [
+        (m.id, doc.tokens[m.last_index].lemma, doc.doc_id)
+        for doc in corpus.documents
+        for m in doc.mentions
+    ]
+    chain = {m_id: {m_id} for m_id, _, _ in mentions}
+    for (mi, li, di), (mj, lj, dj) in itertools.combinations(mentions, 2):
+        if li == lj and (di == dj or float(units[di] @ units[dj]) > delta):
+            merged = chain[mi] | chain[mj]
+            for m in merged:
+                chain[m] = merged
+    unique = {id(c): c for c in chain.values()}.values()
+    return sorted(sorted(c) for c in unique)

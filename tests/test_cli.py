@@ -141,6 +141,19 @@ def test_empty_validation_split_is_exit_2(tmp_path, capsys):
     assert "no mentions" in capsys.readouterr().err
 
 
+def test_truncated_feature_matrix_is_exit_2(tmp_path, capsys):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out)
+    assert main(["features", "--config", str(cfg)]) == 0
+    matrix = out / "features" / "train.mat"
+    matrix.write_bytes(matrix.read_bytes()[:-3])  # not a whole float64 short
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "train.mat" in err and "expected" in err and "Traceback" not in err
+
+
 def test_missing_config_file_is_exit_2():
     assert main(["features", "--config", "/nonexistent.ini"]) == 2
 

@@ -15,10 +15,12 @@ from evcoref.clustering import (
     write_chains,
     read_chains,
 )
-from evcoref.corpus import Clustering, Corpus
+from evcoref.corpus import Clustering, Corpus, gold_clustering, loads_corpus, split_by_topics
 from evcoref.errors import IntegrityError
 from evcoref.features import fit_tfidf
-from oracles import naive_single_linkage
+from evcoref.scoring import score_b3
+from oracles import lemma_delta_chains, naive_single_linkage
+from synthcorpus import band_topic_sets, generate
 
 
 def random_sim(rng, n):
@@ -224,6 +226,15 @@ def test_lemma_delta_zero_equals_plain_lemma_when_docs_share_terms():
     }
 
 
+def test_lemma_delta_needs_cosine_strictly_above_delta():
+    corpus = lemma_corpus()
+    # fitted on unrelated documents, every document vector is zero, so every
+    # cross-document cosine is exactly 0.0, which is not above delta 0
+    tfidf = fit_tfidf(corpus_from_docs([("x1", "9", toks("other"), []), ("x2", "9", toks("words"), [])]))
+    chains = {frozenset(c) for c in lemma_delta_init(corpus, tfidf, 0.0).chains}
+    assert chains == {frozenset({"m1"}), frozenset({"m2"}), frozenset({"m3"}), frozenset({"m4", "m5"})}
+
+
 def test_lemma_delta_closure_is_transitive():
     # d1~d2 and d2~d3 pass delta but d1~d3 does not: closure still joins all
     corpus = corpus_from_docs(
@@ -242,6 +253,43 @@ def test_lemma_delta_closure_is_transitive():
     delta = (s13 + s12) / 2
     clustering = lemma_delta_init(corpus, tfidf, delta)
     assert {frozenset(c) for c in clustering.chains} == {frozenset({"m1", "m2", "m3"})}
+
+
+def synthetic_lemma_split():
+    """TF-IDF fitted on a generated train band, and the validation band."""
+    bands = (2, 2, 2)
+    text, _, _ = generate(seed=3, band_topics=bands, docs_per_topic=4, mentions_per_doc=8, n_chains=36)
+    train_t, val_t, test_t = band_topic_sets(bands)
+    train_c, val_c, _ = split_by_topics(loads_corpus(text), train_t, val_t, test_t)
+    return fit_tfidf(train_c), val_c
+
+
+def test_lemma_delta_init_matches_per_delta_pair_loop():
+    tfidf, corpus = synthetic_lemma_split()
+    partitions = set()
+    for delta in np.linspace(0.0, 1.0, 100):
+        chains = lemma_delta_init(corpus, tfidf, float(delta)).sorted_chains()
+        assert chains == lemma_delta_chains(corpus, tfidf, float(delta))
+        partitions.add(str(chains))
+    assert len(partitions) > 3  # the grid crosses several cosine levels
+
+
+@pytest.mark.parametrize("with_embeddings", [False, True])
+def test_tune_delta_matches_per_delta_recomputation(rng, with_embeddings):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    emb = rng.normal(size=(len(ids), 6)) if with_embeddings else None
+    best = (-1.0, None, -1.0)
+    for delta in np.linspace(0.0, 1.0, 100):
+        init = Clustering.from_sets(lemma_delta_chains(corpus, tfidf, float(delta)))
+        if with_embeddings:
+            tau, score = tune_tau(emb, ids, gold, init=init)
+        else:
+            tau, score = None, score_b3(gold, init).f1
+        if score >= best[2]:
+            best = (float(delta), tau, float(score))
+    assert tune_delta(corpus, tfidf, gold, emb, ids) == best
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import corpus_from_docs, toks
+from evcoref.corpus import loads_corpus, split_by_topics
 from evcoref.errors import ParseError
 from evcoref.features import (
     LEMMA_OOV_SLOT,
@@ -20,9 +21,10 @@ from evcoref.features import (
     fit_feature_models,
     fit_pca,
     fit_tfidf,
-    harmonic_overlap,
     load_word_vectors,
 )
+from oracles import comparative_block
+from synthcorpus import band_topic_sets, generate
 
 
 def wv_table(entries, dim):
@@ -329,46 +331,78 @@ def test_doc_features_composition(rng):
 # ---------------------------------------------------------------------------
 
 
-def view(mention_id, words, rank, n, doc="d1"):
+def view(mention_id, words, rank, n, doc="d1", topic="1"):
     return MentionView(
         mention_id=mention_id,
         doc_id=doc,
-        topic_id="1",
-        words=Counter(words),
-        lemmas=Counter(w.lower() for w in words),
+        topic_id=topic,
+        words=tuple(words),
+        lemmas=tuple(w.lower() for w in words),
         rank=rank,
         n_in_doc=n,
     )
 
 
 def test_positional_third_of_five():
-    v = view("m", ["hit"], rank=3, n=5)
-    vec = comparative_features(v, [v], [v])
+    views = [view(f"m{r}", ["hit"], rank=r, n=5) for r in range(1, 6)]
+    vec = comparative_features(views, "global")[2]
     assert list(vec[:3]) == [0.0, 3 / 5, 0.0]
 
 
 def test_sole_mention_position_and_empty_averages():
-    v = view("m", ["hit"], rank=1, n=1)
-    vec = comparative_features(v, [v], [v])
-    assert list(vec[:3]) == [1.0, 1.0, 1.0]
-    assert list(vec[3:]) == [0.0, 0.0, 0.0, 0.0]
+    for pool in ("global", "topic"):
+        vec = comparative_features([view("m", ["hit"], rank=1, n=1)], pool)[0]
+        assert list(vec[:3]) == [1.0, 1.0, 1.0]
+        assert list(vec[3:]) == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_identical_multisets_overlap_one():
-    assert harmonic_overlap(Counter(["a", "b"]), Counter(["a", "b"])) == 1.0
-    assert harmonic_overlap(Counter(["a"]), Counter(["b"])) == 0.0
-    assert harmonic_overlap(Counter(), Counter()) == 0.0
+    def doc_w(a, b):
+        return comparative_features([view("a", a, 1, 2), view("b", b, 2, 2)], "global")[0, 3]
+
+    assert doc_w(["a", "b"], ["a", "b"]) == 1.0
+    assert doc_w(["a"], ["b"]) == 0.0
+    assert doc_w([], []) == 0.0
     # multiset, not set: repeated tokens count
-    assert harmonic_overlap(Counter(["a", "a"]), Counter(["a"])) == pytest.approx(2 / 3)
+    assert doc_w(["a", "a"], ["a"]) == pytest.approx(2 / 3)
 
 
 def test_comparative_averages_exclude_self():
     a = view("a", ["hit"], rank=1, n=2)
     b = view("b", ["hit"], rank=2, n=2)
     c = view("c", ["miss"], rank=1, n=1, doc="d2")
-    vec = comparative_features(a, [a, b], [a, b, c])
+    vec = comparative_features([a, b, c], "global")[0]
     assert vec[3] == 1.0  # word overlap with b only
     assert vec[5] == pytest.approx((1.0 + 0.0) / 2)  # pool: b and c
+
+
+def random_views(rng, n_topics, docs_per_topic, max_mentions):
+    """Views of a random split: documents of 1..max_mentions mentions whose
+    spans draw 0-3 tokens (so counts up to 3) from a small vocabulary."""
+    vocab = ["a", "b", "c", "d", "e"]
+    views = []
+    for t in range(n_topics):
+        for d in range(int(rng.integers(1, docs_per_topic + 1))):
+            n = int(rng.integers(1, max_mentions + 1))
+            for rank in range(1, n + 1):
+                words = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 4))]
+                words = [w.upper() if rng.random() < 0.3 else w for w in words]
+                views.append(view(f"t{t}d{d}m{rank}", words, rank, n, doc=f"t{t}d{d}", topic=str(t)))
+    return views
+
+
+@pytest.mark.parametrize("pool", ["global", "topic"])
+def test_comparative_features_match_per_mention_oracle(rng, pool):
+    shapes = [(1, 1, 1), (1, 1, 4), (3, 1, 1), (4, 3, 5), (6, 4, 7)]
+    for n_topics, docs, mentions in shapes * 4:
+        views = random_views(rng, n_topics, docs, mentions)
+        # rank/n, Dice quotients and left-to-right means: equal bit for bit
+        assert np.array_equal(comparative_features(views, pool), comparative_block(views, pool))
+
+
+def test_comparative_features_reject_unknown_pool():
+    with pytest.raises(ValueError, match="pool"):
+        comparative_features([view("m", ["hit"], rank=1, n=1)], "corpus")
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +467,26 @@ def test_topic_pool_changes_pool_entries_only():
     # positions + same-doc entries identical, pool entries may differ
     assert np.array_equal(x_global[:, :-2], x_topic[:, :-2])
     assert not np.array_equal(x_global[:, -2:], x_topic[:, -2:])
+
+
+def test_extract_split_peak_is_the_matrix_plus_pairwise_temporaries():
+    bands = (2, 1, 6)
+    text, vec_text, _ = generate(
+        seed=1, band_topics=bands, docs_per_topic=5, mentions_per_doc=10, n_chains=72,
+        wv_dim=E, n_signals=48,
+    )
+    train, _, test = split_by_topics(loads_corpus(text), *band_topic_sets(bands))
+    entries = [line.split(" ") for line in vec_text.splitlines()[1:]]
+    table = {word: [float(v) for v in vec] for word, *vec in entries}
+    models = fit_feature_models(train, wv_table(table, E))
+    for pool in ("global", "topic"):
+        tracemalloc.start()
+        try:
+            x, mentions = extract_split(test, models, pool=pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(mentions)
+        assert n == 300
+        # one output matrix (no row list to stack) and a few n x n arrays
+        assert peak < x.nbytes + 6 * n * n * 8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,64 @@ def test_truncated_payload_rejected(tmp_path, rng):
     path.write_bytes(data[:-8])
     with pytest.raises(ParseError, match="expected"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("cut", [1, 3, 7, 9, 128])
+def test_payload_of_any_wrong_length_rejected(tmp_path, rng, cut):
+    path = tmp_path / "t.mat"
+    write_matrix(path, rng.normal(size=(4, 4)))
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ParseError, match="expected 16 values"):
+        read_matrix(path)
+    path.write_bytes(data + bytes(cut))
+    with pytest.raises(ParseError, match="expected 16 values"):
+        read_matrix(path)
+
+
+def test_corrupt_dims_rejected_before_allocating(tmp_path):
+    path = tmp_path / "big.mat"
+    write_matrix(path, np.zeros((2, 2)))
+    data = bytearray(path.read_bytes())
+    data[14:30] = (1 << 40).to_bytes(8, "little") * 2  # a 2^80-value header
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="expected"):
+        read_matrix(path)
+
+
+def test_file_bytes_are_the_header_and_the_c_order_buffer(tmp_path, rng):
+    x = rng.normal(size=(5, 3))
+    path = tmp_path / "x.mat"
+    write_matrix(path, x)
+    assert path.read_bytes() == b"EVCOREF.MAT.1\n" + (5).to_bytes(8, "little") + (
+        3
+    ).to_bytes(8, "little") + x.astype("<f8").tobytes(order="C")
+    write_matrix(path, np.asfortranarray(x))
+    assert np.array_equal(read_matrix(path), x)
+
+
+def test_write_matrix_copies_no_array(tmp_path, rng):
+    x = rng.normal(size=(500, 400))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "x.mat", x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
+
+
+def test_read_matrix_allocates_the_array_once(tmp_path, rng):
+    x = rng.normal(size=(500, 400))
+    write_matrix(tmp_path / "x.mat", x)
+    tracemalloc.start()
+    try:
+        out = read_matrix(tmp_path / "x.mat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, x)
+    assert peak <= 1.1 * x.nbytes
 
 
 def test_writes_are_deterministic(tmp_path, rng):
