@@ -59,13 +59,13 @@ def _write_mentions_tsv(path: Path, corpus: Corpus, mentions, run: RunConfig) ->
 def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ParseError(path, 0, f"bad mention row {line!r}")
+                raise ParseError(path, line_no, f"bad mention row {line!r}")
             rows.append(tuple(parts))
     return rows
 
@@ -76,17 +76,6 @@ def _write_kv(path: Path, entries: dict) -> None:
             out.write(f"{key}={value}\n")
 
 
-def _read_kv(path: Path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                out[key] = value
-    return out
-
-
 def _write_tfidf(path: Path, model: feat.TfidfModel) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# n_docs={model.n_docs}\n")
@@ -95,23 +84,40 @@ def _write_tfidf(path: Path, model: feat.TfidfModel) -> None:
 
 
 def _read_tfidf(path: Path) -> feat.TfidfModel:
+    """Rows of lemma, column and idf in column order 0..n-1, as `_write_tfidf`
+    writes them. Each lemma appears once, and every idf is finite."""
     lemma_index: dict[str, int] = {}
-    idf_entries: dict[int, float] = {}
+    idf: list[float] = []
     n_docs = 0
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 if "n_docs=" in line:
-                    n_docs = int(line.split("n_docs=")[1])
+                    try:
+                        n_docs = int(line.split("n_docs=")[1])
+                    except ValueError:
+                        raise ParseError(path, line_no, "non-integer n_docs") from None
                 continue
             if not line:
                 continue
-            lemma, col, idf = line.split("\t")
-            lemma_index[lemma] = int(col)
-            idf_entries[int(col)] = float(idf)
-    idf = np.array([idf_entries[i] for i in range(len(idf_entries))])
-    return feat.TfidfModel(lemma_index=lemma_index, idf=idf, n_docs=n_docs)
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(path, line_no, f"expected lemma, column and idf, got {line!r}")
+            lemma, col, idf_text = parts
+            if col != str(len(idf)):
+                raise ParseError(path, line_no, f"column {col!r} where {len(idf)} was expected")
+            if lemma in lemma_index:
+                raise ParseError(path, line_no, f"lemma {lemma!r} is repeated")
+            try:
+                value = float(idf_text)
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric idf {idf_text!r}") from None
+            if not np.isfinite(value):
+                raise ParseError(path, line_no, f"non-finite idf {idf_text!r}")
+            lemma_index[lemma] = len(idf)
+            idf.append(value)
+    return feat.TfidfModel(lemma_index=lemma_index, idf=np.array(idf), n_docs=n_docs)
 
 
 def _split_corpora(run: RunConfig) -> dict[str, Corpus]:

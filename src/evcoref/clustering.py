@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Clustering, Corpus, Document, Mention
-from .errors import IntegrityError
+from .errors import IntegrityError, ParseError
 from .kernels import merge_sequence
 from .scoring import Contingency, score_b3
 
@@ -194,7 +194,7 @@ def _components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     inside the component, and a label's own label is no larger (shortcut), so
     the fixpoint is constant on each component and equal to its minimum.
     """
-    labels = np.arange(n)
+    labels = np.arange(n, dtype=np.int64)
     while True:
         low = np.minimum(labels[lefts], labels[rights])
         nxt = labels.copy()
@@ -240,10 +240,14 @@ class _LemmaPairs:
             cosines=np.array(cosines, dtype=np.float64),
         )
 
-    def init_at(self, delta: float) -> Clustering:
+    def labels_at(self, delta: float) -> np.ndarray:
+        """Each mention's smallest component member at this delta: equal
+        partitions give equal label vectors."""
         keep = self.same_doc | (self.cosines > delta)
-        labels = _components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
-        return Clustering.from_labels(self.mention_ids, labels)
+        return _components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
+
+    def init_at(self, delta: float) -> Clustering:
+        return Clustering.from_labels(self.mention_ids, self.labels_at(delta))
 
 
 def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
@@ -308,20 +312,28 @@ def tune_delta(
     tuning split. With embeddings, each delta seeds agglomeration and tau is
     re-tuned on top (returns (delta, tau, B3)); without, the partition itself
     is scored (returns (delta, None, B3)). Ties prefer the larger delta. A
-    split with no mentions raises IntegrityError, as in tune_tau."""
+    split with no mentions raises IntegrityError, as in tune_tau.
+
+    Nearby deltas often give the same partition, and the same partition
+    gives the same (tau, B3), so each distinct partition is tuned once."""
     if mention_ids is None:
         mention_ids = [m.id for m in corpus.mentions()]
     if len(mention_ids) == 0:
         raise IntegrityError("cannot tune delta on a split with no mentions")
     sims = cosine_similarity_matrix(embeddings) if embeddings is not None else None
     pairs = _LemmaPairs.of(corpus, tfidf)
+    tuned: dict[bytes, tuple[float | None, float]] = {}
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):
-        init = pairs.init_at(float(delta))
-        if sims is not None:
-            tau, score = tune_tau(None, mention_ids, gold, init=init, sims=sims)
-        else:
-            tau, score = None, score_b3(gold, init).f1
+        labels = pairs.labels_at(float(delta))
+        key = labels.tobytes()
+        if key not in tuned:
+            init = Clustering.from_labels(pairs.mention_ids, labels)
+            if sims is not None:
+                tuned[key] = tune_tau(None, mention_ids, gold, init=init, sims=sims)
+            else:
+                tuned[key] = (None, score_b3(gold, init).f1)
+        tau, score = tuned[key]
         if score >= best[2]:
             best = (float(delta), tau, float(score))
     return best
@@ -345,9 +357,14 @@ def write_chains(clustering: Clustering, path, meta: dict | None = None) -> None
 def read_chains(path) -> Clustering:
     chains = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
-            chains.append(set(line.split("\t")))
+            members = line.split("\t")
+            chain = set(members)
+            if len(chain) != len(members):
+                repeated = sorted(m for m in chain if members.count(m) > 1)
+                raise ParseError(path, line_no, f"chain repeats mention(s) {repeated[:3]}")
+            chains.append(chain)
     return Clustering.from_sets(chains)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from evcoref.cli import main
+from evcoref.cli import _read_mentions_tsv, main
 from evcoref.config import load_config, normalize_variant, parse_topic_list
-from evcoref.errors import ConfigError
+from evcoref.errors import ConfigError, ParseError
 from evcoref.network import NetParams, AdamState, save_checkpoint
 from synthcorpus import write_corpus
 
@@ -154,6 +154,54 @@ def test_truncated_feature_matrix_is_exit_2(tmp_path, capsys):
     assert "train.mat" in err and "expected" in err and "Traceback" not in err
 
 
+def _drop_second_row(text):
+    header, first, second, *rest = text.splitlines(keepends=True)
+    return "".join([header, first, *rest])
+
+
+def _repeat_first_lemma(text):
+    header, first, second, *rest = text.splitlines(keepends=True)
+    second = first.split("\t")[0] + "\t" + second.split("\t", 1)[1]
+    return "".join([header, first, second, *rest])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda text: text + "broken line\n", "expected lemma, column and idf"),
+        (lambda text: text.replace("\t0\t", "\tx\t", 1), "column 'x' where 0 was expected"),
+        (lambda text: text.replace("\t1\t", "\t0\t", 1), "column '0' where 1 was expected"),
+        (_drop_second_row, "column '2' where 1 was expected"),
+        (_repeat_first_lemma, "is repeated"),
+        (lambda text: text.rstrip("\n").rsplit("\t", 1)[0] + "\tabc\n", "non-numeric idf"),
+        (lambda text: text.rstrip("\n").rsplit("\t", 1)[0] + "\tnan\n", "non-finite idf"),
+    ],
+    ids=[
+        "short-row", "bad-column", "repeated-column", "deleted-row", "repeated-lemma",
+        "bad-idf", "nan-idf",
+    ],
+)
+def test_corrupt_tfidf_model_is_exit_2(tmp_path, capsys, corrupt, message):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant="LEMMA-DELTA")
+    assert main(["features", "--config", str(cfg)]) == 0
+    model = out / "features" / "models" / "tfidf.tsv"
+    model.write_text(corrupt(model.read_text()))
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "tfidf.tsv:" in err and message in err and "Traceback" not in err
+
+
+def test_bad_mention_row_reports_its_line(tmp_path):
+    path = tmp_path / "train.mentions.tsv"
+    path.write_text("# config_hash=x seed=1\n# header\nm1\tc1\td1\t1\nm2\tc1\td1\n")
+    with pytest.raises(ParseError, match="bad mention row") as err:
+        _read_mentions_tsv(path)
+    assert err.value.line_no == 4
+
+
 def test_missing_config_file_is_exit_2():
     assert main(["features", "--config", "/nonexistent.ini"]) == 2
 
@@ -254,6 +302,23 @@ def test_score_mention_mismatch_is_exit_5(pipeline_dir):
     assert main(
         ["score", "--config", str(cfg), "--gold", str(gold), "--sys", str(bad)]
     ) == 5
+
+
+def test_chain_line_repeating_a_mention_is_exit_2(pipeline_dir, capsys):
+    tmp_path, cfg, out = pipeline_dir
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    gold = out / "cluster" / "test.gold.chains"
+    lines = gold.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[row] += "\t" + lines[row].split("\t")[0]
+    bad = tmp_path / "repeated.chains"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(
+        ["score", "--config", str(cfg), "--gold", str(gold), "--sys", str(bad)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"repeated.chains:{row + 1}:" in err and "Traceback" not in err
 
 
 def test_dimension_mismatch_is_exit_4(pipeline_dir, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import corpus_from_docs, toks
+from evcoref import clustering
 from evcoref.clustering import (
     agglomerate,
     agglomerate_indices,
@@ -16,7 +17,7 @@ from evcoref.clustering import (
     read_chains,
 )
 from evcoref.corpus import Clustering, Corpus, gold_clustering, loads_corpus, split_by_topics
-from evcoref.errors import IntegrityError
+from evcoref.errors import IntegrityError, ParseError
 from evcoref.features import fit_tfidf
 from evcoref.scoring import score_b3
 from oracles import lemma_delta_chains, naive_single_linkage
@@ -292,6 +293,48 @@ def test_tune_delta_matches_per_delta_recomputation(rng, with_embeddings):
     assert tune_delta(corpus, tfidf, gold, emb, ids) == best
 
 
+def test_tune_delta_tunes_each_distinct_partition_once(rng, monkeypatch):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    distinct = {
+        str(lemma_delta_chains(corpus, tfidf, float(delta)))
+        for delta in np.linspace(0.0, 1.0, 100)
+    }
+    assert len(distinct) > 3
+    calls = {"tune_tau": 0, "score_b3": 0}
+
+    def counted(name):
+        fn = getattr(clustering, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(clustering, "tune_tau", counted("tune_tau"))
+    monkeypatch.setattr(clustering, "score_b3", counted("score_b3"))
+    tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids), 6)), ids)
+    assert calls == {"tune_tau": len(distinct), "score_b3": 0}
+    tune_delta(corpus, tfidf, gold)
+    assert calls == {"tune_tau": len(distinct), "score_b3": len(distinct)}
+
+
+@pytest.mark.parametrize("with_embeddings", [False, True])
+def test_tune_delta_tie_over_one_partition_takes_largest_delta(rng, with_embeddings):
+    corpus = lemma_corpus()
+    # every cross-document cosine is 0.0 (see above), so no delta in [0, 1]
+    # changes the partition and all 100 deltas tie
+    tfidf = fit_tfidf(corpus_from_docs([("x1", "9", toks("other"), []), ("x2", "9", toks("words"), [])]))
+    ids = [m.id for m in corpus.mentions()]
+    gold = Clustering.from_sets([{"m1", "m2", "m4", "m5"}, {"m3"}])
+    emb = rng.normal(size=(len(ids), 4)) if with_embeddings else None
+    init = lemma_delta_init(corpus, tfidf, 1.0)
+    expected = tune_tau(emb, ids, gold, init=init) if with_embeddings else (None, score_b3(gold, init).f1)
+    assert tune_delta(corpus, tfidf, gold, emb, ids) == (1.0, *expected)
+
+
 # ---------------------------------------------------------------------------
 # Threshold tuning
 # ---------------------------------------------------------------------------
@@ -396,3 +439,11 @@ def test_chain_file_roundtrip(tmp_path):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines == ["a\tb", "c", "d\te"]  # sorted by smallest member
     assert read_chains(path) == clustering
+
+
+def test_chain_line_repeating_a_mention_is_a_parse_error(tmp_path):
+    path = tmp_path / "sys.chains"
+    path.write_text("# tau=0.5\na\tb\nc\td\tc\n")
+    with pytest.raises(ParseError, match="repeats") as err:
+        read_chains(path)
+    assert err.value.line_no == 3
