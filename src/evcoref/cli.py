@@ -180,7 +180,12 @@ def _load_split(run: RunConfig, name: str):
     matrix_path = out / f"{name}.mat"
     if not matrix_path.exists():
         raise ConfigError(f"missing {matrix_path}; run the features stage first")
-    return read_matrix(matrix_path), _read_mentions_tsv(out / f"{name}.mentions.tsv")
+    matrix = read_matrix(matrix_path)
+    rows = _read_mentions_tsv(out / f"{name}.mentions.tsv")
+    if len(matrix) != len(rows):
+        counts = f"{len(matrix)} rows for the {len(rows)} mentions of {name}.mentions.tsv"
+        raise ParseError(matrix_path, 1, counts)
+    return matrix, rows
 
 
 def cmd_train(run: RunConfig) -> None:
@@ -241,11 +246,6 @@ def cmd_train(run: RunConfig) -> None:
     )
 
 
-def _embeddings_for(run: RunConfig, params: net.NetParams, name: str):
-    matrix, rows = _load_split(run, name)
-    return net.embed(params, matrix), rows
-
-
 def cmd_cluster(run: RunConfig) -> None:
     out = run.output / "cluster"
     out.mkdir(parents=True, exist_ok=True)
@@ -294,8 +294,9 @@ def cmd_cluster(run: RunConfig) -> None:
             raise ModelMismatchError(
                 f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"
             )
-        eval_emb, _ = _embeddings_for(run, params, eval_name)
-        val_emb, val_rows = _embeddings_for(run, params, "validation")
+        eval_emb = net.embed(params, eval_x)
+        val_x, val_rows = _load_split(run, "validation")
+        val_emb = net.embed(params, val_x)
         val_ids = [r[0] for r in val_rows]
         val_gold = _gold(val_rows)
 

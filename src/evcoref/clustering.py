@@ -2,20 +2,21 @@
 
 Similarity is the raw cosine; clusters merge greedily while the best
 cluster-pair similarity stays at or above the threshold tau. Because single
-linkage makes merge similarities non-increasing, the full merge sequence is
-computed once and every tau clustering is read off as a prefix, which is what
-makes the two-pass tau grid search and the 100-value delta search cheap.
+linkage makes merge similarities non-increasing, the mention-level merge
+sequence is computed once per similarity matrix, and every partition, seeded
+or not, is the connected components of the merges at or above tau plus the
+seed's links. That makes the tau grid search and the delta search cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Clustering, Corpus, Document, Mention
 from .errors import IntegrityError, ParseError
-from .kernels import merge_sequence
+from .kernels import components, merge_sequence
 from .scoring import Contingency, score_b3
 
 TAU_GRID_SIZE = 20
@@ -49,36 +50,36 @@ def _groups(labels: np.ndarray) -> list[set[int]]:
 
 @dataclass(frozen=True)
 class MergeRun:
-    """Full single-linkage merge sequence from an initial partition.
+    """Full single-linkage merge sequence over the mentions, and the initial
+    partition that seeds every cut. A merge (sim, i, j) joins the clusters of
+    mentions i and j. Single linkage from a seed is the closure of the seed
+    and the pairs at or above tau (Gower & Ross 1969), so the seed does not
+    change the merge sequence."""
 
-    Slots are initial clusters ordered by their smallest mention index; a
-    merge (sim, i, j) folds slot j into slot i. labels_at(tau) replays the
-    prefix with similarity >= tau.
-    """
-
-    slot_of: np.ndarray  # initial cluster (slot) of each mention
-    sims: np.ndarray
+    slot_of: np.ndarray  # init label of each mention: its init cluster's smallest member
+    sims: np.ndarray  # merge similarities, non-increasing
     lefts: np.ndarray
     rights: np.ndarray
 
     @property
     def init_sets(self) -> list[set[int]]:
-        """The initial partition: the mention indices of each slot."""
+        """The initial partition: the mention indices of each init label."""
         return _groups(self.slot_of)
 
     def labels_at(self, tau: float) -> np.ndarray:
-        """Cluster label of each mention, numbered by each cluster's smallest
-        mention. A merge folds slot j into the smaller, still active slot i,
-        so following the folds leads every slot to its cluster's first slot."""
+        """Cluster label of each mention, numbered 0.. by each cluster's
+        smallest mention: the components of the merges with similarity >=
+        tau and of one edge from each mention to its init label."""
         n_merges = int(np.searchsorted(-self.sims, -tau, side="right"))
-        into = np.arange(len(self.sims) + 1)  # k slots merge k - 1 times
-        into[self.rights[:n_merges]] = self.lefts[:n_merges]
-        while True:
-            nxt = into[into]
-            if np.array_equal(nxt, into):
-                break
-            into = nxt
-        return np.unique(into, return_inverse=True)[1][self.slot_of]
+        n = len(self.slot_of)
+        seeded = np.flatnonzero(self.slot_of != np.arange(n))
+        first = components(
+            n,
+            np.concatenate([self.lefts[:n_merges], seeded]),
+            np.concatenate([self.rights[:n_merges], self.slot_of[seeded]]),
+        )
+        # each cluster's smallest member is its own label: number those in order
+        return (np.cumsum(first == np.arange(n)) - 1)[first]
 
     def partition_at(self, tau: float) -> list[set[int]]:
         """The clusters of labels_at(tau) as index sets, in label order."""
@@ -86,6 +87,7 @@ class MergeRun:
 
 
 def _init_slots(n: int, init: list[set[int]] | None) -> np.ndarray:
+    """Each mention's init label: the smallest member of its init cluster."""
     if init is None:
         return np.arange(n)
     covered: set[int] = set()
@@ -98,23 +100,17 @@ def _init_slots(n: int, init: list[set[int]] | None) -> np.ndarray:
     if covered != set(range(n)):
         raise IntegrityError("init partition must cover all mention indices")
     slot_of = np.empty(n, dtype=np.int64)
-    for slot, part in enumerate(sorted(init, key=min)):
-        slot_of[list(part)] = slot
+    for part in init:
+        slot_of[list(part)] = min(part)
     return slot_of
 
 
 def build_merge_run(sims: np.ndarray, init: list[set[int]] | None = None) -> MergeRun:
-    """Aggregate mention similarities to cluster level (single linkage: the
-    max cross pair) and run the merge kernel down to one cluster."""
+    """Run the merge kernel on the mention similarities down to one cluster,
+    and keep `init` (default: all singletons) as the seed of every cut."""
     sims = np.asarray(sims, dtype=np.float64)
     slot_of = _init_slots(sims.shape[0], init)
-    # sort mentions by slot, then take the max over each slot's run of
-    # rows and then of columns
-    order = np.argsort(slot_of, kind="stable")
-    starts = np.flatnonzero(np.diff(slot_of[order], prepend=-1))
-    slot_rows = np.maximum.reduceat(sims[order], starts, axis=0)
-    cluster_sims = np.maximum.reduceat(slot_rows[:, order], starts, axis=1)
-    seq_sims, lefts, rights = merge_sequence(cluster_sims)
+    seq_sims, lefts, rights = merge_sequence(sims)
     return MergeRun(slot_of=slot_of, sims=seq_sims, lefts=lefts, rights=rights)
 
 
@@ -186,26 +182,6 @@ def _doc_unit_vectors(corpus: Corpus, tfidf) -> dict[str, np.ndarray]:
     return out
 
 
-def _components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Connected components of the graph on n nodes with the given edges, as
-    each node's smallest component member.
-
-    Labels only fall (each edge takes the lower of its ends' labels) and stay
-    inside the component, and a label's own label is no larger (shortcut), so
-    the fixpoint is constant on each component and equal to its minimum.
-    """
-    labels = np.arange(n, dtype=np.int64)
-    while True:
-        low = np.minimum(labels[lefts], labels[rights])
-        nxt = labels.copy()
-        np.minimum.at(nxt, lefts, low)
-        np.minimum.at(nxt, rights, low)
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
-
-
 @dataclass(frozen=True)
 class _LemmaPairs:
     """The mention pairs of one split that share a head lemma, each with its
@@ -244,17 +220,15 @@ class _LemmaPairs:
         """Each mention's smallest component member at this delta: equal
         partitions give equal label vectors."""
         keep = self.same_doc | (self.cosines > delta)
-        return _components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
-
-    def init_at(self, delta: float) -> Clustering:
-        return Clustering.from_labels(self.mention_ids, self.labels_at(delta))
+        return components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
 
 
 def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
     """Transitive closure of: same head lemma AND document TF-IDF cosine
     strictly above delta. Same-document mentions with one head lemma always
     merge (a document's self-similarity is 1 > delta for delta < 1)."""
-    return _LemmaPairs.of(corpus, tfidf).init_at(delta)
+    pairs = _LemmaPairs.of(corpus, tfidf)
+    return Clustering.from_labels(pairs.mention_ids, pairs.labels_at(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +236,40 @@ def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
 # ---------------------------------------------------------------------------
 
 
-def tune_tau(
-    embeddings: np.ndarray | None,
-    mention_ids: list[str],
-    gold: Clustering,
-    init: Clustering | None = None,
-    sims: np.ndarray | None = None,
-    grid_size: int = TAU_GRID_SIZE,
-) -> tuple[float, float]:
-    """Two-pass grid search for the stop threshold, maximizing B3 F1 against
-    the gold clustering. Pass one scans `grid_size` equally spaced values in
-    [0, 1]; pass two rescans the interval between the best value's neighbors.
-    Ties prefer the larger tau. A split with no mentions has nothing to tune
-    on and raises IntegrityError."""
-    if len(mention_ids) == 0:
-        raise IntegrityError("cannot tune tau on a split with no mentions")
-    if sims is None:
-        sims = cosine_similarity_matrix(embeddings)
-    index_of = {m: i for i, m in enumerate(mention_ids)}
-    run = build_merge_run(sims, _index_sets(init, index_of))
-    gold_labels = gold.labels(mention_ids)
+def _search_tau(run: MergeRun, gold_labels: np.ndarray) -> tuple[float, float]:
+    """Two-pass grid search over the cuts of one merge run, maximizing B3 F1
+    against the gold labels (same mention order). Pass one scans
+    TAU_GRID_SIZE equally spaced values in [0, 1]; pass two rescans the
+    interval between the best value's neighbors. Ties prefer the larger tau."""
 
     def evaluate(tau: float) -> float:
         return Contingency.from_labels(gold_labels, run.labels_at(tau)).b3().f1
 
-    grid1 = np.linspace(0.0, 1.0, grid_size)
+    grid1 = np.linspace(0.0, 1.0, TAU_GRID_SIZE)
     scores1 = [evaluate(t) for t in grid1]
-    best1 = max(range(grid_size), key=lambda i: (scores1[i], grid1[i]))
+    best1 = max(range(TAU_GRID_SIZE), key=lambda i: (scores1[i], grid1[i]))
     lo = grid1[best1 - 1] if best1 > 0 else 0.0
-    hi = grid1[best1 + 1] if best1 < grid_size - 1 else 1.0
-    grid2 = np.linspace(lo, hi, grid_size)
+    hi = grid1[best1 + 1] if best1 < TAU_GRID_SIZE - 1 else 1.0
+    grid2 = np.linspace(lo, hi, TAU_GRID_SIZE)
     scores2 = [evaluate(t) for t in grid2]
 
     taus = np.concatenate([grid1, grid2])
     scores = np.array(scores1 + scores2)
     best = max(range(len(taus)), key=lambda i: (scores[i], taus[i]))
     return float(taus[best]), float(scores[best])
+
+
+def tune_tau(
+    embeddings: np.ndarray, mention_ids: list[str], gold: Clustering, init: Clustering | None = None
+) -> tuple[float, float]:
+    """The stop threshold maximizing B3 F1 against the gold clustering, by
+    the two-pass grid search of `_search_tau`. A split with no mentions has
+    nothing to tune on and raises IntegrityError."""
+    if len(mention_ids) == 0:
+        raise IntegrityError("cannot tune tau on a split with no mentions")
+    index_of = {m: i for i, m in enumerate(mention_ids)}
+    run = build_merge_run(cosine_similarity_matrix(embeddings), _index_sets(init, index_of))
+    return _search_tau(run, gold.labels(mention_ids))
 
 
 def tune_delta(
@@ -309,29 +281,38 @@ def tune_delta(
     n_values: int = DELTA_GRID_SIZE,
 ) -> tuple[float, float | None, float]:
     """Scan `n_values` delta thresholds for the lemma-delta partition on the
-    tuning split. With embeddings, each delta seeds agglomeration and tau is
-    re-tuned on top (returns (delta, tau, B3)); without, the partition itself
-    is scored (returns (delta, None, B3)). Ties prefer the larger delta. A
-    split with no mentions raises IntegrityError, as in tune_tau.
+    tuning split. With embeddings (rows in `mention_ids` order), each delta
+    seeds agglomeration and tau is re-tuned on top (returns (delta, tau,
+    B3)); without, the partition itself is scored (returns (delta, None,
+    B3)). Ties prefer the larger delta. A split with no mentions raises
+    IntegrityError, as in tune_tau.
 
-    Nearby deltas often give the same partition, and the same partition
-    gives the same (tau, B3), so each distinct partition is tuned once."""
+    The seed does not change the merge sequence, so one merge run serves
+    every delta, and each distinct partition (nearby deltas often give the
+    same one) is tuned once."""
     if mention_ids is None:
         mention_ids = [m.id for m in corpus.mentions()]
     if len(mention_ids) == 0:
         raise IntegrityError("cannot tune delta on a split with no mentions")
-    sims = cosine_similarity_matrix(embeddings) if embeddings is not None else None
     pairs = _LemmaPairs.of(corpus, tfidf)
+    if embeddings is not None:
+        # the lemma labels follow the corpus order: put the rows in it too
+        row_of = {m: i for i, m in enumerate(mention_ids)}
+        if len(row_of) != len(mention_ids) or row_of.keys() != set(pairs.mention_ids):
+            raise IntegrityError("embedding mention ids differ from the corpus mentions")
+        rows = [row_of[m] for m in pairs.mention_ids]
+        run = build_merge_run(cosine_similarity_matrix(embeddings[rows]))
+        gold_labels = gold.labels(pairs.mention_ids)
     tuned: dict[bytes, tuple[float | None, float]] = {}
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):
         labels = pairs.labels_at(float(delta))
         key = labels.tobytes()
         if key not in tuned:
-            init = Clustering.from_labels(pairs.mention_ids, labels)
-            if sims is not None:
-                tuned[key] = tune_tau(None, mention_ids, gold, init=init, sims=sims)
+            if embeddings is not None:
+                tuned[key] = _search_tau(replace(run, slot_of=labels), gold_labels)
             else:
+                init = Clustering.from_labels(pairs.mention_ids, labels)
                 tuned[key] = (None, score_b3(gold, init).f1)
         tau, score = tuned[key]
         if score >= best[2]:

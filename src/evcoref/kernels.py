@@ -1,5 +1,6 @@
-"""The two scalar-loop kernels: the agglomerative merge loop and the
-optimal-assignment solver. Everything else is BLAS-bound plain numpy.
+"""The loop kernels: the agglomerative merge loop, connected
+components (every partition the package builds is a `components` call), and
+the optimal-assignment solver. Everything else is BLAS-bound plain numpy.
 """
 
 from __future__ import annotations
@@ -54,6 +55,31 @@ def merge_sequence(S: np.ndarray):
         S[bj, :] = -np.inf
         S[:, bj] = -np.inf
     return sims, lefts, rights
+
+
+# ---------------------------------------------------------------------------
+# Connected components by min-label propagation
+# ---------------------------------------------------------------------------
+
+
+def components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on n nodes with the given edges, as
+    each node's smallest component member.
+
+    Labels only fall (each edge takes the lower of its ends' labels) and stay
+    inside the component, and a label's own label is no larger (shortcut), so
+    the fixpoint is constant on each component and equal to its minimum.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        low = np.minimum(labels[lefts], labels[rights])
+        nxt = labels.copy()
+        np.minimum.at(nxt, lefts, low)
+        np.minimum.at(nxt, rights, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Clustering
 from .errors import IntegrityError, ScoringMismatchError
-from .kernels import lsap_min
+from .kernels import components, lsap_min
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ class Contingency:
     def from_labels(cls, gold: np.ndarray, sys: np.ndarray) -> "Contingency":
         """From two label vectors over the same mention order, each using
         every label in 0..k-1 (as `Clustering.labels` and
-        `MergeRun.labels_at` give them)."""
+        `MergeRun.labels_at` give them, numbering chains by their smallest
+        mention)."""
         gold_sizes, sys_sizes = np.bincount(gold), np.bincount(sys)
         cells, counts = np.unique(gold * len(sys_sizes) + sys, return_counts=True)
         rows, cols = np.divmod(cells, len(sys_sizes))
@@ -122,22 +123,11 @@ class Contingency:
     @cached_property
     def _components(self) -> list[np.ndarray]:
         """Cell indices of each connected component of the overlap graph
-        (chains are nodes, cells are edges); chains in different components
-        share no mention, so an alignment pairing them scores 0."""
+        (chains are nodes, cells are edges), in order of each component's
+        smallest gold chain; chains in different components share no
+        mention, so an alignment pairing them scores 0."""
         ng = len(self.gold_sizes)
-        root = list(range(ng + len(self.sys_sizes)))
-
-        def find(a):
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            return a
-
-        for r, c in zip(self.rows.tolist(), self.cols.tolist()):
-            a, b = find(r), find(ng + c)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-        comp = np.array([find(r) for r in self.rows.tolist()], dtype=np.int64)
+        comp = components(ng + len(self.sys_sizes), self.rows, ng + self.cols)[self.rows]
         order = np.argsort(comp, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
 

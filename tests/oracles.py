@@ -15,7 +15,8 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Clustering: naive single-linkage that recomputes every cluster pair each step
+# Clustering: naive single-linkage that recomputes every cluster pair each
+# step, and a union-find for connected components
 # ---------------------------------------------------------------------------
 
 
@@ -63,6 +64,22 @@ def naive_single_linkage(sims: np.ndarray, tau: float, init=None):
         clusters[i] = clusters[i] | clusters[j]
         del clusters[j]
     return sorted(clusters.values(), key=min)
+
+
+def union_find_components(n: int, edges) -> list[int]:
+    """Each node's smallest component member, by union-find over (a, b)
+    edge pairs; the root of a set is always its smallest member."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return [find(a) for a in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from evcoref import cli
 from evcoref.cli import _read_mentions_tsv, main
 from evcoref.config import load_config, normalize_variant, parse_topic_list
 from evcoref.errors import ConfigError, ParseError
+from evcoref.matio import read_matrix, write_matrix
 from evcoref.network import NetParams, AdamState, save_checkpoint
 from synthcorpus import write_corpus
 
@@ -154,6 +156,30 @@ def test_truncated_feature_matrix_is_exit_2(tmp_path, capsys):
     assert "train.mat" in err and "expected" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "variant, command, split",
+    [
+        ("UNSUPERVISED", ["cluster"], "validation"),  # tau tuned on validation
+        ("UNSUPERVISED", ["cluster", "--tau", "0.5"], "test"),
+        ("CORE+CCE", ["train"], "train"),
+    ],
+    ids=["cluster-tuned-tau", "cluster-fixed-tau", "train"],
+)
+def test_feature_rows_disagreeing_with_mentions_is_exit_2(tmp_path, capsys, variant, command, split):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant=variant)
+    assert main(["features", "--config", str(cfg)]) == 0
+    matrix = out / "features" / f"{split}.mat"
+    full = read_matrix(matrix)
+    write_matrix(matrix, full[:-2])
+    capsys.readouterr()
+    assert main([*command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{split}.mat" in err and f"{len(full) - 2} rows for the {len(full)} mentions" in err
+    assert "Traceback" not in err
+
+
 def _drop_second_row(text):
     header, first, second, *rest = text.splitlines(keepends=True)
     return "".join([header, first, *rest])
@@ -230,7 +256,6 @@ def test_features_outputs_and_idempotence(pipeline_dir):
 
 def test_vector_dimension_propagates_to_feature_width(pipeline_dir):
     from evcoref.features import feature_dim
-    from evcoref.matio import read_matrix
 
     _, _, out = pipeline_dir
     matrix = read_matrix(out / "features" / "train.mat")
@@ -282,8 +307,22 @@ def test_cluster_and_score_all_variants(pipeline_dir, variant):
     assert (out / "score" / "report_within.tsv").exists()
 
 
+def test_learned_cluster_reads_each_matrix_once(pipeline_dir, monkeypatch):
+    _, cfg, _ = pipeline_dir
+    reads = []
+
+    def counted(path):
+        reads.append(path.name)
+        return read_matrix(path)
+
+    monkeypatch.setattr(cli, "read_matrix", counted)
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    assert sorted(reads) == ["test.mat", "validation.mat"]
+
+
 def test_score_gold_vs_gold_is_perfect(pipeline_dir, capsys):
     tmp_path, cfg, out = pipeline_dir
+    assert main(["cluster", "--config", str(cfg)]) == 0
     gold = out / "cluster" / "test.gold.chains"
     assert main(
         ["score", "--config", str(cfg), "--gold", str(gold), "--sys", str(gold)]
@@ -296,6 +335,7 @@ def test_score_gold_vs_gold_is_perfect(pipeline_dir, capsys):
 
 def test_score_mention_mismatch_is_exit_5(pipeline_dir):
     tmp_path, cfg, out = pipeline_dir
+    assert main(["cluster", "--config", str(cfg)]) == 0
     gold = out / "cluster" / "test.gold.chains"
     bad = tmp_path / "bad.chains"
     bad.write_text("mXXX\n")

@@ -122,6 +122,23 @@ def test_merge_matches_naive_oracle_with_inits(rng):
         assert got == expected
 
 
+def test_merge_matches_naive_oracle_with_inits_and_tied_levels(rng):
+    # similarities on 2-4 levels tie everywhere, and tau often sits exactly
+    # on a level
+    for _ in range(150):
+        n = int(rng.integers(2, 10))
+        levels = int(rng.integers(2, 5))
+        q = rng.integers(0, levels, size=(n, n))
+        sims = np.maximum(q, q.T) / (levels - 1)
+        np.fill_diagonal(sims, 1.0)
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        init = [set(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)]
+        tau = float(rng.choice([*np.unique(sims), rng.random()]))
+        got = sorted(map(sorted, agglomerate_indices(sims, tau, init)))
+        expected = sorted(map(sorted, naive_single_linkage(sims, tau, init)))
+        assert got == expected
+
+
 def test_tau_monotone_coarsening(rng):
     for _ in range(30):
         n = int(rng.integers(3, 12))
@@ -302,7 +319,7 @@ def test_tune_delta_tunes_each_distinct_partition_once(rng, monkeypatch):
         for delta in np.linspace(0.0, 1.0, 100)
     }
     assert len(distinct) > 3
-    calls = {"tune_tau": 0, "score_b3": 0}
+    calls = {"_search_tau": 0, "score_b3": 0}
 
     def counted(name):
         fn = getattr(clustering, name)
@@ -313,12 +330,48 @@ def test_tune_delta_tunes_each_distinct_partition_once(rng, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(clustering, "tune_tau", counted("tune_tau"))
+    monkeypatch.setattr(clustering, "_search_tau", counted("_search_tau"))
     monkeypatch.setattr(clustering, "score_b3", counted("score_b3"))
     tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids), 6)), ids)
-    assert calls == {"tune_tau": len(distinct), "score_b3": 0}
+    assert calls == {"_search_tau": len(distinct), "score_b3": 0}
     tune_delta(corpus, tfidf, gold)
-    assert calls == {"tune_tau": len(distinct), "score_b3": len(distinct)}
+    assert calls == {"_search_tau": len(distinct), "score_b3": len(distinct)}
+
+
+def test_tune_delta_builds_one_merge_run(rng, monkeypatch):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    calls = []
+    build = clustering.build_merge_run
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("init", args[1] if len(args) > 1 else None))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "build_merge_run", counted)
+    tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids), 6)), ids)
+    assert calls == [None]
+
+
+def test_tune_delta_follows_the_embedding_row_order(rng):
+    # the lemma labels follow the corpus order; the rows follow mention_ids
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    emb = rng.normal(size=(len(ids), 6))
+    expected = tune_delta(corpus, tfidf, gold, emb, ids)
+    for _ in range(3):
+        order = rng.permutation(len(ids))
+        assert tune_delta(corpus, tfidf, gold, emb[order], [ids[i] for i in order]) == expected
+
+
+def test_tune_delta_refuses_rows_for_other_mentions(rng):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    with pytest.raises(IntegrityError, match="differ"):
+        tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids) - 1, 6)), ids[1:])
 
 
 @pytest.mark.parametrize("with_embeddings", [False, True])

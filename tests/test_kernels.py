@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evcoref import kernels
-from oracles import naive_merge_sequence
+from oracles import naive_merge_sequence, union_find_components
 
 MERGE_IMPLS = [kernels.merge_sequence]
 LSAP_IMPLS = [kernels.lsap_min]
@@ -53,6 +53,50 @@ def test_merge_sequence_trivial_sizes():
         assert len(sims) == len(lefts) == len(rights) == 0
         sims, lefts, rights = impl(np.zeros((0, 0)))
         assert len(sims) == 0
+
+
+def _components(n, edges):
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return kernels.components(n, edges[:, 0], edges[:, 1]).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (1, []),
+        (1, [(0, 0)]),
+        (5, []),
+        (4, [(2, 2), (3, 3)]),
+        (4, [(1, 3), (3, 1), (1, 3), (1, 3)]),
+        (6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]),
+        (6, [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]),
+        (7, [(6, 5), (5, 3), (3, 6), (2, 1)]),
+    ],
+    ids=[
+        "single-node", "single-self-loop", "no-edges", "self-loops", "repeated-edges",
+        "descending-path", "ascending-path", "cycle-and-pair",
+    ],
+)
+def test_components_small_cases_match_union_find(n, edges):
+    assert _components(n, edges) == union_find_components(n, edges)
+
+
+def test_components_long_descending_path():
+    # the minimum sits at the far end of a path labelled high to low
+    n = 257
+    edges = [(i, i - 1) for i in range(n - 1, 0, -1)]
+    order = np.random.default_rng(5).permutation(n)
+    shuffled = [(int(order[a]), int(order[b])) for a, b in edges]
+    assert _components(n, edges) == [0] * n
+    assert _components(n, shuffled) == union_find_components(n, shuffled)
+
+
+def test_components_match_union_find_on_random_graphs(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 2 * n))
+        edges = [tuple(int(v) for v in rng.integers(0, n, size=2)) for _ in range(m)]
+        assert _components(n, edges) == union_find_components(n, edges)
 
 
 def brute_force_min_cost(cost):
