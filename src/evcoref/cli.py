@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -247,85 +248,72 @@ def cmd_train(run: RunConfig) -> None:
 
 
 def cmd_cluster(run: RunConfig) -> None:
+    """Chains for the eval split. Every variant is single linkage from a seed
+    partition (the lemma partition for LEMMA, the lemma-delta partition for
+    LEMMA-DELTA and CORE+CCE+LEMMA, singletons otherwise) over vectors (the
+    raw features for UNSUPERVISED, the checkpoint's embeddings for learned
+    variants); with no vectors the seed is the clustering. An unset delta, or
+    else an unset tau, is tuned on the validation split."""
     out = run.output / "cluster"
     out.mkdir(parents=True, exist_ok=True)
     eval_name = run.eval_split
     eval_x, eval_rows = _load_split(run, eval_name)
-    eval_ids = [r[0] for r in eval_rows]
-    meta: dict = {"variant": run.variant, "split": eval_name}
-
-    corpora = None
-    tfidf = None
-    if run.variant in ("LEMMA", "LEMMA-DELTA", "CORE+CCE+LEMMA"):
+    delta, tau = run.delta, run.tau
+    delta_seeded = run.variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA")
+    if run.variant == "LEMMA" or delta_seeded:
         corpora = _split_corpora(run)
         tfidf = _read_tfidf(run.output / "features" / "models" / "tfidf.tsv")
 
-    if run.variant == "LEMMA":
-        sys_clustering = clus.lemma_partition(corpora[eval_name])
+    def seed(split: str) -> Clustering | None:
+        """The partition single linkage starts from (None: singletons)."""
+        if run.variant == "LEMMA":
+            return clus.lemma_partition(corpora[split])
+        if delta_seeded:
+            return clus.lemma_delta_init(corpora[split], tfidf, delta)
+        return None
 
-    elif run.variant == "LEMMA-DELTA":
-        delta = run.delta
-        if delta is None:
-            _, val_rows = _load_split(run, "validation")
-            delta, _, score = clus.tune_delta(
-                corpora["validation"], tfidf, _gold(val_rows)
-            )
-            print(f"tuned delta {delta:.4f} (validation B3 {score:.4f})")
-        meta["delta"] = delta
-        sys_clustering = clus.lemma_delta_init(corpora[eval_name], tfidf, delta)
-
-    elif run.variant == "UNSUPERVISED":
-        tau = run.tau
-        if tau is None:
-            val_x, val_rows = _load_split(run, "validation")
-            tau, score = clus.tune_tau(
-                val_x, [r[0] for r in val_rows], _gold(val_rows)
-            )
-            print(f"tuned tau {tau:.4f} (validation B3 {score:.4f})")
-        meta["tau"] = tau
-        sys_clustering = clus.agglomerate(eval_ids, tau, embeddings=eval_x)
-
-    else:  # learned variants embed with the trained checkpoint
+    embed = None  # feature matrix -> the vectors that single linkage runs on
+    if run.variant == "UNSUPERVISED":
+        embed = np.asarray  # the raw features
+    elif run.variant in LEARNED_VARIANTS:
         ckpt = run.output / "train" / "checkpoint.ckpt"
         if not ckpt.exists():
             raise ConfigError(f"missing {ckpt}; run the train stage first")
-        params, _, ckpt_meta = net.load_checkpoint(ckpt)
+        params, _, _ = net.load_checkpoint(ckpt)
         if params.dims[0] != eval_x.shape[1]:
             raise ModelMismatchError(
                 f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"
             )
-        eval_emb = net.embed(params, eval_x)
-        val_x, val_rows = _load_split(run, "validation")
-        val_emb = net.embed(params, val_x)
-        val_ids = [r[0] for r in val_rows]
-        val_gold = _gold(val_rows)
+        embed = partial(net.embed, params)
 
-        if run.variant == "CORE+CCE+LEMMA":
-            delta, tau = run.delta, run.tau
-            if delta is None:
-                delta, tuned_tau, score = clus.tune_delta(
-                    corpora["validation"], tfidf, val_gold, val_emb, val_ids
-                )
-                print(f"tuned delta {delta:.4f} tau {tuned_tau:.4f} (val B3 {score:.4f})")
-                if tau is None:
-                    tau = tuned_tau
-            elif tau is None:
-                init = clus.lemma_delta_init(corpora["validation"], tfidf, delta)
-                tau, score = clus.tune_tau(val_emb, val_ids, val_gold, init=init)
-                print(f"tuned tau {tau:.4f} (validation B3 {score:.4f})")
-            meta["delta"] = delta
-            meta["tau"] = tau
-            init = clus.lemma_delta_init(corpora[eval_name], tfidf, delta)
-            sys_clustering = clus.agglomerate(
-                eval_ids, tau, embeddings=eval_emb, init=init
+    delta_unset = delta_seeded and delta is None
+    if delta_unset or (embed is not None and tau is None):
+        val_x, val_rows = _load_split(run, "validation")
+        val_ids, val_gold = [r[0] for r in val_rows], _gold(val_rows)
+        val_vectors = None if embed is None else embed(val_x)
+        if delta_unset:  # with vectors, tau is searched on each delta's seed
+            delta, tuned_tau, score = clus.tune_delta(
+                corpora["validation"], tfidf, val_gold, val_vectors, val_ids
             )
+            tuned = {"delta": delta, "tau": tuned_tau}
         else:
-            tau = run.tau
-            if tau is None:
-                tau, score = clus.tune_tau(val_emb, val_ids, val_gold)
-                print(f"tuned tau {tau:.4f} (validation B3 {score:.4f})")
-            meta["tau"] = tau
-            sys_clustering = clus.agglomerate(eval_ids, tau, embeddings=eval_emb)
+            tuned_tau, score = clus.tune_tau(
+                val_vectors, val_ids, val_gold, init=seed("validation")
+            )
+            tuned = {"tau": tuned_tau}
+        tau = tuned_tau if tau is None else tau
+        chosen = " ".join(f"{k} {v:.4f}" for k, v in tuned.items() if v is not None)
+        print(f"tuned {chosen} (validation B3 {score:.4f})")
+
+    meta: dict = {"variant": run.variant, "split": eval_name}
+    if delta_seeded:
+        meta["delta"] = delta
+    init = seed(eval_name)
+    sys_clustering = init
+    if embed is not None:
+        meta["tau"] = tau
+        eval_ids = [r[0] for r in eval_rows]
+        sys_clustering = clus.agglomerate(eval_ids, tau, embed(eval_x), init=init)
 
     gold = _gold(eval_rows)
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
@@ -353,9 +341,9 @@ def cmd_score(
     gold = clus.read_chains(gold_path)
     sys_clustering = clus.read_chains(sys_path)
     if mode == "within-doc":
-        corpus = load_corpus(run.corpus)
-        gold = scoring.within_doc_projection(gold, corpus)
-        sys_clustering = scoring.within_doc_projection(sys_clustering, corpus)
+        doc_of = load_corpus(run.corpus).mention_doc_map()
+        gold = scoring.within_doc_projection(gold, doc_of)
+        sys_clustering = scoring.within_doc_projection(sys_clustering, doc_of)
 
     rep = scoring.report(gold, sys_clustering)
     score_dir = run.output / "score"

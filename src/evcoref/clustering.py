@@ -123,20 +123,13 @@ def agglomerate_indices(
 def agglomerate(
     mention_ids: list[str],
     tau: float,
-    embeddings: np.ndarray | None = None,
-    sims: np.ndarray | None = None,
+    embeddings: np.ndarray,
     init: Clustering | None = None,
 ) -> Clustering:
-    """Cluster mentions from embeddings (or a precomputed similarity matrix),
-    starting from `init` (default: all singletons), merging while the best
-    single-linkage similarity is >= tau. Ties break on the lowest cluster
-    index pair, so results are deterministic."""
-    if (embeddings is None) == (sims is None):
-        raise ValueError("pass exactly one of embeddings or sims")
-    if sims is None:
-        sim_matrix = cosine_similarity_matrix(embeddings)
-    else:
-        sim_matrix = np.asarray(sims, dtype=np.float64)
+    """Cluster mentions by the cosine of their embeddings, starting from
+    `init` (default: all singletons), merging while the best single-linkage
+    similarity is >= tau. Ties break on the lowest cluster index pair, so
+    results are deterministic."""
     index_of = {m: i for i, m in enumerate(mention_ids)}
     if len(index_of) != len(mention_ids):
         raise IntegrityError("duplicate mention ids")
@@ -144,7 +137,7 @@ def agglomerate(
         unknown = init.mention_ids() - index_of.keys()
         if unknown:
             raise IntegrityError(f"init partition names unknown mentions {sorted(unknown)[:3]}")
-    run = build_merge_run(sim_matrix, _index_sets(init, index_of))
+    run = build_merge_run(cosine_similarity_matrix(embeddings), _index_sets(init, index_of))
     return Clustering.from_labels(mention_ids, run.labels_at(tau))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,8 +189,24 @@ def load_config(path, variant: str | None = None) -> RunConfig:
         mode=mode,
         config_hash=config_text_hash(text),
     )
+    _validate_model(run.training)
     _validate_lambdas(run)
     return run
+
+
+def _validate_model(training: TrainConfig) -> None:
+    """[model] values the network and the batch sampler can run with."""
+    if training.epochs < 1:
+        raise ConfigError(f"[model] epochs must be >= 1, got {training.epochs}")
+    if training.batch_size < 3:
+        raise ConfigError(f"[model] batch_size must be >= 3, got {training.batch_size}")
+    if not 0.0 <= training.dropout < 1.0:
+        raise ConfigError(f"[model] dropout must be in [0, 1), got {training.dropout}")
+    if not (math.isfinite(training.lr) and training.lr > 0.0):
+        raise ConfigError(f"[model] lr must be finite and > 0, got {training.lr}")
+    for key in ("hidden1", "embed", "hidden3"):
+        if getattr(training, key) < 1:
+            raise ConfigError(f"[model] {key} must be >= 1, got {getattr(training, key)}")
 
 
 def _validate_lambdas(run: RunConfig) -> None:

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError, ParseError
 
-CORPUS_FORMAT = "tsv"
-
 
 @dataclass(frozen=True)
 class Token:
@@ -215,11 +213,9 @@ class _DocBuilder:
         return Document(self.doc_id, self.topic_id, tuple(tokens), tuple(mentions))
 
 
-def load_corpus(path, fmt: str = CORPUS_FORMAT) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Parse a corpus file. Deterministic; raises ParseError with the line
     number for malformed records and IntegrityError for invariant breaks."""
-    if fmt != CORPUS_FORMAT:
-        raise ConfigError(f"unknown corpus format {fmt!r}")
     with open(path, encoding="utf-8") as handle:
         return _parse(handle, path)
 

@@ -221,13 +221,9 @@ def score_blanc(gold: Clustering, sys: Clustering, table: Contingency | None = N
 # ---------------------------------------------------------------------------
 
 
-def within_doc_projection(clustering: Clustering, docs) -> Clustering:
+def within_doc_projection(clustering: Clustering, doc_of: dict[str, str]) -> Clustering:
     """Cut every cross-document link: each chain splits into its per-document
-    parts. `docs` is a Corpus or a mention-id -> doc-id mapping."""
-    if hasattr(docs, "mention_doc_map"):
-        doc_of = docs.mention_doc_map()
-    else:
-        doc_of = dict(docs)
+    parts. `doc_of` maps each mention id to its document id."""
     chains = []
     for chain in clustering.chains:
         groups: dict[str, set[str]] = {}

@@ -1,12 +1,18 @@
+import re
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from evcoref import cli
 from evcoref.cli import _read_mentions_tsv, main
-from evcoref.config import load_config, normalize_variant, parse_topic_list
+from evcoref.clustering import lemma_delta_init, tune_tau
+from evcoref.config import VARIANTS, load_config, normalize_variant, parse_topic_list
+from evcoref.corpus import gold_clustering, load_corpus, split_by_topics
 from evcoref.errors import ConfigError, ParseError
 from evcoref.matio import read_matrix, write_matrix
-from evcoref.network import NetParams, AdamState, save_checkpoint
+from evcoref.network import NetParams, AdamState, embed, load_checkpoint, save_checkpoint
 from synthcorpus import write_corpus
 
 BANDS = (4, 2, 2)
@@ -115,6 +121,48 @@ def test_variant_override_goes_through_config_checks(tmp_path, capsys):
     assert run.variant == "CORE"
     assert run.training.use_cce is False
     assert run.training.lr == pytest.approx(0.003)  # set in the file, so not scaled
+
+
+def test_readme_configuration_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    run = load_config(path)
+    assert run.variant == "CORE+CCE" and run.training.epochs == 100
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", "0"),
+        ("batch_size", "0"),
+        ("batch_size", "2"),  # the sampler seeds three mentions
+        ("dropout", "1.0"),
+        ("dropout", "-0.1"),
+        ("lr", "nan"),
+        ("lr", "inf"),
+        ("lr", "0"),
+        ("hidden1", "0"),
+        ("embed", "0"),
+        ("hidden3", "0"),
+    ],
+)
+def test_out_of_range_model_value_is_exit_2(pipeline_dir, tmp_path, capsys, key, value):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out)
+    text = cfg.read_text()
+    line = re.compile(rf"^{key} = .*$", re.M)
+    text = line.sub(f"{key} = {value}", text) if line.search(text) else text + f"{key} = {value}\n"
+    cfg.write_text(text)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"[model] {key} must be" in err and "Traceback" not in err
+    assert not (out / "train").exists()
 
 
 @pytest.mark.parametrize("key", ["tau", "delta"])
@@ -289,8 +337,23 @@ def test_train_outputs(pipeline_dir):
     assert len([l for l in log if not l.startswith("#")]) == 1 + 3  # header + epochs
 
 
+def _thresholds(chains_path):
+    """The delta and tau lines of a chain file's header."""
+    header = [line[2:].split("=", 1) for line in chains_path.read_text().splitlines()
+              if line.startswith("# ")]
+    return {key: value for key, value in header if key in ("delta", "tau")}
+
+
+def _thresholds_used(variant):
+    """delta for the lemma-delta seeded variants, tau for those with vectors."""
+    delta = {"delta"} if variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA") else set()
+    tau = set() if variant in ("LEMMA", "LEMMA-DELTA") else {"tau"}
+    return delta | tau
+
+
 @pytest.mark.parametrize(
-    "variant", ["LEMMA", "LEMMA-DELTA", "UNSUPERVISED", "CORE+CCE", "CORE+CCE+LEMMA"]
+    "variant",
+    ["LEMMA", "LEMMA-DELTA", "UNSUPERVISED", "CORE+CCE", "CORE+CCE+LEMMA", "CCE", "CORE"],
 )
 def test_cluster_and_score_all_variants(pipeline_dir, variant):
     tmp_path, _, out = pipeline_dir
@@ -300,6 +363,9 @@ def test_cluster_and_score_all_variants(pipeline_dir, variant):
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert (out / "cluster" / "test.sys.chains").exists()
     assert (out / "cluster" / "test.gold.chains").exists()
+    tuned = _thresholds(out / "cluster" / "test.sys.chains")
+    assert tuned.keys() == _thresholds_used(variant)
+    assert all(0.0 <= float(value) <= 1.0 for value in tuned.values())
     assert main(["score", "--config", str(cfg)]) == 0
     report = (out / "score" / "report.tsv").read_text()
     assert report.startswith("measure\tR\tP\tF")
@@ -318,6 +384,54 @@ def test_learned_cluster_reads_each_matrix_once(pipeline_dir, monkeypatch):
     monkeypatch.setattr(cli, "read_matrix", counted)
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert sorted(reads) == ["test.mat", "validation.mat"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "given",
+    [{"tau": "0.5"}, {"delta": "0.3"}, {"tau": "0.5", "delta": "0.3"}],
+    ids=["tau", "delta", "both"],
+)
+def test_cluster_header_writes_given_thresholds_verbatim(pipeline_dir, variant, given):
+    tmp_path, _, out = pipeline_dir
+    corpus_path, vec_path = tmp_path / "corpus.tsv", tmp_path / "vectors.txt"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant=variant)
+    overrides = [arg for key, value in given.items() for arg in (f"--{key}", value)]
+    assert main(["cluster", "--config", str(cfg), *overrides]) == 0
+    header = _thresholds(out / "cluster" / "test.sys.chains")
+    assert header.keys() == _thresholds_used(variant)
+    for key in header.keys() & given.keys():
+        assert header[key] == given[key]
+
+
+def test_given_delta_seeds_the_validation_tau_search(pipeline_dir):
+    tmp_path, _, out = pipeline_dir
+    corpus_path = tmp_path / "corpus.tsv"
+    vec_path = tmp_path / "vectors.txt"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant="CORE+CCE+LEMMA")
+    assert main(["cluster", "--config", str(cfg), "--delta", "0.3"]) == 0
+    run = load_config(cfg)
+    topics = (run.train_topics, run.val_topics, run.test_topics)
+    _, val, _ = split_by_topics(load_corpus(corpus_path), *topics)
+    params, _, _ = load_checkpoint(out / "train" / "checkpoint.ckpt")
+    val_emb = embed(params, read_matrix(out / "features" / "validation.mat"))
+    ids = [row[0] for row in _read_mentions_tsv(out / "features" / "validation.mentions.tsv")]
+    tfidf = cli._read_tfidf(out / "features" / "models" / "tfidf.tsv")
+    tau, _ = tune_tau(val_emb, ids, gold_clustering(val), init=lemma_delta_init(val, tfidf, 0.3))
+    assert _thresholds(out / "cluster" / "test.sys.chains") == {"delta": "0.3", "tau": str(tau)}
+
+
+def test_learned_cluster_with_given_tau_reads_only_the_eval_matrix(pipeline_dir, monkeypatch):
+    _, cfg, _ = pipeline_dir
+    reads = []
+
+    def counted(path):
+        reads.append(path.name)
+        return read_matrix(path)
+
+    monkeypatch.setattr(cli, "read_matrix", counted)
+    assert main(["cluster", "--config", str(cfg), "--tau", "0.5"]) == 0
+    assert reads == ["test.mat"]
 
 
 def test_score_gold_vs_gold_is_perfect(pipeline_dir, capsys):

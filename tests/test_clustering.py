@@ -99,6 +99,15 @@ def test_agglomerate_mention_id_wrapper(rng):
     }
 
 
+@pytest.mark.parametrize(
+    "chains", [[{"m1", "m2"}, {"m3", "m4"}], [{"m1", "m2"}]], ids=["unknown", "missing"]
+)
+def test_agglomerate_refuses_init_over_other_mentions(chains):
+    init = Clustering.from_sets(chains)
+    with pytest.raises(IntegrityError):
+        agglomerate(["m1", "m2", "m3"], 0.5, embeddings=np.eye(3), init=init)
+
+
 def test_init_partition_must_cover_everything():
     sims = np.eye(3)
     with pytest.raises(IntegrityError):
