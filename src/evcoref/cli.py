@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -286,11 +286,16 @@ def cmd_cluster(run: RunConfig) -> None:
             )
         embed = partial(net.embed, params)
 
+    @cache
+    def split(name: str):
+        """(mention ids, gold chains, vectors or None) of a split, read and
+        embedded once."""
+        x, rows = (eval_x, eval_rows) if name == eval_name else _load_split(run, name)
+        return [r[0] for r in rows], _gold(rows), None if embed is None else embed(x)
+
     delta_unset = delta_seeded and delta is None
     if delta_unset or (embed is not None and tau is None):
-        val_x, val_rows = _load_split(run, "validation")
-        val_ids, val_gold = [r[0] for r in val_rows], _gold(val_rows)
-        val_vectors = None if embed is None else embed(val_x)
+        val_ids, val_gold, val_vectors = split("validation")
         if delta_unset:  # with vectors, tau is searched on each delta's seed
             delta, tuned_tau, score = clus.tune_delta(
                 corpora["validation"], tfidf, val_gold, val_vectors, val_ids
@@ -308,14 +313,12 @@ def cmd_cluster(run: RunConfig) -> None:
     meta: dict = {"variant": run.variant, "split": eval_name}
     if delta_seeded:
         meta["delta"] = delta
-    init = seed(eval_name)
-    sys_clustering = init
+    eval_ids, gold, eval_vectors = split(eval_name)
+    sys_clustering = init = seed(eval_name)
     if embed is not None:
         meta["tau"] = tau
-        eval_ids = [r[0] for r in eval_rows]
-        sys_clustering = clus.agglomerate(eval_ids, tau, embed(eval_x), init=init)
+        sys_clustering = clus.agglomerate(eval_ids, tau, eval_vectors, init=init)
 
-    gold = _gold(eval_rows)
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
     clus.write_chains(sys_clustering, out / f"{eval_name}.sys.chains", meta)
     clus.write_chains(gold, out / f"{eval_name}.gold.chains", meta)
@@ -389,20 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        run.training.seed = args.seed
-    if args.tau is not None:
-        run.tau = args.tau
-    if args.delta is not None:
-        run.delta = args.delta
-    return run
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = _apply_overrides(load_config(args.config, variant=args.variant), args)
+        run = load_config(args.config, {
+            "model": {"seed": args.seed, "variant": args.variant},
+            "cluster": {"tau": args.tau, "delta": args.delta},
+        })
         if args.command == "features":
             cmd_features(run)
         elif args.command == "train":

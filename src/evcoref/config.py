@@ -84,7 +84,10 @@ class RunConfig:
 
 def _get(cfg: configparser.ConfigParser, section: str, key: str, default=None):
     if cfg.has_option(section, key):
-        value = cfg.get(section, key).strip()
+        try:
+            value = cfg.get(section, key).strip()
+        except configparser.Error as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
         return value if value else default
     return default
 
@@ -94,10 +97,11 @@ def config_text_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def load_config(path, variant: str | None = None) -> RunConfig:
-    """Parse and validate a run configuration; `variant` overrides [model]
-    variant before anything derived from it (use_cce, the CORE lr default,
-    the lambda checks)."""
+def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a run configuration. `overrides` ({section: {key:
+    value}}, None for no override) replaces values of the file before any is
+    read, so they pass the same checks; the config hash stays the hash of
+    the file text."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -105,6 +109,10 @@ def load_config(path, variant: str | None = None) -> RunConfig:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cfg.read_string(text)
+        cfg.read_dict({  # "%%": an override is taken literally, never interpolated
+            section: {k: str(v).replace("%", "%%") for k, v in values.items() if v is not None}
+            for section, values in (overrides or {}).items()
+        })
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
 
@@ -144,7 +152,7 @@ def load_config(path, variant: str | None = None) -> RunConfig:
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}")
 
-    variant = normalize_variant(variant or _get(cfg, "model", "variant", "CORE+CCE"))
+    variant = normalize_variant(_get(cfg, "model", "variant", "CORE+CCE"))
     base = TrainConfig()
     lr = f("model", "lr", base.lr)
     if variant == "CORE" and _get(cfg, "model", "lr") is None:
@@ -191,6 +199,9 @@ def load_config(path, variant: str | None = None) -> RunConfig:
     )
     _validate_model(run.training)
     _validate_lambdas(run)
+    for key, value in (("tau", run.tau), ("delta", run.delta)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"[cluster] {key} must be finite, got {value}")
     return run
 
 
@@ -204,6 +215,11 @@ def _validate_model(training: TrainConfig) -> None:
         raise ConfigError(f"[model] dropout must be in [0, 1), got {training.dropout}")
     if not (math.isfinite(training.lr) and training.lr > 0.0):
         raise ConfigError(f"[model] lr must be finite and > 0, got {training.lr}")
+    if not 0 <= training.seed < 2**64:  # the checkpoint stores it as a u64
+        raise ConfigError(f"[model] seed must be in [0, 2**64), got {training.seed}")
+    for key, value in (("lambda1", training.lambda1), ("lambda2", training.lambda2)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"[model] {key} must be finite and >= 0, got {value}")
     for key in ("hidden1", "embed", "hidden3"):
         if getattr(training, key) < 1:
             raise ConfigError(f"[model] {key} must be >= 1, got {getattr(training, key)}")

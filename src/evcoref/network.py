@@ -264,6 +264,19 @@ def loss_repulse(embeddings: np.ndarray, chain_codes: np.ndarray) -> float:
     return _repulse(_pairs(embeddings, chain_codes))
 
 
+def _core_pairs(embeddings, chain_codes, lambda1: float, lambda2: float) -> _Pairs | None:
+    """The pair geometry both CORE terms read, built only when one is active."""
+    return _pairs(embeddings, chain_codes) if lambda1 != 0.0 or lambda2 != 0.0 else None
+
+
+def _breakdown(probs, labels, pairs, lambda1, lambda2, use_cce) -> LossBreakdown:
+    cce = loss_cce(probs, labels) if use_cce else 0.0
+    attract = _attract(pairs) if lambda1 != 0.0 else 0.0
+    repulse = _repulse(pairs) if lambda2 != 0.0 else 0.0
+    total = cce + lambda1 * attract + lambda2 * repulse
+    return LossBreakdown(float(total), cce, attract, repulse, lambda1, lambda2)
+
+
 def loss_total(
     probs: np.ndarray,
     embeddings: np.ndarray,
@@ -277,40 +290,24 @@ def loss_total(
     product; use_cce=False drops the classification term (the CORE-only
     variant), reported as cce=0 so total = cce + l1*attract + l2*repulse
     always holds."""
-    cce = loss_cce(probs, labels) if use_cce else 0.0
-    pairs = _pairs(embeddings, chain_codes) if lambda1 != 0.0 or lambda2 != 0.0 else None
-    attract = _attract(pairs) if lambda1 != 0.0 else 0.0
-    repulse = _repulse(pairs) if lambda2 != 0.0 else 0.0
-    total = cce + lambda1 * attract + lambda2 * repulse
-    return LossBreakdown(
-        total=float(total),
-        cce=cce,
-        attract=attract,
-        repulse=repulse,
-        lambda1=lambda1,
-        lambda2=lambda2,
-    )
+    pairs = _core_pairs(embeddings, chain_codes, lambda1, lambda2)
+    return _breakdown(probs, labels, pairs, lambda1, lambda2, use_cce)
 
 
-def core_embedding_grad(
-    embeddings: np.ndarray,
-    chain_codes: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-) -> np.ndarray:
+def _core_grad(p: _Pairs, lambda1: float, lambda2: float) -> np.ndarray:
     """Gradient of l1*attract + l2*repulse with respect to the embeddings.
 
     With unit rows u_i and c_ij = u_i . u_j, each pair's distance has
     d(d_ij)/d(e_i) = -(u_j - c_ij u_i) / (2 |e_i|); pairs are weighted
     +l1/|S| (same chain) and -l2/|D| (different chain, from the leading
-    minus in the repulsive term). Zero-norm rows have constant distance to
-    everything, so they receive and contribute no gradient.
+    minus in the repulsive term), so a zero lambda weighs its pairs 0.
+    Zero-norm rows have constant distance to everything, so they receive
+    and contribute no gradient.
     """
-    p = _pairs(embeddings, chain_codes)
     weights = np.zeros_like(p.same, dtype=np.float64)
-    if lambda1 != 0.0 and p.n_same > 0:
+    if p.n_same > 0:
         weights[p.same] += lambda1 / p.n_same
-    if lambda2 != 0.0 and p.n_diff > 0:
+    if p.n_diff > 0:
         weights[p.diff] -= lambda2 / p.n_diff
     projected = weights @ p.units
     radial = (weights * p.cos).sum(axis=1)
@@ -320,26 +317,41 @@ def core_embedding_grad(
     return grad
 
 
+def core_embedding_grad(
+    embeddings: np.ndarray,
+    chain_codes: np.ndarray,
+    lambda1: float,
+    lambda2: float,
+) -> np.ndarray:
+    return _core_grad(_pairs(embeddings, chain_codes), lambda1, lambda2)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
 
 
 def backward(
-    params: NetParams,
-    cache: ForwardCache,
-    labels: np.ndarray,
-    chain_codes: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    use_cce: bool = True,
-    out: NetParams | None = None,
+    params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
+    use_cce: bool = True, out: NetParams | None = None,
 ) -> NetParams:
-    """Exact gradients of loss_total for every parameter, written into `out`
-    (a NetParams-shaped container of C-contiguous float64 arrays, allocated
-    when None) and returned. The pairwise terms feed the embedding layer
-    directly (pre-dropout); the cross-entropy path routes through the same
-    dropout masks the forward pass used."""
+    """Exact gradients of loss_total for every parameter: those of
+    loss_and_grad, written into `out` and returned."""
+    return loss_and_grad(params, cache, labels, chain_codes, lambda1, lambda2, use_cce, out)[1]
+
+
+def loss_and_grad(
+    params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
+    use_cce: bool = True, out: NetParams | None = None,
+) -> tuple[LossBreakdown, NetParams]:
+    """loss_total's breakdown and the exact gradients of its total for every
+    parameter, both read off one pair geometry of the cached embeddings. The
+    gradients are written into `out` (a NetParams-shaped container of
+    C-contiguous float64 arrays, allocated when None). The pairwise terms
+    feed the embedding layer directly (pre-dropout); the cross-entropy path
+    routes through the same dropout masks the forward pass used."""
+    pairs = _core_pairs(cache.embeddings, chain_codes, lambda1, lambda2)
+    loss = _breakdown(cache.probs, labels, pairs, lambda1, lambda2, use_cce)
     if out is None:
         out = NetParams(*[np.empty_like(a, order="C") for a in params.arrays()])
     n = cache.inputs.shape[0]
@@ -365,10 +377,8 @@ def backward(
 
     d_d2 = d_z3 @ params.w3.T
     d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
-    if lambda1 != 0.0 or lambda2 != 0.0:
-        d_emb = d_emb + core_embedding_grad(
-            cache.embeddings, chain_codes, lambda1, lambda2
-        )
+    if pairs is not None:
+        d_emb = d_emb + _core_grad(pairs, lambda1, lambda2)
     d_z2 = d_emb * (cache.z2 > 0.0)
 
     np.matmul(cache.d1.T, d_z2, out=out.w2)
@@ -380,8 +390,7 @@ def backward(
 
     np.matmul(cache.inputs.T, d_z1, out=out.w1)
     d_z1.sum(axis=0, out=out.b1)
-
-    return out
+    return loss, out
 
 
 # ---------------------------------------------------------------------------

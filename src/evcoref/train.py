@@ -22,10 +22,9 @@ from .network import (
     LossBreakdown,
     NetParams,
     adam_step,
-    backward,
     forward,
     init_params,
-    loss_total,
+    loss_and_grad,
     make_dropout_masks,
 )
 
@@ -52,7 +51,7 @@ class Batch:
     inputs: np.ndarray
     class_labels: np.ndarray
     chain_codes: np.ndarray
-    dropout_masks: tuple | None = None
+    dropout_masks: tuple
 
 
 def encode_chains(chain_ids) -> np.ndarray:
@@ -94,19 +93,17 @@ def sample_batch(
     class_labels: np.ndarray,
     chain_codes: np.ndarray,
     rng: np.random.Generator,
+    mask_dims: tuple,
     size: int = BATCH_SIZE,
     dropout: float = 0.25,
-    mask_dims: tuple | None = None,
 ) -> Batch:
+    """A batch with dropout masks for a network of dims `mask_dims`."""
     idx = sample_indices(chain_codes, rng, size)
-    masks = None
-    if mask_dims is not None:
-        masks = make_dropout_masks(rng, len(idx), mask_dims, dropout)
     return Batch(
         inputs=features[idx],
         class_labels=np.asarray(class_labels)[idx],
         chain_codes=np.asarray(chain_codes)[idx],
-        dropout_masks=masks,
+        dropout_masks=make_dropout_masks(rng, len(idx), mask_dims, dropout),
     )
 
 
@@ -184,13 +181,8 @@ def train(
         sums = np.zeros(4)  # total, cce, attract, repulse
         for _ in range(batches_per_epoch):
             batch = sample_batch(
-                features,
-                class_labels,
-                chain_codes,
-                rng,
-                size=config.batch_size,
-                dropout=config.dropout,
-                mask_dims=dims,
+                features, class_labels, chain_codes, rng, dims,
+                size=config.batch_size, dropout=config.dropout,
             )
             cache = forward(
                 params,
@@ -199,14 +191,9 @@ def train(
                 masks=batch.dropout_masks,
                 dropout=config.dropout,
             )
-            breakdown = loss_total(
-                cache.probs,
-                cache.embeddings,
-                batch.class_labels,
-                batch.chain_codes,
-                config.lambda1,
-                config.lambda2,
-                use_cce=config.use_cce,
+            breakdown, _ = loss_and_grad(
+                params, cache, batch.class_labels, batch.chain_codes,
+                config.lambda1, config.lambda2, use_cce=config.use_cce, out=grads,
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDivergedError(
@@ -214,16 +201,6 @@ def train(
                     f"attract={breakdown.attract!r} repulse={breakdown.repulse!r} "
                     f"(lr={config.lr}, lambda1={config.lambda1}, lambda2={config.lambda2})"
                 )
-            backward(
-                params,
-                cache,
-                batch.class_labels,
-                batch.chain_codes,
-                config.lambda1,
-                config.lambda2,
-                use_cce=config.use_cce,
-                out=grads,
-            )
             adam_step(params, adam, grads, config.lr)
             sums += (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
 

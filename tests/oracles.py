@@ -287,6 +287,71 @@ def pairwise_loss_loops(embeddings, chain_ids, lam1, lam2):
     return attract, repulse, lam1 * attract + lam2 * repulse
 
 
+def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
+    """The training step as two separate computations, the loss and then the
+    gradients, each building its own pair geometry: ((total, cce, attract,
+    repulse), [eight gradients]) from a forward cache. Every operation keeps
+    the package's floating-point order, so its results are the reference
+    for the one-geometry step bit for bit. Empty pair sets give 0 without a
+    warning."""
+
+    def geometry():
+        norms = np.linalg.norm(cache.embeddings, axis=1)
+        units = cache.embeddings / np.where(norms > 0.0, norms, 1.0)[:, None]
+        diff = codes[:, None] != codes[None, :]
+        same = ~diff
+        np.fill_diagonal(same, False)
+        return units, norms, units @ units.T, same, diff, int(same.sum()) // 2, int(diff.sum()) // 2
+
+    # the loss
+    n = cache.inputs.shape[0]
+    picked = cache.probs[np.arange(n), labels]
+    cce = float(-np.mean(np.log(np.maximum(picked, 1e-12)))) if use_cce else 0.0
+    attract = repulse = 0.0
+    if lam1 != 0.0 or lam2 != 0.0:
+        _, _, cos, same, diff, n_same, n_diff = geometry()
+        if lam1 != 0.0 and n_same > 0:
+            attract = float((0.5 * (1.0 - cos[same])).sum() / 2.0 / n_same)
+        if lam2 != 0.0 and n_diff > 0:
+            repulse = float(1.0 - (0.5 * (1.0 - cos[diff])).sum() / 2.0 / n_diff)
+    loss = (float(cce + lam1 * attract + lam2 * repulse), cce, attract, repulse)
+
+    # the gradients, with a second geometry for the pairwise terms
+    w1, b1, w2, b2, w3, b3, w4, b4 = params.arrays()
+    train = cache.masks is not None
+    scale = 1.0 / (1.0 - cache.dropout) if train else 1.0
+    d_z4 = cache.probs.copy()
+    if use_cce:
+        d_z4[np.arange(n), labels] -= 1.0
+        d_z4 /= n
+    else:
+        d_z4[:] = 0.0
+    d_d3 = d_z4 @ w4.T
+    d_z3 = (d_d3 * cache.masks[2] * scale if train else d_d3) * (cache.z3 > 0.0)
+    d_d2 = d_z3 @ w3.T
+    d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
+    if lam1 != 0.0 or lam2 != 0.0:
+        units, norms, cos, same, diff, n_same, n_diff = geometry()
+        weights = np.zeros(cos.shape)
+        if lam1 != 0.0 and n_same > 0:
+            weights[same] += lam1 / n_same
+        if lam2 != 0.0 and n_diff > 0:
+            weights[diff] -= lam2 / n_diff
+        radial = (weights * cos).sum(axis=1)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        d_core = -(weights @ units - radial[:, None] * units) / (2.0 * safe[:, None])
+        d_core[norms == 0.0] = 0.0
+        d_emb = d_emb + d_core
+    d_z2 = d_emb * (cache.z2 > 0.0)
+    d_d1 = d_z2 @ w2.T
+    d_z1 = (d_d1 * cache.masks[0] * scale if train else d_d1) * (cache.z1 > 0.0)
+    grads = [
+        cache.inputs.T @ d_z1, d_z1.sum(axis=0), cache.d1.T @ d_z2, d_z2.sum(axis=0),
+        cache.d2.T @ d_z3, d_z3.sum(axis=0), cache.d3.T @ d_z4, d_z4.sum(axis=0),
+    ]
+    return loss, grads
+
+
 # ---------------------------------------------------------------------------
 # Adam and checkpoints: whole-array expression forms
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from evcoref import cli
 from evcoref.cli import _read_mentions_tsv, main
 from evcoref.clustering import lemma_delta_init, tune_tau
-from evcoref.config import VARIANTS, load_config, normalize_variant, parse_topic_list
+from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_variant, parse_topic_list
 from evcoref.corpus import gold_clustering, load_corpus, split_by_topics
 from evcoref.errors import ConfigError, ParseError
 from evcoref.matio import read_matrix, write_matrix
@@ -117,7 +117,7 @@ def test_variant_override_goes_through_config_checks(tmp_path, capsys):
     cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")  # lambda1 = 2
     assert main(["train", "--config", str(cfg), "--variant", "CCE"]) == 2
     assert "CCE variant must not set lambda1/lambda2" in capsys.readouterr().err
-    run = load_config(cfg, variant="CORE")
+    run = load_config(cfg, {"model": {"variant": "CORE"}})
     assert run.variant == "CORE"
     assert run.training.use_cce is False
     assert run.training.lr == pytest.approx(0.003)  # set in the file, so not scaled
@@ -146,6 +146,12 @@ def test_readme_configuration_loads(tmp_path):
         ("hidden1", "0"),
         ("embed", "0"),
         ("hidden3", "0"),
+        ("seed", "-1"),
+        ("seed", str(2**64)),  # the checkpoint stores a u64
+        ("lambda1", "nan"),
+        ("lambda1", "-2.0"),
+        ("lambda2", "inf"),
+        ("lambda2", "-0.5"),
     ],
 )
 def test_out_of_range_model_value_is_exit_2(pipeline_dir, tmp_path, capsys, key, value):
@@ -172,6 +178,41 @@ def test_non_numeric_threshold_is_exit_2(tmp_path, capsys, key):
     assert main(["cluster", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("tau", "nan"), ("tau", "inf"), ("delta", "-inf")])
+def test_non_finite_threshold_is_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")
+    cfg.write_text(cfg.read_text() + f"\n[cluster]\n{key} = {value}\n")
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"[cluster] {key} must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("train", "--seed", "-1", "[model] seed must be"),
+        ("train", "--seed", str(2**64), "[model] seed must be"),
+        ("cluster", "--tau", "nan", "[cluster] tau must be finite"),
+        ("cluster", "--tau", "inf", "[cluster] tau must be finite"),
+        ("cluster", "--delta", "nan", "[cluster] delta must be finite"),
+        ("cluster", "--variant", "100%", "unknown variant '100%'"),
+    ],
+)
+def test_out_of_range_override_is_exit_2(tmp_path, capsys, command, flag, value, message):
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")
+    assert main([command, "--config", str(cfg), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_interpolation_in_the_file_is_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o", variant="100%")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[model] variant" in err and "Traceback" not in err
 
 
 def test_empty_validation_split_is_exit_2(tmp_path, capsys):
@@ -384,6 +425,30 @@ def test_learned_cluster_reads_each_matrix_once(pipeline_dir, monkeypatch):
     monkeypatch.setattr(cli, "read_matrix", counted)
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert sorted(reads) == ["test.mat", "validation.mat"]
+
+
+@pytest.mark.parametrize("variant", ["CORE+CCE", "CORE+CCE+LEMMA", "LEMMA-DELTA", "UNSUPERVISED"])
+def test_validation_eval_split_is_read_and_embedded_once(pipeline_dir, tmp_path, monkeypatch, variant):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    shutil.copytree(src_out / "train", out / "train")
+    cfg = write_config(
+        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant,
+        extra="\n[cluster]\neval_split = validation",
+    )
+    reads, embeds = [], []
+
+    def counted(path):
+        reads.append(path.name)
+        return read_matrix(path)
+
+    monkeypatch.setattr(cli, "read_matrix", counted)
+    monkeypatch.setattr(cli.net, "embed", lambda *a: embeds.append(1) or embed(*a))
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    assert reads == ["validation.mat"]
+    assert len(embeds) == (variant in LEARNED_VARIANTS)
+    assert _thresholds(out / "cluster" / "validation.sys.chains").keys() == _thresholds_used(variant)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

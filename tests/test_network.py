@@ -21,6 +21,7 @@ from evcoref.network import (
     forward,
     init_params,
     load_checkpoint,
+    loss_and_grad,
     loss_attract,
     loss_cce,
     loss_repulse,
@@ -36,6 +37,7 @@ from oracles import (
     max_relative_error,
     pairwise_loss_loops,
     plain_softmax_cce_grads,
+    two_call_step,
 )
 
 
@@ -358,6 +360,65 @@ def test_backward_writes_into_the_given_buffer(rng):
     assert backward(params, cache, labels, codes, 1.5, 0.5, out=buffer) is buffer
     for a, b in zip(fresh.arrays(), buffer.arrays()):
         assert a.tobytes() == b.tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_step_equals_two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
+    buffer = NetParams(*[np.full_like(a, np.nan) for a in params.arrays()])
+    breakdown, grads = loss_and_grad(
+        params, cache, labels, codes, lam1, lam2, use_cce=use_cce, out=buffer
+    )
+    assert grads is buffer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the oracle itself never warns
+        (total, cce, attract, repulse), reference = two_call_step(
+            params, cache, labels, codes, lam1, lam2, use_cce
+        )
+    fields = (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
+    assert [_bits(v) for v in fields] == [_bits(v) for v in (total, cce, attract, repulse)]
+    assert (breakdown.lambda1, breakdown.lambda2) == (lam1, lam2)
+    for ours, ref in zip(grads.arrays(), reference):
+        assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lam1", [0.0, 2.0])
+@pytest.mark.parametrize("lam2", [0.0, 0.5])
+@pytest.mark.parametrize("use_cce", [True, False])
+@pytest.mark.parametrize("dropout", [None, 0.25])
+def test_loss_and_grad_equals_the_two_call_step(rng, lam1, lam2, use_cce, dropout):
+    for _ in range(5):
+        params, x, labels, codes, masks = gradcheck_case(rng, n=9, dropout=dropout)
+        mode = "train" if masks is not None else "infer"
+        cache = forward(params, x, mode=mode, masks=masks, dropout=dropout or 0.25)
+        assert_step_equals_two_call_step(params, cache, labels, codes, lam1, lam2, use_cce)
+
+
+@pytest.mark.parametrize("lam", [(2.0, 0.5), (0.0, 0.5), (2.0, 0.0)])
+def test_loss_and_grad_with_zero_norm_embedding_rows(rng, lam):
+    params = tiny_params(rng)
+    x = rng.normal(size=(8, 5))
+    x[[0, 3]] = 0.0  # zero biases: these rows embed to the zero vector
+    codes = np.array([0, 0, 1, 1, 2, 0, 1, 2])
+    cache = forward(params, x)
+    assert np.all(cache.embeddings[[0, 3]] == 0.0)
+    assert np.count_nonzero(np.linalg.norm(cache.embeddings, axis=1)) >= 4  # and others not
+    labels = rng.integers(0, 3, size=8)
+    assert_step_equals_two_call_step(params, cache, labels, codes, *lam)
+
+
+def test_loss_and_grad_without_a_same_chain_pair_warns_once(rng):
+    params, x, labels, _, masks = gradcheck_case(rng, n=6, dropout=0.25)
+    codes = np.arange(6)  # every mention its own chain
+    cache = forward(params, x, mode="train", masks=masks)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_step_equals_two_call_step(params, cache, labels, codes, 2.0, 0.5)
+    assert [str(w.message) for w in caught] == [
+        "no same-chain pair in batch; attractive term is 0"
+    ]
 
 
 # ---------------------------------------------------------------------------

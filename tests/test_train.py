@@ -3,7 +3,9 @@ import pytest
 
 from evcoref.corpus import Clustering
 from evcoref.errors import IntegrityError, SamplerError, TrainingDivergedError
-from evcoref.network import forward
+from evcoref import network
+from evcoref.network import AdamState, NetParams, adam_step, forward, init_params
+from oracles import two_call_step
 from evcoref.train import (
     TrainConfig,
     encode_chains,
@@ -100,8 +102,6 @@ def test_sample_batch_carries_masks_when_requested(rng):
     assert batch.dropout_masks[0].shape == (16, 8)
     assert batch.dropout_masks[1].shape == (16, 4)
     assert set(np.unique(batch.dropout_masks[0])) <= {0.0, 1.0}
-    no_masks = sample_batch(x, labels, codes, rng, size=16)
-    assert no_masks.dropout_masks is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +235,45 @@ def test_epoch_count_and_batching(rng):
     result = train(x, labels, chains, n_classes=4, config=cfg)
     assert len(result.history) == 4
     assert result.adam.t == 4 * int(np.ceil(30 / 8))
+
+def test_training_equals_the_loop_stepped_with_the_two_call_oracle(rng):
+    x, labels, chains = blob_data(rng, n_per=10, k=3)  # n=30: 2 batches an epoch
+    cfg = tiny_config(epochs=2, batch_size=16, lambda1=2.0, lambda2=0.5)
+    result = train(x, labels, chains, n_classes=4, config=cfg)
+
+    codes = encode_chains(chains)
+    step_rng = np.random.default_rng(cfg.seed)
+    params = init_params(step_rng, x.shape[1], 4, cfg.hidden1, cfg.embed, cfg.hidden3)
+    adam = AdamState.for_params(params)
+    totals = []
+    for _ in range(cfg.epochs * 2):
+        batch = sample_batch(
+            x, labels, codes, step_rng, mask_dims=params.dims, size=cfg.batch_size,
+            dropout=cfg.dropout,
+        )
+        cache = forward(params, batch.inputs, mode="train", masks=batch.dropout_masks)
+        loss, grads = two_call_step(
+            params, cache, batch.class_labels, batch.chain_codes, cfg.lambda1, cfg.lambda2
+        )
+        adam_step(params, adam, NetParams(*grads), cfg.lr)
+        totals.append(loss[0])
+    assert result.adam.t == adam.t == 4
+    for ours, ref in zip(
+        result.params.arrays() + result.adam.m + result.adam.v,
+        params.arrays() + adam.m + adam.v,
+    ):
+        assert ours.tobytes() == ref.tobytes()
+    assert [e.loss.total for e in result.history] == [
+        float(np.mean(totals[:2])), float(np.mean(totals[2:]))
+    ]
+
+
+def test_a_training_step_builds_the_pair_geometry_once(rng, monkeypatch):
+    x, labels, chains = blob_data(rng, n_per=10, k=3)
+    calls = []
+    pairs = network._pairs
+    monkeypatch.setattr(network, "_pairs", lambda *a: calls.append(1) or pairs(*a))
+    cfg = tiny_config(epochs=1, batch_size=64, lambda1=2.0, lambda2=0.5)  # one step
+    result = train(x, labels, chains, n_classes=4, config=cfg)
+    assert result.adam.t == 1
+    assert len(calls) == 1
