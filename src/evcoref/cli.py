@@ -279,7 +279,7 @@ def cmd_cluster(run: RunConfig) -> None:
         ckpt = run.output / "train" / "checkpoint.ckpt"
         if not ckpt.exists():
             raise ConfigError(f"missing {ckpt}; run the train stage first")
-        params, _, _ = net.load_checkpoint(ckpt)
+        params, _ = net.load_params(ckpt)
         if params.dims[0] != eval_x.shape[1]:
             raise ModelMismatchError(
                 f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"

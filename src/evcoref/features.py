@@ -48,7 +48,7 @@ class WordVectors:
 def load_word_vectors(path) -> WordVectors:
     """Read a text vector file: one `word v1 ... vE` entry per line, with an
     optional `count dim` header (auto-detected). First entry wins on
-    duplicate words."""
+    duplicate words. A nan or inf component is refused with its line."""
     table: dict = {}
     dim = None
     with open(path, encoding="utf-8") as handle:
@@ -70,6 +70,8 @@ def load_word_vectors(path) -> WordVectors:
                 raise ParseError(path, line_no, "non-numeric vector component")
             if vec.size == 0:
                 raise ParseError(path, line_no, "entry has no vector components")
+            if not np.isfinite(vec).all():
+                raise ParseError(path, line_no, "non-finite vector component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

@@ -340,20 +340,41 @@ def backward(
     return loss_and_grad(params, cache, labels, chain_codes, lambda1, lambda2, use_cce, out)[1]
 
 
+Runs = tuple[tuple[int, int], ...]  # ascending, disjoint row ranges [lo, hi)
+
+
+def row_runs(mask: np.ndarray) -> Runs:
+    """The maximal runs [lo, hi) of True entries of a 1-d boolean mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))))
+    return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
 def loss_and_grad(
     params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
-    use_cce: bool = True, out: NetParams | None = None,
+    use_cce: bool = True, out: NetParams | None = None, w1_runs: Runs | None = None,
 ) -> tuple[LossBreakdown, NetParams]:
     """loss_total's breakdown and the exact gradients of its total for every
     parameter, both read off one pair geometry of the cached embeddings. The
     gradients are written into `out` (a NetParams-shaped container of
     C-contiguous float64 arrays, allocated when None). The pairwise terms
     feed the embedding layer directly (pre-dropout); the cross-entropy path
-    routes through the same dropout masks the forward pass used."""
+    routes through the same dropout masks the forward pass used.
+
+    With `w1_runs` (at least one run), out.w1 holds only the first-layer
+    weight rows of those runs, back to back: a compact (rows, hidden1)
+    buffer. Each row still sums over the whole batch, so it equals the same
+    row of the full gradient wherever the BLAS computes a row of a product
+    independently of how many rows the product has. OpenBLAS 0.3.31's
+    Haswell kernels do when hidden1 is a multiple of 8 and two or more rows
+    are taken; otherwise the last hidden1 % 8 columns can differ in the last
+    bits. None takes every row: the full gradient."""
     pairs = _core_pairs(cache.embeddings, chain_codes, lambda1, lambda2)
     loss = _breakdown(cache.probs, labels, pairs, lambda1, lambda2, use_cce)
+    runs = ((0, params.w1.shape[0]),) if w1_runs is None else w1_runs
     if out is None:
-        out = NetParams(*[np.empty_like(a, order="C") for a in params.arrays()])
+        shapes = [(sum(hi - lo for lo, hi in runs), params.w1.shape[1])]
+        shapes += [a.shape for a in params.arrays()[1:]]
+        out = NetParams(*[np.empty(shape) for shape in shapes])
     n = cache.inputs.shape[0]
     train = cache.masks is not None
     scale = 1.0 / (1.0 - cache.dropout) if train else 1.0
@@ -388,7 +409,11 @@ def loss_and_grad(
     d_a1 = d_d1 * cache.masks[0] * scale if train else d_d1
     d_z1 = d_a1 * (cache.z1 > 0.0)
 
-    np.matmul(cache.inputs.T, d_z1, out=out.w1)
+    # the input columns of the runs; one run is a view, so the full
+    # gradient is one product over the inputs as they are
+    columns = [cache.inputs[:, lo:hi] for lo, hi in runs]
+    taken = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+    np.matmul(taken.T, d_z1, out=out.w1)
     d_z1.sum(axis=0, out=out.b1)
     return loss, out
 
@@ -425,6 +450,20 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
+def _segments(param, grad, m, v, runs: Runs | None):
+    """(param, grad, m, v) flat views per run of rows: the rows of the run
+    in param, m and v, and the rows of grad that hold their gradient, which
+    are the runs' rows back to back. runs None: the whole arrays."""
+    if runs is None:
+        yield _flat(param), grad.reshape(-1), _flat(m), _flat(v)
+        return
+    at = 0
+    for lo, hi in runs:
+        rows, packed = slice(lo, hi), slice(at, at + hi - lo)
+        yield _flat(param[rows]), _flat(grad[packed]), _flat(m[rows]), _flat(v[rows])
+        at += hi - lo
+
+
 def adam_step(
     params: NetParams,
     state: AdamState,
@@ -433,6 +472,7 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    w1_runs: Runs | None = None,
 ) -> None:
     """In-place Adam update with bias correction.
 
@@ -441,33 +481,39 @@ def adam_step(
     param -= (lr*(m/(1-beta1**t))) / (sqrt(v/(1-beta2**t)) + eps).
     m, v and the parameters are updated where they are, ADAM_BLOCK elements
     at a time through two scratch blocks, so a step allocates nothing the
-    size of a parameter."""
+    size of a parameter.
+
+    With `w1_runs`, grads.w1 is loss_and_grad's compact gradient of those
+    first-layer rows, and only those rows of w1, m and v are updated. A row
+    whose gradient has been +-0 on every step so far has m = v = +0, so its
+    update is exactly 0 and skipping it changes no bit."""
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
-    for param, grad, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        param, m, v, grad = _flat(param), _flat(m), _flat(v), grad.reshape(-1)
-        for lo in range(0, param.size, ADAM_BLOCK):
-            hi = lo + ADAM_BLOCK
-            p_b, g_b, m_b, v_b = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
-            m_b *= beta1
-            np.multiply(g_b, 1.0 - beta1, out=a)
-            m_b += a
-            np.multiply(g_b, 1.0 - beta2, out=a)
-            a *= g_b
-            v_b *= beta2
-            v_b += a
-            np.divide(m_b, c1, out=a)
-            a *= lr
-            np.divide(v_b, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            p_b -= a
+    runs = [w1_runs] + [None] * (len(_PARAM_FIELDS) - 1)
+    for param, grad, m, v, rows in zip(params.arrays(), grads.arrays(), state.m, state.v, runs):
+        for param_s, grad_s, m_s, v_s in _segments(param, grad, m, v, rows):
+            for lo in range(0, param_s.size, ADAM_BLOCK):
+                hi = lo + ADAM_BLOCK
+                p_b, g_b, m_b, v_b = param_s[lo:hi], grad_s[lo:hi], m_s[lo:hi], v_s[lo:hi]
+                a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
+                m_b *= beta1
+                np.multiply(g_b, 1.0 - beta1, out=a)
+                m_b += a
+                np.multiply(g_b, 1.0 - beta2, out=a)
+                a *= g_b
+                v_b *= beta2
+                v_b += a
+                np.divide(m_b, c1, out=a)
+                a *= lr
+                np.divide(v_b, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                p_b -= a
 
 
 # ---------------------------------------------------------------------------
@@ -494,37 +540,51 @@ def save_checkpoint(
             out.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
+def _read_into(handle, path, array):
+    """Fill a preallocated buffer from the file."""
+    if handle.readinto(array) != memoryview(array).nbytes:
+        raise ParseError(path, 1, "truncated checkpoint")
+    return array
+
+
+def _read_header(handle, path) -> tuple[list, int, dict]:
+    """Read the header of an open checkpoint: (the eight parameter shapes,
+    the Adam step, the metadata). The rest of the file must be at least the
+    parameters and both moments, checked before anything is allocated, so
+    corrupt dims cannot ask for terabytes."""
+    if handle.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise ParseError(path, 1, "not a checkpoint file (bad magic)")
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, _read_into(handle, path, bytearray(struct.calcsize(fmt))))
+
+    d, h1, he, h3, k = unpack("<5I")
+    epoch, seed, config_hash = unpack("<IQQ")
+    (t,) = unpack("<Q")
+    shapes = [(d, h1), (h1,), (h1, he), (he,), (he, h3), (h3,), (h3, k), (k,)]
+    body = 3 * 8 * sum(math.prod(shape) for shape in shapes)
+    if os.fstat(handle.fileno()).st_size - handle.tell() < body:
+        raise ParseError(path, 1, "truncated checkpoint")
+    return shapes, t, {"epoch": epoch, "seed": seed, "config_hash": config_hash}
+
+
+def _read_arrays(handle, path, shapes) -> list[np.ndarray]:
+    return [_read_into(handle, path, np.empty(shape, dtype="<f8")) for shape in shapes]
+
+
 def load_checkpoint(path) -> tuple[NetParams, AdamState, dict]:
     with open(path, "rb") as handle:
-        magic = handle.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-
-        def read(array):
-            """Fill a preallocated buffer from the file."""
-            if handle.readinto(array) != memoryview(array).nbytes:
-                raise ParseError(path, 1, "truncated checkpoint")
-            return array
-
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, read(bytearray(struct.calcsize(fmt))))
-
-        dims = unpack("<5I")
-        epoch, seed, config_hash = unpack("<IQQ")
-        (t,) = unpack("<Q")
-        d, h1, he, h3, k = dims
-        shapes = [
-            (d, h1), (h1,), (h1, he), (he,), (he, h3), (h3,), (h3, k), (k,),
-        ]
-        # checked before allocating, so corrupt dims cannot ask for terabytes
-        body = 3 * 8 * sum(math.prod(shape) for shape in shapes)
-        if os.fstat(handle.fileno()).st_size - handle.tell() < body:
-            raise ParseError(path, 1, "truncated checkpoint")
-
-        def read_arrays():
-            return [read(np.empty(shape, dtype="<f8")) for shape in shapes]
-
-        params = NetParams(*read_arrays())
-        state = AdamState(m=read_arrays(), v=read_arrays(), t=t)
-    meta = {"epoch": epoch, "seed": seed, "config_hash": config_hash}
+        shapes, t, meta = _read_header(handle, path)
+        params = NetParams(*_read_arrays(handle, path, shapes))
+        m = _read_arrays(handle, path, shapes)
+        state = AdamState(m=m, v=_read_arrays(handle, path, shapes), t=t)
     return params, state, meta
+
+
+def load_params(path) -> tuple[NetParams, dict]:
+    """A checkpoint's eight parameter arrays and its metadata, without reading
+    the Adam moments; the file is checked whole, as by load_checkpoint."""
+    with open(path, "rb") as handle:
+        shapes, _, meta = _read_header(handle, path)
+        params = NetParams(*_read_arrays(handle, path, shapes))
+    return params, meta

@@ -21,11 +21,13 @@ from .network import (
     AdamState,
     LossBreakdown,
     NetParams,
+    Runs,
     adam_step,
     forward,
     init_params,
     loss_and_grad,
     make_dropout_masks,
+    row_runs,
 )
 
 BATCH_SIZE = 272
@@ -127,12 +129,40 @@ class TrainResult:
     history: list = field(default_factory=list)
 
 
-def _snapshot(params: NetParams, adam: AdamState, best_params: NetParams, best_adam: AdamState) -> None:
-    """Copy the current parameters and Adam state into the best-epoch buffers."""
-    for src, dst in zip(
-        params.arrays() + adam.m + adam.v, best_params.arrays() + best_adam.m + best_adam.v
+def movable_w1_rows(features: np.ndarray) -> Runs:
+    """The runs of first-layer weight rows that training on `features` can
+    move: those of the input columns nonzero in some row (-0.0 counts as
+    zero). Any other row gets a gradient of +-0 on every step, so Adam
+    leaves it and its moments exactly as initialised. When fewer than two
+    columns are nonzero every row is taken, because numpy computes a
+    one-row product on another path that sums in another order. A NaN or
+    inf entry is refused, naming the first row that holds one."""
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise IntegrityError(
+            f"train feature row {row} (0-based, in mentions.tsv order) has the "
+            f"non-finite value {float(features[row, col])!r} in column {col}"
+        )
+    nonzero = (features != 0.0).any(axis=0)
+    if np.count_nonzero(nonzero) < 2:
+        nonzero[:] = True
+    return row_runs(nonzero)
+
+
+def _snapshot(
+    params: NetParams, adam: AdamState, best_params: NetParams, best_adam: AdamState, w1_runs: Runs
+) -> None:
+    """Copy the current parameters and Adam state into the best-epoch
+    buffers; of w1 and its moments only the rows of `w1_runs`, the only
+    ones training moves."""
+    for (w1, *rest), (best_w1, *best_rest) in (
+        (params.arrays(), best_params.arrays()), (adam.m, best_adam.m), (adam.v, best_adam.v)
     ):
-        np.copyto(dst, src)
+        for lo, hi in w1_runs:
+            np.copyto(best_w1[lo:hi], w1[lo:hi])
+        for src, dst in zip(rest, best_rest):
+            np.copyto(dst, src)
     best_adam.t = adam.t
 
 
@@ -153,6 +183,7 @@ def train(
     tuned-tau B3 and returns those parameters as best_params."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
+    w1_runs = movable_w1_rows(features)
     chain_codes = encode_chains(chain_ids)
     rng = np.random.default_rng(config.seed)
     params = init_params(
@@ -167,9 +198,11 @@ def train(
     if has_val and len(val_mention_ids) == 0:
         raise IntegrityError("the validation split has no mentions to select an epoch on")
 
-    # allocated once: every step writes its gradients into `grads`, and each
-    # new best epoch is copied into `best_params`/`best_adam`
-    grads = NetParams(*[np.empty_like(a) for a in params.arrays()])
+    # allocated once: every step writes its gradients into `grads` (of w1
+    # only the movable rows), and each new best epoch is copied into
+    # `best_params`/`best_adam`, whose other w1 rows stay as initialised
+    w1_grad = np.empty((sum(hi - lo for lo, hi in w1_runs), params.w1.shape[1]))
+    grads = NetParams(w1_grad, *[np.empty_like(a) for a in params.arrays()[1:]])
     history: list[EpochLog] = []
     best_params = params.copy()
     best_adam = AdamState.for_params(params)
@@ -194,6 +227,7 @@ def train(
             breakdown, _ = loss_and_grad(
                 params, cache, batch.class_labels, batch.chain_codes,
                 config.lambda1, config.lambda2, use_cce=config.use_cce, out=grads,
+                w1_runs=w1_runs,
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDivergedError(
@@ -201,7 +235,7 @@ def train(
                     f"attract={breakdown.attract!r} repulse={breakdown.repulse!r} "
                     f"(lr={config.lr}, lambda1={config.lambda1}, lambda2={config.lambda2})"
                 )
-            adam_step(params, adam, grads, config.lr)
+            adam_step(params, adam, grads, config.lr, w1_runs=w1_runs)
             sums += (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
 
         mean = sums / batches_per_epoch
@@ -221,10 +255,10 @@ def train(
             tau, b3 = tune_tau(val_emb, val_mention_ids, val_gold)
             log.val_b3, log.tau = b3, tau
             if best_b3 is None or b3 > best_b3:
-                _snapshot(params, adam, best_params, best_adam)
+                _snapshot(params, adam, best_params, best_adam, w1_runs)
                 best_tau, best_b3, best_epoch = tau, b3, epoch
         else:
-            _snapshot(params, adam, best_params, best_adam)
+            _snapshot(params, adam, best_params, best_adam, w1_runs)
             best_epoch = epoch
         history.append(log)
         if progress is not None:

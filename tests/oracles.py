@@ -2,7 +2,9 @@
 
 Everything here favors obviousness over speed: explicit pair loops, exhaustive
 alignment enumeration, from-scratch similarity recomputation, and numeric
-differentiation. None of it shares code with the package.
+differentiation. None of it shares code with the package, except that the
+reference training loop draws its batches, runs its forward passes and tunes
+tau with the package's own functions, which are not what it checks.
 """
 
 from __future__ import annotations
@@ -370,6 +372,68 @@ def adam_step_expression(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps
         new_m.append(m_i)
         new_v.append(v_i)
     return new_params, new_m, new_v
+
+
+def full_row_train(features, class_labels, chain_ids, n_classes, config, val=None):
+    """The training loop as it was before any first-layer row was skipped:
+    every step computes the whole first-layer gradient (two_call_step), runs
+    the whole-array Adam update on every parameter (adam_step_expression)
+    and every new best epoch copies every array. Batches, forward passes and
+    the validation tau search are the package's (train.sample_batch,
+    network.forward, clustering.tune_tau), drawn from one generator in the
+    same order as train.train, so its results are the reference for the
+    row-restricted loop bit for bit. `val` is (features, mention ids, gold
+    clustering) or None. Returns a dict of the final and best-epoch
+    parameters and moments (lists of arrays), their Adam steps, the best
+    epoch and one (epoch, total, cce, attract, repulse, val_b3, tau) row per
+    epoch."""
+    from evcoref.clustering import tune_tau
+    from evcoref.network import NetParams, forward, init_params
+    from evcoref.train import encode_chains, sample_batch
+
+    features = np.asarray(features, dtype=np.float64)
+    codes = encode_chains(chain_ids)
+    rng = np.random.default_rng(config.seed)
+    net = init_params(rng, features.shape[1], n_classes, config.hidden1, config.embed, config.hidden3)
+    params = net.arrays()
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    steps = max(1, -(-len(features) // config.batch_size))
+    t = 0
+    best = None
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        sums = np.zeros(4)
+        for _ in range(steps):
+            batch = sample_batch(
+                features, class_labels, codes, rng, net.dims, size=config.batch_size,
+                dropout=config.dropout,
+            )
+            cache = forward(
+                NetParams(*params), batch.inputs, mode="train", masks=batch.dropout_masks,
+                dropout=config.dropout,
+            )
+            loss, grads = two_call_step(
+                NetParams(*params), cache, batch.class_labels, batch.chain_codes,
+                config.lambda1, config.lambda2, config.use_cce,
+            )
+            t += 1
+            params, m, v = adam_step_expression(params, m, v, grads, t, config.lr)
+            sums += loss
+        mean = sums / steps
+        val_b3 = tau = None
+        if val is not None:
+            val_x, val_ids, val_gold = val
+            emb = forward(NetParams(*params), val_x, mode="infer").embeddings
+            tau, val_b3 = tune_tau(emb, val_ids, val_gold)
+        if val is None or best is None or val_b3 > best["best_b3"]:
+            best = {
+                "best_params": [a.copy() for a in params], "best_m": [a.copy() for a in m],
+                "best_v": [a.copy() for a in v], "best_t": t, "best_epoch": epoch,
+                "best_b3": val_b3, "best_tau": tau,
+            }
+        history.append((epoch, *mean, val_b3, tau))
+    return {"params": params, "m": m, "v": v, "t": t, **best, "history": history}
 
 
 def checkpoint_bytes(magic, dims, epoch, seed, config_hash, t, arrays):

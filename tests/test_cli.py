@@ -1,3 +1,4 @@
+import io
 import re
 import shutil
 from pathlib import Path
@@ -315,6 +316,82 @@ def test_bad_mention_row_reports_its_line(tmp_path):
     with pytest.raises(ParseError, match="bad mention row") as err:
         _read_mentions_tsv(path)
     assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_word_vector_is_exit_2(tmp_path, capsys, bad):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    lines = vec_path.read_text().splitlines()
+    row = len(lines) // 2
+    parts = lines[row].split(" ")
+    parts[2] = bad
+    lines[row] = " ".join(parts)
+    vec_path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o")
+    assert main(["features", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"vectors.txt:{row + 1}: non-finite vector component" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_train_feature_is_exit_2_before_the_first_step(pipeline_dir, tmp_path, capsys, bad):
+    _, _, src_out = pipeline_dir
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out)
+    shutil.copytree(src_out / "features", out / "features")
+    matrix = read_matrix(out / "features" / "train.mat")
+    matrix[5, 11] = bad
+    write_matrix(out / "features" / "train.mat", matrix)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "train feature row 5 " in captured.err and "column 11" in captured.err
+    assert "Traceback" not in captured.err and "epoch" not in captured.out
+    assert not (out / "train" / "checkpoint.ckpt").exists()
+
+
+def _learned_copy(pipeline_dir, tmp_path):
+    """A config over a copy of the shared features and checkpoint."""
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out)
+    for stage in ("features", "train"):
+        shutil.copytree(src_out / stage, out / stage)
+    return cfg, out / "train" / "checkpoint.ckpt"
+
+
+def test_checkpoint_truncated_inside_the_second_moment_is_exit_2(pipeline_dir, tmp_path, capsys):
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    params, _, _ = cli.net.load_checkpoint(ckpt)
+    whole = ckpt.read_bytes()
+    v_start = len(whole) - 8 * sum(a.size for a in params.arrays())
+    ckpt.write_bytes(whole[: v_start + 8 * params.w1.size // 2])
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.ckpt" in err and "truncated" in err and "Traceback" not in err
+
+
+def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path, monkeypatch):
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    params, _, _ = cli.net.load_checkpoint(ckpt)
+    header = len(cli.net.CHECKPOINT_MAGIC) + 48
+    read = []
+
+    class Counted(io.FileIO):
+        def readinto(self, buffer):
+            read.append(super().readinto(buffer))
+            return read[-1]
+
+        def read(self, size=-1):
+            data = super().read(size)
+            read.append(len(data))
+            return data
+
+    monkeypatch.setattr(cli.net, "open", lambda path, mode: Counted(path, "r"), raising=False)
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    assert sum(read) == header + 8 * sum(a.size for a in params.arrays())
+    assert ckpt.stat().st_size == header + 3 * 8 * sum(a.size for a in params.arrays())
 
 
 def test_missing_config_file_is_exit_2():

@@ -21,12 +21,14 @@ from evcoref.network import (
     forward,
     init_params,
     load_checkpoint,
+    load_params,
     loss_and_grad,
     loss_attract,
     loss_cce,
     loss_repulse,
     loss_total,
     make_dropout_masks,
+    row_runs,
     save_checkpoint,
 )
 from conftest import gradcheck_case
@@ -421,6 +423,34 @@ def test_loss_and_grad_without_a_same_chain_pair_warns_once(rng):
     ]
 
 
+def test_row_runs():
+    assert row_runs(np.array([0, 1, 1, 0, 1], dtype=bool)) == ((1, 3), (4, 5))
+    assert row_runs(np.ones(4, dtype=bool)) == ((0, 4),)
+    assert row_runs(np.zeros(3, dtype=bool)) == ()
+
+
+W1_RUNS = [((0, 40),), ((3, 4), (10, 12)), ((0, 1), (39, 40)), ((5, 6), (7, 8), (20, 33))]
+
+
+@pytest.mark.parametrize("runs", W1_RUNS)
+@pytest.mark.parametrize("dropout", [None, 0.25])
+def test_compact_w1_gradient_is_the_rows_of_the_full_gradient(rng, runs, dropout):
+    # hidden1 a multiple of 8 and two or more rows: see loss_and_grad
+    params = init_params(rng, 40, 3, hidden1=16, embed=8, hidden3=16)
+    x = rng.normal(size=(9, 40))
+    labels, codes = rng.integers(0, 3, size=9), rng.integers(0, 3, size=9)
+    masks = make_dropout_masks(rng, 9, params.dims, dropout) if dropout else None
+    cache = forward(params, x, mode="train" if masks else "infer", masks=masks)
+    full_loss, full = loss_and_grad(params, cache, labels, codes, 2.0, 0.5)
+    loss, compact = loss_and_grad(params, cache, labels, codes, 2.0, 0.5, w1_runs=runs)
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+    assert compact.w1.shape == (len(rows), 16)
+    assert compact.w1.tobytes() == full.w1[rows].tobytes()
+    for ours, ref in zip(compact.arrays()[1:], full.arrays()[1:]):
+        assert ours.tobytes() == ref.tobytes()
+    assert loss == full_loss
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -487,17 +517,44 @@ def test_adam_step_bit_identical_to_expression_form(rng):
             assert ours.tobytes() == ref.tobytes()
 
 
+def test_row_run_adam_step_equals_the_full_step_over_zero_gradient_rows(rng):
+    # the w1 rows outside the runs get +0.0 or -0.0 gradients on every step;
+    # a run of 60 rows of 700 spans two Adam blocks
+    runs = ((1, 3), (6, 66), (70, 71))
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+    arrays = [rng.normal(size=(80, 700))] + [rng.normal(size=s) for s in (7, (7, 5), 5, 3, 4, (4, 2), 2)]
+    arrays[0][75] = -0.0
+    full, restricted = NetParams(*[a.copy() for a in arrays]), NetParams(*[a.copy() for a in arrays])
+    full_state, state = AdamState.for_params(full), AdamState.for_params(restricted)
+    for _ in range(6):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        grads[0][np.setdiff1d(np.arange(80), rows)] = 0.0
+        grads[0] *= np.where(rng.random((80, 1)) < 0.5, -1.0, 1.0)  # signed zeros
+        adam_step(full, full_state, NetParams(*grads), lr=0.003)
+        compact = NetParams(grads[0][rows], *grads[1:])
+        adam_step(restricted, state, compact, lr=0.003, w1_runs=runs)
+        assert state.t == full_state.t
+        for ours, ref in zip(
+            restricted.arrays() + state.m + state.v, full.arrays() + full_state.m + full_state.v
+        ):
+            assert ours.tobytes() == ref.tobytes()
+    assert np.signbit(restricted.w1[75]).all()
+
+
 def test_adam_step_allocates_no_parameter_sized_array(rng):
-    params = NetParams(rng.normal(size=(1000, 500)), *[rng.normal(size=3) for _ in range(7)])
-    grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
-    state = AdamState.for_params(params)
-    tracemalloc.start()
-    try:
-        adam_step(params, state, grads, lr=0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
+    for w1_runs in (None, ((0, 300), (400, 1000))):
+        params = NetParams(rng.normal(size=(1000, 500)), *[rng.normal(size=3) for _ in range(7)])
+        grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
+        if w1_runs is not None:
+            grads.w1 = np.concatenate([grads.w1[lo:hi] for lo, hi in w1_runs])
+        state = AdamState.for_params(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, state, grads, lr=0.01, w1_runs=w1_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
 
 
 def test_adam_step_refuses_a_non_contiguous_parameter(rng):
@@ -522,6 +579,10 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     loaded, loaded_state, meta = load_checkpoint(path)
     for a, b in zip(params.arrays(), loaded.arrays()):
         assert np.array_equal(a, b)
+    only_params, only_meta = load_params(path)
+    for a, b in zip(params.arrays(), only_params.arrays()):
+        assert a.tobytes() == b.tobytes()
+    assert only_meta == meta
     for a, b in zip(state.m + state.v, loaded_state.m + loaded_state.v):
         assert np.array_equal(a, b)
     assert loaded_state.t == 1
@@ -561,13 +622,16 @@ def test_truncated_checkpoint_is_a_parse_error(tmp_path, rng):
     save_checkpoint(path, params, state, epoch=1, seed=0)
     whole = path.read_bytes()
     header = len(CHECKPOINT_MAGIC) + 48
-    # inside the magic, the dims, the Adam step count, the first array and
-    # the last one
-    for keep in (5, len(CHECKPOINT_MAGIC) + 7, header - 1, header + 3, len(whole) - 1):
+    moments = header + 8 * sum(a.size for a in params.arrays())
+    # inside the magic, the dims, the Adam step count, the first array, the
+    # first moment, the second moment's first array and the last one
+    for keep in (5, len(CHECKPOINT_MAGIC) + 7, header - 1, header + 3, moments + 3,
+                 len(whole) - (len(whole) - moments) // 2 + 5, len(whole) - 1):
         cut = tmp_path / f"cut{keep}.ckpt"
         cut.write_bytes(whole[:keep])
-        with pytest.raises(ParseError):
-            load_checkpoint(cut)
+        for load in (load_checkpoint, load_params):
+            with pytest.raises(ParseError):
+                load(cut)
 
 
 def test_checkpoint_with_corrupt_dims_is_a_parse_error(tmp_path, rng):
@@ -578,5 +642,6 @@ def test_checkpoint_with_corrupt_dims_is_a_parse_error(tmp_path, rng):
     at = len(CHECKPOINT_MAGIC)
     whole[at : at + 8] = struct.pack("<2I", 2**31, 2**31)  # a 2^62-entry w1
     path.write_bytes(bytes(whole))
-    with pytest.raises(ParseError, match="truncated"):
-        load_checkpoint(path)
+    for load in (load_checkpoint, load_params):
+        with pytest.raises(ParseError, match="truncated"):
+            load(path)

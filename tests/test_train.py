@@ -5,10 +5,11 @@ from evcoref.corpus import Clustering
 from evcoref.errors import IntegrityError, SamplerError, TrainingDivergedError
 from evcoref import network
 from evcoref.network import AdamState, NetParams, adam_step, forward, init_params
-from oracles import two_call_step
+from oracles import full_row_train, two_call_step
 from evcoref.train import (
     TrainConfig,
     encode_chains,
+    movable_w1_rows,
     sample_batch,
     sample_indices,
     train,
@@ -25,8 +26,8 @@ def blob_data(rng, n_per=20, k=3, d=10, noise=0.3):
     return x, labels, chains
 
 
-def val_split(rng, n_per=5, noise=0.3):
-    val_x, _, val_chains = blob_data(rng, n_per=n_per, noise=noise)
+def val_split(rng, n_per=5, noise=0.3, d=10):
+    val_x, _, val_chains = blob_data(rng, n_per=n_per, noise=noise, d=d)
     val_ids = [f"v{i}" for i in range(len(val_chains))]
     val_gold = Clustering.from_sets(
         {val_ids[i] for i in range(len(val_chains)) if val_chains[i] == c}
@@ -277,3 +278,110 @@ def test_a_training_step_builds_the_pair_geometry_once(rng, monkeypatch):
     result = train(x, labels, chains, n_classes=4, config=cfg)
     assert result.adam.t == 1
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# First-layer rows that no train mention can move
+# ---------------------------------------------------------------------------
+
+
+def test_movable_w1_rows_are_the_runs_of_columns_nonzero_in_train():
+    x = np.zeros((4, 9))
+    x[0, [1, 2, 5]] = 1.0
+    x[3, 8] = -2.0
+    x[:, 6] = -0.0  # a zero
+    x[2, 3] = 5e-324  # the smallest subnormal is not
+    assert movable_w1_rows(x) == ((1, 4), (5, 6), (8, 9))
+    assert movable_w1_rows(np.ones((2, 3))) == ((0, 3),)
+    # fewer than two movable rows: every row, so no product has one row
+    one = np.zeros((3, 5))
+    one[1, 2] = 1.0
+    assert movable_w1_rows(one) == ((0, 5),)
+    assert movable_w1_rows(np.zeros((3, 5))) == ((0, 5),)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_train_feature_is_refused_naming_its_row(rng, bad):
+    x, labels, chains = blob_data(rng)
+    x[7, 3] = bad
+    x[9, 0] = bad
+    seen = []
+    with pytest.raises(IntegrityError, match=r"train feature row 7 .* column 3"):
+        train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2), progress=seen.append)
+    assert seen == []
+
+
+def sparse_columns_case(kind):
+    """Blob features (12 columns) with some columns zero in every train row,
+    and a validation split of the same width; hidden1 = 16."""
+    rng = np.random.default_rng({"val-only": 5, "one-mention": 6, "negative-zero": 7,
+                                 "all-active": 8, "best-not-last": 6, "one-column": 9}[kind])
+    noise = 2.0 if kind == "best-not-last" else 0.3
+    x, labels, chains = blob_data(rng, n_per=15, d=12, noise=noise)
+    val_x, val_ids, val_gold = val_split(rng, n_per=6, noise=noise, d=12)
+    if kind in ("val-only", "best-not-last"):
+        x[:, [2, 5, 6, 7]] = 0.0  # inference still reads these rows
+    elif kind == "one-mention":
+        x[:, [3, 4, 10]] = 0.0
+        x[17, 3] = 2.5
+    elif kind == "negative-zero":
+        x[:, 9] = -0.0
+        x[:, 0] = 0.0
+    elif kind == "one-column":
+        x[:, 1:] = 0.0
+    return x, labels, chains, (val_x, val_ids, val_gold)
+
+
+def _train_both(case, **config):
+    x, labels, chains, val = case
+    cfg = tiny_config(batch_size=16, lambda1=2.0, lambda2=0.5, **config)  # 3 steps an epoch
+    ours = train(
+        x, labels, chains, n_classes=4, config=cfg,
+        val_features=val[0], val_mention_ids=val[1], val_gold=val[2],
+    )
+    return ours, full_row_train(x, labels, chains, 4, cfg, val)
+
+
+@pytest.mark.parametrize(
+    "kind", ["val-only", "one-mention", "negative-zero", "all-active", "best-not-last", "one-column"]
+)
+def test_training_equals_the_full_row_loop(kind):
+    case = sparse_columns_case(kind)
+    ours, ref = _train_both(case, epochs=6)
+    assert ours.adam.t == ref["t"] and ours.best_adam.t == ref["best_t"]
+    assert (ours.best_epoch, ours.best_b3, ours.best_tau) == (
+        ref["best_epoch"], ref["best_b3"], ref["best_tau"]
+    )
+    pairs = zip(
+        ours.params.arrays() + ours.adam.m + ours.adam.v
+        + ours.best_params.arrays() + ours.best_adam.m + ours.best_adam.v,
+        ref["params"] + ref["m"] + ref["v"] + ref["best_params"] + ref["best_m"] + ref["best_v"],
+    )
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+    rows = [
+        (e.epoch, e.loss.total, e.loss.cce, e.loss.attract, e.loss.repulse, e.val_b3, e.tau)
+        for e in ours.history
+    ]
+    assert [[np.float64(v).tobytes() for v in row] for row in rows] == [
+        [np.float64(v).tobytes() for v in row] for row in ref["history"]
+    ]
+    if kind == "best-not-last":
+        assert 1 < ours.best_epoch < 6
+    if kind in ("all-active", "one-column"):
+        assert movable_w1_rows(case[0]) == ((0, 12),)
+    else:
+        assert len(movable_w1_rows(case[0])) > 1
+
+
+def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments():
+    case = sparse_columns_case("best-not-last")
+    ours, _ = _train_both(case, epochs=6)
+    cfg = tiny_config()
+    initial = init_params(np.random.default_rng(cfg.seed), 12, 4, cfg.hidden1, cfg.embed, cfg.hidden3)
+    still = [2, 5, 6, 7]
+    for state, w1 in ((ours.adam, ours.params.w1), (ours.best_adam, ours.best_params.w1)):
+        assert w1[still].tobytes() == initial.w1[still].tobytes()
+        assert state.m[0][still].tobytes() == state.v[0][still].tobytes() == bytes(8 * 4 * 16)
+    moved = [0, 1, 3, 4]
+    assert np.all(ours.params.w1[moved] != initial.w1[moved])
