@@ -12,13 +12,10 @@ import argparse
 import sys
 from functools import cache, partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import clustering as clus
-from . import features as feat
-from . import network as net
-from . import scoring
 from .config import LEARNED_VARIANTS, RunConfig, load_config
 from .corpus import (
     Clustering,
@@ -26,7 +23,9 @@ from .corpus import (
     LabelScheme,
     chain_members,
     load_corpus,
+    read_chains,
     split_by_topics,
+    write_chains,
 )
 from .errors import (
     ConfigError,
@@ -38,7 +37,13 @@ from .errors import (
     TrainingDivergedError,
 )
 from .matio import read_matrix, write_matrix
-from .train import train
+
+# A stage process loads only what it runs: each command imports the stage
+# modules it calls (features, train, network, clustering, scoring), so
+# `score` starts without the training code.
+if TYPE_CHECKING:
+    from .features import TfidfModel
+    from .scoring import MetricReport
 
 SPLITS = ("train", "validation", "test")
 
@@ -77,16 +82,18 @@ def _write_kv(path: Path, entries: dict) -> None:
             out.write(f"{key}={value}\n")
 
 
-def _write_tfidf(path: Path, model: feat.TfidfModel) -> None:
+def _write_tfidf(path: Path, model: TfidfModel) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# n_docs={model.n_docs}\n")
         for lemma, col in sorted(model.lemma_index.items(), key=lambda kv: kv[1]):
             out.write(f"{lemma}\t{col}\t{float(model.idf[col])!r}\n")
 
 
-def _read_tfidf(path: Path) -> feat.TfidfModel:
+def _read_tfidf(path: Path) -> TfidfModel:
     """Rows of lemma, column and idf in column order 0..n-1, as `_write_tfidf`
     writes them. Each lemma appears once, and every idf is finite."""
+    from .features import TfidfModel
+
     lemma_index: dict[str, int] = {}
     idf: list[float] = []
     n_docs = 0
@@ -118,7 +125,7 @@ def _read_tfidf(path: Path) -> feat.TfidfModel:
                 raise ParseError(path, line_no, f"non-finite idf {idf_text!r}")
             lemma_index[lemma] = len(idf)
             idf.append(value)
-    return feat.TfidfModel(lemma_index=lemma_index, idf=np.array(idf), n_docs=n_docs)
+    return TfidfModel(lemma_index=lemma_index, idf=np.array(idf), n_docs=n_docs)
 
 
 def _split_corpora(run: RunConfig) -> dict[str, Corpus]:
@@ -143,6 +150,8 @@ def _gold(rows) -> Clustering:
 
 
 def cmd_features(run: RunConfig) -> None:
+    from . import features as feat
+
     wv = feat.load_word_vectors(run.require_word_vectors())
     corpora = _split_corpora(run)
     for name in SPLITS:
@@ -186,10 +195,21 @@ def _load_split(run: RunConfig, name: str):
     if len(matrix) != len(rows):
         counts = f"{len(matrix)} rows for the {len(rows)} mentions of {name}.mentions.tsv"
         raise ParseError(matrix_path, 1, counts)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            matrix_path, 1,
+            f"{name} feature row {row} (0-based, in {name}.mentions.tsv order) has the "
+            f"non-finite value {float(matrix[row, col])!r} in column {col}",
+        )
     return matrix, rows
 
 
 def cmd_train(run: RunConfig) -> None:
+    from .network import save_checkpoint
+    from .train import train
+
     if run.variant not in LEARNED_VARIANTS:
         raise ConfigError(f"variant {run.variant} has no training stage")
     train_x, train_rows = _load_split(run, "train")
@@ -233,7 +253,7 @@ def cmd_train(run: RunConfig) -> None:
     finally:
         log_file.close()
 
-    net.save_checkpoint(
+    save_checkpoint(
         out / "checkpoint.ckpt",
         result.best_params,
         result.best_adam,
@@ -254,6 +274,8 @@ def cmd_cluster(run: RunConfig) -> None:
     raw features for UNSUPERVISED, the checkpoint's embeddings for learned
     variants); with no vectors the seed is the clustering. An unset delta, or
     else an unset tau, is tuned on the validation split."""
+    from . import clustering as clus
+
     out = run.output / "cluster"
     out.mkdir(parents=True, exist_ok=True)
     eval_name = run.eval_split
@@ -276,6 +298,8 @@ def cmd_cluster(run: RunConfig) -> None:
     if run.variant == "UNSUPERVISED":
         embed = np.asarray  # the raw features
     elif run.variant in LEARNED_VARIANTS:
+        from . import network as net
+
         ckpt = run.output / "train" / "checkpoint.ckpt"
         if not ckpt.exists():
             raise ConfigError(f"missing {ckpt}; run the train stage first")
@@ -320,8 +344,8 @@ def cmd_cluster(run: RunConfig) -> None:
         sys_clustering = clus.agglomerate(eval_ids, tau, eval_vectors, init=init)
 
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
-    clus.write_chains(sys_clustering, out / f"{eval_name}.sys.chains", meta)
-    clus.write_chains(gold, out / f"{eval_name}.gold.chains", meta)
+    write_chains(sys_clustering, out / f"{eval_name}.sys.chains", meta)
+    write_chains(gold, out / f"{eval_name}.gold.chains", meta)
     print(
         f"{eval_name}: {len(sys_clustering.chains)} system chains, "
         f"{len(gold.chains)} gold chains -> {out}"
@@ -333,7 +357,9 @@ def cmd_score(
     gold_path: Path | None = None,
     sys_path: Path | None = None,
     mode: str | None = None,
-) -> scoring.MetricReport:
+) -> MetricReport:
+    from . import scoring
+
     mode = mode or run.mode
     out = run.output / "cluster"
     gold_path = gold_path or out / f"{run.eval_split}.gold.chains"
@@ -341,8 +367,8 @@ def cmd_score(
     for p in (gold_path, sys_path):
         if not Path(p).exists():
             raise ConfigError(f"missing chains file {p}")
-    gold = clus.read_chains(gold_path)
-    sys_clustering = clus.read_chains(sys_path)
+    gold = read_chains(gold_path)
+    sys_clustering = read_chains(sys_path)
     if mode == "within-doc":
         doc_of = load_corpus(run.corpus).mention_doc_map()
         gold = scoring.within_doc_projection(gold, doc_of)

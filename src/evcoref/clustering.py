@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import Clustering, Corpus, Document, Mention
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError
 from .kernels import components, merge_sequence
 from .scoring import Contingency, score_b3
 
@@ -311,34 +311,3 @@ def tune_delta(
         if score >= best[2]:
             best = (float(delta), tau, float(score))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Chain file IO: one line per chain, tab-separated mention ids
-# ---------------------------------------------------------------------------
-
-
-def write_chains(clustering: Clustering, path, meta: dict | None = None) -> None:
-    """Chains ordered by smallest member id, members sorted; `meta` entries
-    are embedded as leading `# key=value` comment lines."""
-    with open(path, "w", encoding="utf-8") as out:
-        for key, value in (meta or {}).items():
-            out.write(f"# {key}={value}\n")
-        for chain in clustering.sorted_chains():
-            out.write("\t".join(chain) + "\n")
-
-
-def read_chains(path) -> Clustering:
-    chains = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            members = line.split("\t")
-            chain = set(members)
-            if len(chain) != len(members):
-                repeated = sorted(m for m in chain if members.count(m) > 1)
-                raise ParseError(path, line_no, f"chain repeats mention(s) {repeated[:3]}")
-            chains.append(chain)
-    return Clustering.from_sets(chains)

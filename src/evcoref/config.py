@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .corpus import ecbplus_default_split
 from .errors import ConfigError
-from .train import TrainConfig
 
 VARIANTS = (
     "CCE",
@@ -28,6 +27,23 @@ VARIANTS = (
     "UNSUPERVISED",
 )
 LEARNED_VARIANTS = ("CCE", "CORE", "CORE+CCE", "CORE+CCE+LEMMA")
+
+BATCH_SIZE = 272
+
+
+@dataclass
+class TrainConfig:
+    lr: float = 0.00085
+    epochs: int = 100
+    batch_size: int = BATCH_SIZE
+    lambda1: float = 0.0
+    lambda2: float = 0.0
+    dropout: float = 0.25
+    seed: int = 0
+    hidden1: int = 1000
+    embed: int = 250
+    hidden3: int = 1000
+    use_cce: bool = True
 
 
 def parse_topic_list(text: str) -> set[str]:

@@ -83,53 +83,69 @@ def components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Optimal assignment (Kuhn-Munkres via shortest augmenting paths, O(n^3))
+# Optimal assignment (shortest augmenting paths over the short side, O(r^2 c))
 #
-# Minimizes total cost over a square matrix. Callers maximize by negating
-# and handle rectangular inputs by zero-padding. Column/row potentials (u, v)
-# follow the classic formulation with a virtual 0th column.
+# Minimizes total cost over an r x c matrix with r <= c, so every row gets a
+# column and c - r columns stay free; no dummy rows are added. Each row is
+# assigned by one Dijkstra search over reduced costs for the shortest path to
+# a free column, and the row/column potentials (u, v) are updated once per
+# augmentation (Crouse 2016, "On implementing 2D rectangular assignment
+# algorithms"). Callers maximize by negating and pass the transpose of a
+# matrix with more rows than columns.
 # ---------------------------------------------------------------------------
 
 
 def lsap_min(cost: np.ndarray) -> np.ndarray:
-    """Column index assigned to each row, minimizing total cost."""
-    cost = np.array(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError("lsap expects a square cost matrix")
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    cols = np.arange(1, n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    """Column index assigned to each row of a finite r x c cost matrix with
+    r <= c, distinct across rows and minimizing the total cost."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(f"lsap expects a 2-d cost matrix, rows <= columns; got {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("lsap expects finite costs")
+    r, c = cost.shape
+    col_of_row = np.full(r, -1, dtype=np.int64)
+    row_of_col = np.full(c, -1, dtype=np.int64)
+    if r == 0:
+        return col_of_row
+    # every column is free for row 0, so its search would end at once, at
+    # its (first) cheapest column, with that cost as its potential
+    col_of_row[0] = first = np.argmin(cost[0])
+    row_of_col[first] = 0
+    u = np.zeros(r)
+    u[0] = cost[0, first]
+    v = np.zeros(c)
+    path = np.empty(c, dtype=np.int64)  # row before each column on its shortest path
+    for start in range(1, r):
+        dist = np.full(c, np.inf)
+        done = np.zeros(c, dtype=bool)  # columns whose shortest distance is final
+        i, reach = start, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = cols[~used[1:]]
-            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
-            better = cur < minv[free]
-            improved = free[better]
-            minv[improved] = cur[better]
-            way[improved] = j0
-            pos = np.argmin(minv[free])
-            j1 = free[pos]
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            reduced = reach + cost[i] - u[i] - v
+            closer = ~done & (reduced < dist)
+            dist[closer] = reduced[closer]
+            path[closer] = i
+            open_dist = np.where(done, np.inf, dist)
+            reach = open_dist.min()
+            # nearest open column; a free one on ties ends the path sooner
+            ties = np.flatnonzero(open_dist == reach)
+            free = ties[row_of_col[ties] < 0]
+            j = free[0] if len(free) else ties[0]
+            done[j] = True
+            if row_of_col[j] < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col_of_row = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
+            i = row_of_col[j]
+        # the final columns other than the free one at the end are those of
+        # the rows the search passed through
+        u[start] += reach
+        done[j] = False
+        gain = reach - dist[done]
+        u[row_of_col[done]] += gain
+        v[done] -= gain
+        while True:  # flip the path's edges back to `start`
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
     return col_of_row

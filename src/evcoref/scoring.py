@@ -132,8 +132,9 @@ class Contingency:
         return np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
 
     def ceaf(self, phi: str) -> MetricScore:
-        """Optimal one-to-one chain alignment, solved by the Kuhn-Munkres
-        kernel inside each component of the overlap graph."""
+        """Optimal one-to-one chain alignment, solved by the assignment
+        kernel inside each component of the overlap graph, over the
+        component's real r x c block with its shorter side as rows."""
         ng, ns = len(self.gold_sizes), len(self.sys_sizes)
         if ng == 0 or ns == 0:
             return MetricScore(0.0, 0.0, 0.0)
@@ -147,11 +148,13 @@ class Contingency:
         for cells in self._components:
             row_ids, r = np.unique(self.rows[cells], return_inverse=True)
             col_ids, c = np.unique(self.cols[cells], return_inverse=True)
-            size = max(len(row_ids), len(col_ids))
-            block = np.zeros((size, size))
+            block = np.zeros((len(row_ids), len(col_ids)))
             block[r, c] = weights[cells]
-            assigned = lsap_min(-block)[: len(row_ids)]
-            best_of_row[row_ids] = block[np.arange(len(row_ids)), assigned]
+            if len(row_ids) <= len(col_ids):
+                best_of_row[row_ids] = block[np.arange(len(row_ids)), lsap_min(-block)]
+            else:  # a gold chain for each system chain; the other gold chains score 0
+                assigned = lsap_min(-block.T)
+                best_of_row[row_ids[assigned]] = block[assigned, np.arange(len(col_ids))]
         best = float(best_of_row.sum())
         return _score(best, r_den, best, p_den)
 

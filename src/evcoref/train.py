@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import tune_tau
+from .config import BATCH_SIZE, TrainConfig
 from .corpus import Clustering
 from .errors import IntegrityError, SamplerError, TrainingDivergedError
 from .network import (
@@ -29,24 +30,6 @@ from .network import (
     make_dropout_masks,
     row_runs,
 )
-
-BATCH_SIZE = 272
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 0.00085
-    epochs: int = 100
-    batch_size: int = BATCH_SIZE
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    dropout: float = 0.25
-    seed: int = 0
-    hidden1: int = 1000
-    embed: int = 250
-    hidden3: int = 1000
-    use_cce: bool = True
-
 
 @dataclass
 class Batch:

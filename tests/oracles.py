@@ -162,6 +162,53 @@ def oracle_ceaf(gold, sys, phi):
     return r, p, _f1(p, r)
 
 
+def square_lsap_min(cost: np.ndarray) -> np.ndarray:
+    """Column index assigned to each row of a square cost matrix, minimizing
+    total cost: the package's Kuhn-Munkres before it solved rectangular
+    matrices (shortest augmenting paths, potentials updated on every
+    step, a virtual 0th column). Callers zero-pad a rectangular input."""
+    cost = np.array(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError("lsap expects a square cost matrix")
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    cols = np.arange(1, n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = cols[~used[1:]]
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            improved = free[better]
+            minv[improved] = cur[better]
+            way[improved] = j0
+            pos = np.argmin(minv[free])
+            j1 = free[pos]
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = np.empty(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        col_of_row[p[j] - 1] = j - 1
+    return col_of_row
+
+
 def oracle_blanc(gold, sys):
     """Explicit pair sets for both link types."""
 

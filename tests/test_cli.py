@@ -1,12 +1,17 @@
 import io
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evcoref import cli
+import evcoref
+from evcoref import cli, network
 from evcoref.cli import _read_mentions_tsv, main
 from evcoref.clustering import lemma_delta_init, tune_tau
 from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_variant, parse_topic_list
@@ -351,6 +356,22 @@ def test_non_finite_train_feature_is_exit_2_before_the_first_step(pipeline_dir, 
     assert not (out / "train" / "checkpoint.ckpt").exists()
 
 
+def test_non_finite_validation_feature_is_exit_2_before_training(pipeline_dir, tmp_path, capsys):
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    ckpt.unlink()
+    path = ckpt.parents[1] / "features" / "validation.mat"
+    matrix = read_matrix(path)
+    matrix[2, 3] = np.nan
+    write_matrix(path, matrix)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "validation.mat:" in captured.err
+    assert "validation feature row 2 " in captured.err and "column 3" in captured.err
+    assert "Traceback" not in captured.err and "epoch" not in captured.out
+    assert not ckpt.exists()
+
+
 def _learned_copy(pipeline_dir, tmp_path):
     """A config over a copy of the shared features and checkpoint."""
     src_tmp, _, src_out = pipeline_dir
@@ -363,7 +384,7 @@ def _learned_copy(pipeline_dir, tmp_path):
 
 def test_checkpoint_truncated_inside_the_second_moment_is_exit_2(pipeline_dir, tmp_path, capsys):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
-    params, _, _ = cli.net.load_checkpoint(ckpt)
+    params, _, _ = network.load_checkpoint(ckpt)
     whole = ckpt.read_bytes()
     v_start = len(whole) - 8 * sum(a.size for a in params.arrays())
     ckpt.write_bytes(whole[: v_start + 8 * params.w1.size // 2])
@@ -374,8 +395,8 @@ def test_checkpoint_truncated_inside_the_second_moment_is_exit_2(pipeline_dir, t
 
 def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path, monkeypatch):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
-    params, _, _ = cli.net.load_checkpoint(ckpt)
-    header = len(cli.net.CHECKPOINT_MAGIC) + 48
+    params, _, _ = network.load_checkpoint(ckpt)
+    header = len(network.CHECKPOINT_MAGIC) + 48
     read = []
 
     class Counted(io.FileIO):
@@ -388,7 +409,7 @@ def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path,
             read.append(len(data))
             return data
 
-    monkeypatch.setattr(cli.net, "open", lambda path, mode: Counted(path, "r"), raising=False)
+    monkeypatch.setattr(network, "open", lambda path, mode: Counted(path, "r"), raising=False)
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert sum(read) == header + 8 * sum(a.size for a in params.arrays())
     assert ckpt.stat().st_size == header + 3 * 8 * sum(a.size for a in params.arrays())
@@ -521,7 +542,7 @@ def test_validation_eval_split_is_read_and_embedded_once(pipeline_dir, tmp_path,
         return read_matrix(path)
 
     monkeypatch.setattr(cli, "read_matrix", counted)
-    monkeypatch.setattr(cli.net, "embed", lambda *a: embeds.append(1) or embed(*a))
+    monkeypatch.setattr(network, "embed", lambda *a: embeds.append(1) or embed(*a))
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert reads == ["validation.mat"]
     assert len(embeds) == (variant in LEARNED_VARIANTS)
@@ -668,3 +689,51 @@ def test_full_pipeline_command(tmp_path):
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert (out / "score" / "report.tsv").exists()
     assert (out / "score" / "report_within.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# What each stage process imports
+# ---------------------------------------------------------------------------
+
+_LOADED = (
+    "import json, sys; from evcoref.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('evcoref.')))); sys.exit(code)"
+)
+
+
+def _stage_modules(*argv) -> set[str]:
+    """The `evcoref.*` modules a fresh process holds after running one stage."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evcoref.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "stage, variant, runs, unused",
+    [
+        ("features", "CORE+CCE", "features", {"network", "train", "clustering"}),
+        ("cluster", "UNSUPERVISED", "clustering", {"network", "train"}),
+        ("score", "CORE+CCE", "scoring", {"network", "train", "features", "clustering"}),
+    ],
+    ids=["features", "cluster-unsupervised", "score"],
+)
+def test_a_stage_process_imports_only_what_it_runs(
+    pipeline_dir, tmp_path, stage, variant, runs, unused
+):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    for name in ("features", "train"):
+        shutil.copytree(src_out / name, out / name)
+    corpus_path, vec_path = src_tmp / "corpus.tsv", src_tmp / "vectors.txt"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant=variant)
+    modes = [None]
+    if stage == "score":
+        assert main(["cluster", "--config", str(cfg)]) == 0
+        modes = ["combined", "within-doc"]
+    for mode in modes:
+        loaded = _stage_modules(stage, "--config", str(cfg), *(["--mode", mode] if mode else []))
+        assert f"evcoref.{runs}" in loaded
+        assert not loaded & {f"evcoref.{m}" for m in unused}, sorted(loaded)

@@ -13,10 +13,16 @@ from evcoref.clustering import (
     lemma_partition,
     tune_delta,
     tune_tau,
-    write_chains,
-    read_chains,
 )
-from evcoref.corpus import Clustering, Corpus, gold_clustering, loads_corpus, split_by_topics
+from evcoref.corpus import (
+    Clustering,
+    Corpus,
+    gold_clustering,
+    loads_corpus,
+    read_chains,
+    split_by_topics,
+    write_chains,
+)
 from evcoref.errors import IntegrityError, ParseError
 from evcoref.features import fit_tfidf
 from evcoref.scoring import score_b3

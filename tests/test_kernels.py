@@ -100,10 +100,10 @@ def test_components_match_union_find_on_random_graphs(rng):
 
 
 def brute_force_min_cost(cost):
-    n = cost.shape[0]
+    r, c = cost.shape
     return min(
-        sum(cost[i, p[i]] for i in range(n))
-        for p in itertools.permutations(range(n))
+        sum(cost[i, p[i]] for i in range(r))
+        for p in itertools.permutations(range(c), r)
     )
 
 
@@ -128,6 +128,24 @@ def test_lsap_with_ties_and_integers(impl):
     assert total == 5.0
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_lsap_rectangular_matches_brute_force(r, rng):
+    # small integer costs tie often; an all-zero row can take any column
+    for c in range(r, 9):
+        for trial in range(4):
+            cost = rng.integers(-2, 3, size=(r, c)).astype(float)
+            if trial % 2:
+                cost[rng.integers(r)] = 0.0
+            assignment = kernels.lsap_min(cost)
+            assert len(assignment) == r and len(set(assignment.tolist())) == r
+            assert 0 <= assignment.min() and assignment.max() < c
+            total = cost[np.arange(r), assignment].sum()
+            assert total == brute_force_min_cost(cost)
+
+
 def test_lsap_rejects_non_square():
+    # more rows than columns has no assignment of every row; callers transpose
     with pytest.raises(ValueError):
-        kernels.lsap_min(np.zeros((2, 3)))
+        kernels.lsap_min(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        kernels.lsap_min(np.zeros(3))

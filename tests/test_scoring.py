@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from evcoref.corpus import Clustering
 from evcoref.errors import ScoringMismatchError
-from evcoref.kernels import lsap_min
 from evcoref.scoring import (
     MetricScore,
     format_report,
@@ -16,7 +15,7 @@ from evcoref.scoring import (
     within_doc_projection,
     write_report,
 )
-from oracles import oracle_b3, oracle_blanc, oracle_ceaf, oracle_muc
+from oracles import oracle_b3, oracle_blanc, oracle_ceaf, oracle_muc, square_lsap_min
 
 
 def C(*chains):
@@ -302,7 +301,8 @@ def test_report_is_bit_identical_under_chain_and_member_order(rng):
 
 def test_ceaf_components_match_one_padded_assignment(rng):
     # beyond the brute-force oracle's reach: 50-200 chains per side, scored
-    # against one Kuhn-Munkres run over the full zero-padded matrix
+    # against one run of the square Kuhn-Munkres oracle over the full
+    # zero-padded matrix
     for _ in range(6):
         n = int(rng.integers(150, 400))
         k = int(rng.integers(60, 201))
@@ -322,7 +322,7 @@ def test_ceaf_components_match_one_padded_assignment(rng):
                 for j, s in enumerate(sys.chains):
                     inter = len(g & s)
                     full[i, j] = inter if phi == "mention" else 2.0 * inter / (len(g) + len(s))
-            best = full[np.arange(size), lsap_min(-full)].sum()
+            best = full[np.arange(size), square_lsap_min(-full)].sum()
             r_den, p_den = (n, n) if phi == "mention" else (ng, ns)
             got = score_ceaf(gold, sys, phi)
             assert got.recall == pytest.approx(best / r_den, abs=1e-12)
