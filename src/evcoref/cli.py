@@ -256,7 +256,6 @@ def cmd_train(run: RunConfig) -> None:
     save_checkpoint(
         out / "checkpoint.ckpt",
         result.best_params,
-        result.best_adam,
         result.best_epoch,
         run.training.seed,
         run.config_hash,
@@ -303,7 +302,7 @@ def cmd_cluster(run: RunConfig) -> None:
         ckpt = run.output / "train" / "checkpoint.ckpt"
         if not ckpt.exists():
             raise ConfigError(f"missing {ckpt}; run the train stage first")
-        params, _ = net.load_params(ckpt)
+        params, _ = net.load_checkpoint(ckpt)
         if params.dims[0] != eval_x.shape[1]:
             raise ModelMismatchError(
                 f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ModelMismatchError, ParseError
 
 PROB_CLAMP = 1e-12
-CHECKPOINT_MAGIC = b"EVCOREF.CKPT.1\n"
+CHECKPOINT_MAGIC = b"EVCOREF.CKPT.2\n"
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
@@ -195,17 +195,6 @@ def loss_cce(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, PROB_CLAMP))))
 
 
-def cosine_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    """(1 - cos)/2 in [0, 1]; a zero-norm operand makes the cosine 0 and the
-    distance the neutral 1/2."""
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.5
-    cos = float(np.dot(e1, e2) / (n1 * n2))
-    return 0.5 * (1.0 - max(-1.0, min(1.0, cos)))
-
-
 def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(embeddings, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -317,15 +306,6 @@ def _core_grad(p: _Pairs, lambda1: float, lambda2: float) -> np.ndarray:
     return grad
 
 
-def core_embedding_grad(
-    embeddings: np.ndarray,
-    chain_codes: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-) -> np.ndarray:
-    return _core_grad(_pairs(embeddings, chain_codes), lambda1, lambda2)
-
-
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -435,9 +415,12 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: NetParams) -> "AdamState":
+        # np.zeros, not zeros_like: zeros_like writes every page, while the
+        # pages of np.zeros are mapped only when first written, so the
+        # moments of the w1 rows adam_step never visits take no memory
         return cls(
-            m=[np.zeros_like(a) for a in params.arrays()],
-            v=[np.zeros_like(a) for a in params.arrays()],
+            m=[np.zeros(a.shape) for a in params.arrays()],
+            v=[np.zeros(a.shape) for a in params.arrays()],
             t=0,
         )
 
@@ -517,25 +500,18 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: versioned binary with Adam state, epoch, and rng seed
+# Checkpoints: versioned binary with the parameters, epoch, and rng seed
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(
-    path,
-    params: NetParams,
-    state: AdamState,
-    epoch: int,
-    seed: int,
-    config_hash: int = 0,
-) -> None:
-    dims = params.dims
+def save_checkpoint(path, params: NetParams, epoch: int, seed: int, config_hash: int = 0) -> None:
+    """The model only: nothing reads Adam's state after training, so it is
+    not written."""
     with open(path, "wb") as out:
         out.write(CHECKPOINT_MAGIC)
-        out.write(struct.pack("<5I", *dims))
+        out.write(struct.pack("<5I", *params.dims))
         out.write(struct.pack("<IQQ", epoch, seed, config_hash))
-        out.write(struct.pack("<Q", state.t))
-        for arr in params.arrays() + state.m + state.v:
+        for arr in params.arrays():
             # a view, not a copy, for the C-contiguous float64 arrays training keeps
             out.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
@@ -547,44 +523,27 @@ def _read_into(handle, path, array):
     return array
 
 
-def _read_header(handle, path) -> tuple[list, int, dict]:
-    """Read the header of an open checkpoint: (the eight parameter shapes,
-    the Adam step, the metadata). The rest of the file must be at least the
-    parameters and both moments, checked before anything is allocated, so
-    corrupt dims cannot ask for terabytes."""
-    if handle.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ParseError(path, 1, "not a checkpoint file (bad magic)")
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, _read_into(handle, path, bytearray(struct.calcsize(fmt))))
-
-    d, h1, he, h3, k = unpack("<5I")
-    epoch, seed, config_hash = unpack("<IQQ")
-    (t,) = unpack("<Q")
-    shapes = [(d, h1), (h1,), (h1, he), (he,), (he, h3), (h3,), (h3, k), (k,)]
-    body = 3 * 8 * sum(math.prod(shape) for shape in shapes)
-    if os.fstat(handle.fileno()).st_size - handle.tell() < body:
-        raise ParseError(path, 1, "truncated checkpoint")
-    return shapes, t, {"epoch": epoch, "seed": seed, "config_hash": config_hash}
-
-
-def _read_arrays(handle, path, shapes) -> list[np.ndarray]:
-    return [_read_into(handle, path, np.empty(shape, dtype="<f8")) for shape in shapes]
-
-
-def load_checkpoint(path) -> tuple[NetParams, AdamState, dict]:
+def load_checkpoint(path) -> tuple[NetParams, dict]:
+    """A checkpoint's eight parameter arrays and its metadata. The file must
+    be exactly the header plus the parameters its dims imply, checked before
+    anything is allocated, so corrupt dims cannot ask for terabytes."""
     with open(path, "rb") as handle:
-        shapes, t, meta = _read_header(handle, path)
-        params = NetParams(*_read_arrays(handle, path, shapes))
-        m = _read_arrays(handle, path, shapes)
-        state = AdamState(m=m, v=_read_arrays(handle, path, shapes), t=t)
-    return params, state, meta
+        magic = handle.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise ParseError(path, 1, f"not a {CHECKPOINT_MAGIC!r} checkpoint (bad magic {magic!r})")
 
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, _read_into(handle, path, bytearray(struct.calcsize(fmt))))
 
-def load_params(path) -> tuple[NetParams, dict]:
-    """A checkpoint's eight parameter arrays and its metadata, without reading
-    the Adam moments; the file is checked whole, as by load_checkpoint."""
-    with open(path, "rb") as handle:
-        shapes, _, meta = _read_header(handle, path)
-        params = NetParams(*_read_arrays(handle, path, shapes))
-    return params, meta
+        d, h1, he, h3, k = unpack("<5I")
+        epoch, seed, config_hash = unpack("<IQQ")
+        shapes = [(d, h1), (h1,), (h1, he), (he,), (he, h3), (h3,), (h3, k), (k,)]
+        body = 8 * sum(math.prod(shape) for shape in shapes)
+        found = os.fstat(handle.fileno()).st_size - handle.tell()
+        if found != body:
+            kind = "truncated" if found < body else "oversized"
+            raise ParseError(
+                path, 1, f"{kind} checkpoint: its dims imply {body} parameter bytes, found {found}"
+            )
+        params = NetParams(*[_read_into(handle, path, np.empty(s, dtype="<f8")) for s in shapes])
+    return params, {"epoch": epoch, "seed": seed, "config_hash": config_hash}

@@ -105,7 +105,6 @@ class TrainResult:
     params: NetParams
     adam: AdamState
     best_params: NetParams
-    best_adam: AdamState
     best_tau: float | None
     best_b3: float | None
     best_epoch: int
@@ -133,20 +132,14 @@ def movable_w1_rows(features: np.ndarray) -> Runs:
     return row_runs(nonzero)
 
 
-def _snapshot(
-    params: NetParams, adam: AdamState, best_params: NetParams, best_adam: AdamState, w1_runs: Runs
-) -> None:
-    """Copy the current parameters and Adam state into the best-epoch
-    buffers; of w1 and its moments only the rows of `w1_runs`, the only
-    ones training moves."""
-    for (w1, *rest), (best_w1, *best_rest) in (
-        (params.arrays(), best_params.arrays()), (adam.m, best_adam.m), (adam.v, best_adam.v)
-    ):
-        for lo, hi in w1_runs:
-            np.copyto(best_w1[lo:hi], w1[lo:hi])
-        for src, dst in zip(rest, best_rest):
-            np.copyto(dst, src)
-    best_adam.t = adam.t
+def _snapshot(params: NetParams, best_params: NetParams, w1_runs: Runs) -> None:
+    """Copy the current parameters into the best-epoch buffers; of w1 only
+    the rows of `w1_runs`, the only ones training moves."""
+    (w1, *rest), (best_w1, *best_rest) = params.arrays(), best_params.arrays()
+    for lo, hi in w1_runs:
+        np.copyto(best_w1[lo:hi], w1[lo:hi])
+    for src, dst in zip(rest, best_rest):
+        np.copyto(dst, src)
 
 
 def train(
@@ -183,12 +176,11 @@ def train(
 
     # allocated once: every step writes its gradients into `grads` (of w1
     # only the movable rows), and each new best epoch is copied into
-    # `best_params`/`best_adam`, whose other w1 rows stay as initialised
+    # `best_params`, whose other w1 rows stay as initialised
     w1_grad = np.empty((sum(hi - lo for lo, hi in w1_runs), params.w1.shape[1]))
     grads = NetParams(w1_grad, *[np.empty_like(a) for a in params.arrays()[1:]])
     history: list[EpochLog] = []
     best_params = params.copy()
-    best_adam = AdamState.for_params(params)
     best_tau: float | None = None
     best_b3: float | None = None
     best_epoch = 0
@@ -238,10 +230,10 @@ def train(
             tau, b3 = tune_tau(val_emb, val_mention_ids, val_gold)
             log.val_b3, log.tau = b3, tau
             if best_b3 is None or b3 > best_b3:
-                _snapshot(params, adam, best_params, best_adam, w1_runs)
+                _snapshot(params, best_params, w1_runs)
                 best_tau, best_b3, best_epoch = tau, b3, epoch
         else:
-            _snapshot(params, adam, best_params, best_adam, w1_runs)
+            _snapshot(params, best_params, w1_runs)
             best_epoch = epoch
         history.append(log)
         if progress is not None:
@@ -251,7 +243,6 @@ def train(
         params=params,
         adam=adam,
         best_params=best_params,
-        best_adam=best_adam,
         best_tau=best_tau,
         best_b3=best_b3,
         best_epoch=best_epoch,

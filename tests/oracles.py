@@ -301,15 +301,19 @@ def plain_softmax_cce_grads(params_arrays, inputs, labels):
     return [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3, g_w4, g_b4]
 
 
+def cosine_distance(e1: np.ndarray, e2: np.ndarray) -> float:
+    """(1 - cos)/2 in [0, 1]; a zero-norm operand makes the cosine 0 and the
+    distance the neutral 1/2."""
+    n1 = np.linalg.norm(e1)
+    n2 = np.linalg.norm(e2)
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.5
+    cos = float(np.dot(e1, e2) / (n1 * n2))
+    return 0.5 * (1.0 - max(-1.0, min(1.0, cos)))
+
+
 def pairwise_loss_loops(embeddings, chain_ids, lam1, lam2):
     """Attract/repulse by explicit double loops over unordered pairs."""
-
-    def dist(a, b):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0 or nb == 0:
-            return 0.5
-        return 0.5 * (1 - float(a @ b) / (na * nb))
-
     n = len(chain_ids)
     same = [
         (i, j)
@@ -324,16 +328,44 @@ def pairwise_loss_loops(embeddings, chain_ids, lam1, lam2):
         if chain_ids[i] != chain_ids[j]
     ]
     attract = (
-        sum(dist(embeddings[i], embeddings[j]) for i, j in same) / len(same)
+        sum(cosine_distance(embeddings[i], embeddings[j]) for i, j in same) / len(same)
         if same
         else 0.0
     )
     repulse = (
-        1.0 - sum(dist(embeddings[i], embeddings[j]) for i, j in diff) / len(diff)
+        1.0 - sum(cosine_distance(embeddings[i], embeddings[j]) for i, j in diff) / len(diff)
         if diff
         else 0.0
     )
     return attract, repulse, lam1 * attract + lam2 * repulse
+
+
+def pair_geometry(embeddings, codes):
+    """(unit rows, norms, cosine matrix, same-chain and different-chain
+    masks with zero diagonal, and the number of unordered pairs of each)."""
+    codes = np.asarray(codes)
+    norms = np.linalg.norm(embeddings, axis=1)
+    units = embeddings / np.where(norms > 0.0, norms, 1.0)[:, None]
+    diff = codes[:, None] != codes[None, :]
+    same = ~diff
+    np.fill_diagonal(same, False)
+    return units, norms, units @ units.T, same, diff, int(same.sum()) // 2, int(diff.sum()) // 2
+
+
+def core_embedding_grad(embeddings, codes, lam1, lam2):
+    """Gradient of lam1*attract + lam2*repulse with respect to the
+    embeddings, from its own pair geometry; zero-norm rows get 0."""
+    units, norms, cos, same, diff, n_same, n_diff = pair_geometry(embeddings, codes)
+    weights = np.zeros(cos.shape)
+    if lam1 != 0.0 and n_same > 0:
+        weights[same] += lam1 / n_same
+    if lam2 != 0.0 and n_diff > 0:
+        weights[diff] -= lam2 / n_diff
+    radial = (weights * cos).sum(axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    grad = -(weights @ units - radial[:, None] * units) / (2.0 * safe[:, None])
+    grad[norms == 0.0] = 0.0
+    return grad
 
 
 def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
@@ -344,21 +376,13 @@ def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
     for the one-geometry step bit for bit. Empty pair sets give 0 without a
     warning."""
 
-    def geometry():
-        norms = np.linalg.norm(cache.embeddings, axis=1)
-        units = cache.embeddings / np.where(norms > 0.0, norms, 1.0)[:, None]
-        diff = codes[:, None] != codes[None, :]
-        same = ~diff
-        np.fill_diagonal(same, False)
-        return units, norms, units @ units.T, same, diff, int(same.sum()) // 2, int(diff.sum()) // 2
-
     # the loss
     n = cache.inputs.shape[0]
     picked = cache.probs[np.arange(n), labels]
     cce = float(-np.mean(np.log(np.maximum(picked, 1e-12)))) if use_cce else 0.0
     attract = repulse = 0.0
     if lam1 != 0.0 or lam2 != 0.0:
-        _, _, cos, same, diff, n_same, n_diff = geometry()
+        _, _, cos, same, diff, n_same, n_diff = pair_geometry(cache.embeddings, codes)
         if lam1 != 0.0 and n_same > 0:
             attract = float((0.5 * (1.0 - cos[same])).sum() / 2.0 / n_same)
         if lam2 != 0.0 and n_diff > 0:
@@ -380,17 +404,7 @@ def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
     d_d2 = d_z3 @ w3.T
     d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
     if lam1 != 0.0 or lam2 != 0.0:
-        units, norms, cos, same, diff, n_same, n_diff = geometry()
-        weights = np.zeros(cos.shape)
-        if lam1 != 0.0 and n_same > 0:
-            weights[same] += lam1 / n_same
-        if lam2 != 0.0 and n_diff > 0:
-            weights[diff] -= lam2 / n_diff
-        radial = (weights * cos).sum(axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        d_core = -(weights @ units - radial[:, None] * units) / (2.0 * safe[:, None])
-        d_core[norms == 0.0] = 0.0
-        d_emb = d_emb + d_core
+        d_emb = d_emb + core_embedding_grad(cache.embeddings, codes, lam1, lam2)
     d_z2 = d_emb * (cache.z2 > 0.0)
     d_d1 = d_z2 @ w2.T
     d_z1 = (d_d1 * cache.masks[0] * scale if train else d_d1) * (cache.z1 > 0.0)
@@ -425,15 +439,14 @@ def full_row_train(features, class_labels, chain_ids, n_classes, config, val=Non
     """The training loop as it was before any first-layer row was skipped:
     every step computes the whole first-layer gradient (two_call_step), runs
     the whole-array Adam update on every parameter (adam_step_expression)
-    and every new best epoch copies every array. Batches, forward passes and
-    the validation tau search are the package's (train.sample_batch,
-    network.forward, clustering.tune_tau), drawn from one generator in the
-    same order as train.train, so its results are the reference for the
-    row-restricted loop bit for bit. `val` is (features, mention ids, gold
-    clustering) or None. Returns a dict of the final and best-epoch
-    parameters and moments (lists of arrays), their Adam steps, the best
-    epoch and one (epoch, total, cce, attract, repulse, val_b3, tau) row per
-    epoch."""
+    and every new best epoch copies every parameter array. Batches, forward
+    passes and the validation tau search are the package's
+    (train.sample_batch, network.forward, clustering.tune_tau), drawn from
+    one generator in the same order as train.train, so its results are the
+    reference for the row-restricted loop bit for bit. `val` is (features,
+    mention ids, gold clustering) or None. Returns a dict of the final parameters and moments
+    (lists of arrays), the Adam step count, the best epoch's parameters and
+    one (epoch, total, cce, attract, repulse, val_b3, tau) row per epoch."""
     from evcoref.clustering import tune_tau
     from evcoref.network import NetParams, forward, init_params
     from evcoref.train import encode_chains, sample_batch
@@ -475,20 +488,18 @@ def full_row_train(features, class_labels, chain_ids, n_classes, config, val=Non
             tau, val_b3 = tune_tau(emb, val_ids, val_gold)
         if val is None or best is None or val_b3 > best["best_b3"]:
             best = {
-                "best_params": [a.copy() for a in params], "best_m": [a.copy() for a in m],
-                "best_v": [a.copy() for a in v], "best_t": t, "best_epoch": epoch,
+                "best_params": [a.copy() for a in params], "best_epoch": epoch,
                 "best_b3": val_b3, "best_tau": tau,
             }
         history.append((epoch, *mean, val_b3, tau))
     return {"params": params, "m": m, "v": v, "t": t, **best, "history": history}
 
 
-def checkpoint_bytes(magic, dims, epoch, seed, config_hash, t, arrays):
+def checkpoint_bytes(magic, dims, epoch, seed, config_hash, arrays):
     """The checkpoint layout: magic, five uint32 dims, uint32 epoch, uint64
-    seed and config hash, uint64 Adam step, then every array as
-    little-endian float64 in C order."""
+    seed and config hash, then every array as little-endian float64 in C
+    order."""
     head = magic + struct.pack("<5I", *dims) + struct.pack("<IQQ", epoch, seed, config_hash)
-    head += struct.pack("<Q", t)
     return head + b"".join(np.asarray(a, dtype="<f8").tobytes(order="C") for a in arrays)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_va
 from evcoref.corpus import gold_clustering, load_corpus, split_by_topics
 from evcoref.errors import ConfigError, ParseError
 from evcoref.matio import read_matrix, write_matrix
-from evcoref.network import NetParams, AdamState, embed, load_checkpoint, save_checkpoint
+from evcoref.network import NetParams, embed, load_checkpoint, save_checkpoint
 from synthcorpus import write_corpus
 
 BANDS = (4, 2, 2)
@@ -382,21 +383,44 @@ def _learned_copy(pipeline_dir, tmp_path):
     return cfg, out / "train" / "checkpoint.ckpt"
 
 
-def test_checkpoint_truncated_inside_the_second_moment_is_exit_2(pipeline_dir, tmp_path, capsys):
+@pytest.mark.parametrize("edit", ["cut-inside-b4", "one-extra-byte"])
+def test_checkpoint_of_the_wrong_size_is_exit_2(pipeline_dir, tmp_path, capsys, edit):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
-    params, _, _ = network.load_checkpoint(ckpt)
+    params, _ = network.load_checkpoint(ckpt)
     whole = ckpt.read_bytes()
-    v_start = len(whole) - 8 * sum(a.size for a in params.arrays())
-    ckpt.write_bytes(whole[: v_start + 8 * params.w1.size // 2])
+    if edit == "cut-inside-b4":
+        ckpt.write_bytes(whole[: len(whole) - 8 * params.b4.size // 2])
+    else:
+        ckpt.write_bytes(whole + b"\0")
+    capsys.readouterr()
     assert main(["cluster", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "checkpoint.ckpt" in err and "truncated" in err and "Traceback" not in err
+    kind = "truncated" if edit == "cut-inside-b4" else "oversized"
+    assert f"checkpoint.ckpt:1: {kind} checkpoint" in err and "Traceback" not in err
+
+
+def test_checkpoint_in_the_old_layout_with_adam_moments_is_exit_2(pipeline_dir, tmp_path, capsys):
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    params, meta = network.load_checkpoint(ckpt)
+    # EVCOREF.CKPT.1: the same header plus a u64 Adam step count, then the
+    # parameters and both moments
+    old = b"EVCOREF.CKPT.1\n" + struct.pack("<5I", *params.dims)
+    old += struct.pack("<IQQQ", meta["epoch"], meta["seed"], meta["config_hash"], 12)
+    arrays = params.arrays()
+    old += b"".join(a.astype("<f8").tobytes() for a in arrays + arrays + arrays)
+    ckpt.write_bytes(old)
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.ckpt" in err and "bad magic" in err and "CKPT.1" in err
+    assert "Traceback" not in err
+    assert not (ckpt.parents[1] / "cluster" / "test.sys.chains").exists()
 
 
 def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path, monkeypatch):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
-    params, _, _ = network.load_checkpoint(ckpt)
-    header = len(network.CHECKPOINT_MAGIC) + 48
+    params, _ = network.load_checkpoint(ckpt)
+    header = len(network.CHECKPOINT_MAGIC) + 40
     read = []
 
     class Counted(io.FileIO):
@@ -411,8 +435,7 @@ def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path,
 
     monkeypatch.setattr(network, "open", lambda path, mode: Counted(path, "r"), raising=False)
     assert main(["cluster", "--config", str(cfg)]) == 0
-    assert sum(read) == header + 8 * sum(a.size for a in params.arrays())
-    assert ckpt.stat().st_size == header + 3 * 8 * sum(a.size for a in params.arrays())
+    assert sum(read) == ckpt.stat().st_size == header + 8 * sum(a.size for a in params.arrays())
 
 
 def test_missing_config_file_is_exit_2():
@@ -576,7 +599,7 @@ def test_given_delta_seeds_the_validation_tau_search(pipeline_dir):
     run = load_config(cfg)
     topics = (run.train_topics, run.val_topics, run.test_topics)
     _, val, _ = split_by_topics(load_corpus(corpus_path), *topics)
-    params, _, _ = load_checkpoint(out / "train" / "checkpoint.ckpt")
+    params, _ = load_checkpoint(out / "train" / "checkpoint.ckpt")
     val_emb = embed(params, read_matrix(out / "features" / "validation.mat"))
     ids = [row[0] for row in _read_mentions_tsv(out / "features" / "validation.mentions.tsv")]
     tfidf = cli._read_tfidf(out / "features" / "models" / "tfidf.tsv")
@@ -648,13 +671,7 @@ def test_dimension_mismatch_is_exit_4(pipeline_dir, tmp_path):
     (bad_out / "train").mkdir(parents=True, exist_ok=True)
     shapes = [(7, 4), (4,), (4, 3), (3,), (3, 4), (4,), (4, 2), (2,)]
     params = NetParams(*[np.zeros(s) for s in shapes])
-    save_checkpoint(
-        bad_out / "train" / "checkpoint.ckpt",
-        params,
-        AdamState.for_params(params),
-        epoch=1,
-        seed=0,
-    )
+    save_checkpoint(bad_out / "train" / "checkpoint.ckpt", params, epoch=1, seed=0)
     assert main(["cluster", "--config", str(cfg)]) == 4
 
 

@@ -186,8 +186,8 @@ def test_training_tracks_best_validation_b3(rng):
 
 
 def test_best_epoch_snapshot_equals_a_run_stopped_there():
-    # the snapshot buffers are reused across epochs: the retained state must
-    # be exactly the state at the best epoch, untouched by later steps
+    # the snapshot buffers are reused across epochs: the retained parameters
+    # must be exactly those at the best epoch, untouched by later steps
     rng = np.random.default_rng(2)
     x, labels, chains = blob_data(rng, n_per=15, noise=2.0)
     val_x, val_ids, val_gold = val_split(rng, n_per=6, noise=2.0)  # best at epoch 2
@@ -201,11 +201,7 @@ def test_best_epoch_snapshot_equals_a_run_stopped_there():
     full = run(8)
     assert 1 < full.best_epoch < 8
     stopped = run(full.best_epoch)
-    assert full.best_adam.t == stopped.adam.t
-    for ours, ref in zip(
-        full.best_params.arrays() + full.best_adam.m + full.best_adam.v,
-        stopped.params.arrays() + stopped.adam.m + stopped.adam.v,
-    ):
+    for ours, ref in zip(full.best_params.arrays(), stopped.params.arrays()):
         assert ours.tobytes() == ref.tobytes()
     assert not np.array_equal(full.best_params.w1, full.params.w1)
 
@@ -348,14 +344,13 @@ def _train_both(case, **config):
 def test_training_equals_the_full_row_loop(kind):
     case = sparse_columns_case(kind)
     ours, ref = _train_both(case, epochs=6)
-    assert ours.adam.t == ref["t"] and ours.best_adam.t == ref["best_t"]
+    assert ours.adam.t == ref["t"]
     assert (ours.best_epoch, ours.best_b3, ours.best_tau) == (
         ref["best_epoch"], ref["best_b3"], ref["best_tau"]
     )
     pairs = zip(
-        ours.params.arrays() + ours.adam.m + ours.adam.v
-        + ours.best_params.arrays() + ours.best_adam.m + ours.best_adam.v,
-        ref["params"] + ref["m"] + ref["v"] + ref["best_params"] + ref["best_m"] + ref["best_v"],
+        ours.params.arrays() + ours.adam.m + ours.adam.v + ours.best_params.arrays(),
+        ref["params"] + ref["m"] + ref["v"] + ref["best_params"],
     )
     for a, b in pairs:
         assert a.tobytes() == b.tobytes()
@@ -380,8 +375,8 @@ def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments():
     cfg = tiny_config()
     initial = init_params(np.random.default_rng(cfg.seed), 12, 4, cfg.hidden1, cfg.embed, cfg.hidden3)
     still = [2, 5, 6, 7]
-    for state, w1 in ((ours.adam, ours.params.w1), (ours.best_adam, ours.best_params.w1)):
+    for w1 in (ours.params.w1, ours.best_params.w1):
         assert w1[still].tobytes() == initial.w1[still].tobytes()
-        assert state.m[0][still].tobytes() == state.v[0][still].tobytes() == bytes(8 * 4 * 16)
+    assert ours.adam.m[0][still].tobytes() == ours.adam.v[0][still].tobytes() == bytes(8 * 4 * 16)
     moved = [0, 1, 3, 4]
     assert np.all(ours.params.w1[moved] != initial.w1[moved])
