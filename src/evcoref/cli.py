@@ -42,7 +42,6 @@ from .matio import read_matrix, write_matrix
 # modules it calls (features, train, network, clustering, scoring), so
 # `score` starts without the training code.
 if TYPE_CHECKING:
-    from .features import TfidfModel
     from .scoring import MetricReport
 
 SPLITS = ("train", "validation", "test")
@@ -74,58 +73,6 @@ def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
                 raise ParseError(path, line_no, f"bad mention row {line!r}")
             rows.append(tuple(parts))
     return rows
-
-
-def _write_kv(path: Path, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for key, value in entries.items():
-            out.write(f"{key}={value}\n")
-
-
-def _write_tfidf(path: Path, model: TfidfModel) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# n_docs={model.n_docs}\n")
-        for lemma, col in sorted(model.lemma_index.items(), key=lambda kv: kv[1]):
-            out.write(f"{lemma}\t{col}\t{float(model.idf[col])!r}\n")
-
-
-def _read_tfidf(path: Path) -> TfidfModel:
-    """Rows of lemma, column and idf in column order 0..n-1, as `_write_tfidf`
-    writes them. Each lemma appears once, and every idf is finite."""
-    from .features import TfidfModel
-
-    lemma_index: dict[str, int] = {}
-    idf: list[float] = []
-    n_docs = 0
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                if "n_docs=" in line:
-                    try:
-                        n_docs = int(line.split("n_docs=")[1])
-                    except ValueError:
-                        raise ParseError(path, line_no, "non-integer n_docs") from None
-                continue
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected lemma, column and idf, got {line!r}")
-            lemma, col, idf_text = parts
-            if col != str(len(idf)):
-                raise ParseError(path, line_no, f"column {col!r} where {len(idf)} was expected")
-            if lemma in lemma_index:
-                raise ParseError(path, line_no, f"lemma {lemma!r} is repeated")
-            try:
-                value = float(idf_text)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric idf {idf_text!r}") from None
-            if not np.isfinite(value):
-                raise ParseError(path, line_no, f"non-finite idf {idf_text!r}")
-            lemma_index[lemma] = len(idf)
-            idf.append(value)
-    return TfidfModel(lemma_index=lemma_index, idf=np.array(idf), n_docs=n_docs)
 
 
 def _split_corpora(run: RunConfig) -> dict[str, Corpus]:
@@ -160,28 +107,11 @@ def cmd_features(run: RunConfig) -> None:
     models = feat.fit_feature_models(corpora["train"], wv)
 
     out = run.output / "features"
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for name in SPLITS:
         matrix, mentions = feat.extract_split(corpora[name], models, pool=run.pool)
         write_matrix(out / f"{name}.mat", matrix)
         _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
-
-    with open(out / "models" / "lemma_vocab.tsv", "w", encoding="utf-8") as fh:
-        for lemma, slot in sorted(models.lemma_vocab.index_of.items(), key=lambda kv: kv[1]):
-            fh.write(f"{lemma}\t{slot}\n")
-    _write_tfidf(out / "models" / "tfidf.tsv", models.tfidf)
-    write_matrix(out / "models" / "pca_mean.mat", models.pca.mean)
-    write_matrix(out / "models" / "pca_components.mat", models.pca.components)
-    _write_kv(
-        out / "models" / "meta.tsv",
-        {
-            "wordvec_dim": wv.dimension,
-            "feature_dim": models.dim,
-            "pool": run.pool,
-            "config_hash": run.config_hash,
-            "seed": run.training.seed,
-        },
-    )
     print(f"features written to {out}")
 
 
@@ -283,7 +213,10 @@ def cmd_cluster(run: RunConfig) -> None:
     delta_seeded = run.variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA")
     if run.variant == "LEMMA" or delta_seeded:
         corpora = _split_corpora(run)
-        tfidf = _read_tfidf(run.output / "features" / "models" / "tfidf.tsv")
+    if delta_seeded:
+        from .features import fit_tfidf
+
+        tfidf = fit_tfidf(corpora["train"])
 
     def seed(split: str) -> Clustering | None:
         """The partition single linkage starts from (None: singletons)."""

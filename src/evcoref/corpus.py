@@ -212,9 +212,6 @@ class LabelScheme:
         multi = [chain for chain, members in chains.items() if len(members) >= 2]
         return cls({chain: i for i, chain in enumerate(multi)}, len(multi))
 
-    def class_of(self, mention: Mention) -> int:
-        return self.class_of_id(mention.gold_chain)
-
     def class_of_id(self, chain_id: str) -> int:
         return self.class_of_chain.get(chain_id, self.singleton_class)
 
@@ -321,18 +318,6 @@ def _parse(handle, path) -> Corpus:
     return Corpus(tuple(docs))
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Inverse of load_corpus: a saved corpus reloads identically."""
-    with open(path, "w", encoding="utf-8") as out:
-        for doc in corpus.documents:
-            out.write(f"DOC\t{doc.doc_id}\t{doc.topic_id}\n")
-            for t in doc.tokens:
-                out.write(f"TOK\t{t.index}\t{t.sentence_id}\t{t.word}\t{t.lemma}\n")
-            for m in doc.mentions:
-                idx = ",".join(str(i) for i in m.token_indices)
-                out.write(f"MEN\t{m.id}\t{m.gold_chain}\t{idx}\n")
-
-
 def split_by_topics(
     corpus: Corpus,
     train: Iterable[str],
@@ -372,12 +357,6 @@ def chain_members(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
 
 def _corpus_chains(corpus: Corpus) -> dict[str, list[str]]:
     return chain_members((m.id, m.gold_chain) for m in corpus.mentions())
-
-
-def build_label_scheme(train: Corpus) -> LabelScheme:
-    """Map every multi-mention train chain to its own class (sorted by chain
-    id) and all singletons to one merged trailing class."""
-    return LabelScheme.from_chains(_corpus_chains(train))
 
 
 def gold_clustering(corpus: Corpus) -> Clustering:

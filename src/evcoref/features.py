@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, Document, Mention
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 
 LEMMA_VOCAB_SIZE = 500
 LEMMA_OOV_SLOT = 499
@@ -119,7 +119,6 @@ def build_lemma_vocab(train: Corpus) -> LemmaVocab:
 class TfidfModel:
     lemma_index: dict
     idf: np.ndarray
-    n_docs: int
 
     @property
     def n_terms(self) -> int:
@@ -139,7 +138,7 @@ class TfidfModel:
 
 def fit_tfidf(train: Corpus) -> TfidfModel:
     if not train.documents:
-        raise ValueError("fit_tfidf needs a nonempty train corpus")
+        raise IntegrityError("the train split has no documents to fit TF-IDF on")
     doc_freq = Counter()
     for doc in train.documents:
         doc_freq.update({t.lemma for t in doc.tokens})
@@ -148,7 +147,7 @@ def fit_tfidf(train: Corpus) -> TfidfModel:
     n = len(train.documents)
     # smoothed inverse document frequency, log(1 + N/n_t) > 0
     idf = np.array([np.log(1.0 + n / doc_freq[lemma]) for lemma in lemmas])
-    return TfidfModel(lemma_index=lemma_index, idf=idf, n_docs=n)
+    return TfidfModel(lemma_index=lemma_index, idf=idf)
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,8 @@ def fit_pca(train_doc_vectors: np.ndarray, n_components: int = PCA_DIM) -> PcaMo
     component's largest-magnitude coordinate is flipped positive, and ranks
     below n_components are padded with zero vectors."""
     x = np.asarray(train_doc_vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("fit_pca needs at least 2 train document vectors")
+    if len(x) < 2:
+        raise IntegrityError(f"PCA needs at least 2 train documents; the train split has {len(x)}")
     mean = x.mean(axis=0)
     centered = x - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)

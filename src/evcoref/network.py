@@ -433,17 +433,14 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _segments(param, grad, m, v, runs: Runs | None):
+def _segments(param, grad, m, v, runs: Runs):
     """(param, grad, m, v) flat views per run of rows: the rows of the run
     in param, m and v, and the rows of grad that hold their gradient, which
-    are the runs' rows back to back. runs None: the whole arrays."""
-    if runs is None:
-        yield _flat(param), grad.reshape(-1), _flat(m), _flat(v)
-        return
+    are the runs' rows back to back."""
     at = 0
     for lo, hi in runs:
         rows, packed = slice(lo, hi), slice(at, at + hi - lo)
-        yield _flat(param[rows]), _flat(grad[packed]), _flat(m[rows]), _flat(v[rows])
+        yield _flat(param[rows]), grad[packed].reshape(-1), _flat(m[rows]), _flat(v[rows])
         at += hi - lo
 
 
@@ -476,7 +473,8 @@ def adam_step(
     c2 = 1.0 - beta2**t
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
-    runs = [w1_runs] + [None] * (len(_PARAM_FIELDS) - 1)
+    w1_runs = ((0, params.w1.shape[0]),) if w1_runs is None else w1_runs
+    runs = [w1_runs] + [((0, len(a)),) for a in params.arrays()[1:]]
     for param, grad, m, v, rows in zip(params.arrays(), grads.arrays(), state.m, state.v, runs):
         for param_s, grad_s, m_s, v_s in _segments(param, grad, m, v, rows):
             for lo in range(0, param_s.size, ADAM_BLOCK):

@@ -581,3 +581,21 @@ def lemma_delta_chains(corpus, tfidf, delta: float) -> list[list[str]]:
                 chain[m] = merged
     unique = {id(c): c for c in chain.values()}.values()
     return sorted(sorted(c) for c in unique)
+
+
+# ---------------------------------------------------------------------------
+# Corpus file: the writer that load_corpus is the inverse of
+# ---------------------------------------------------------------------------
+
+
+def save_corpus(corpus, path) -> None:
+    """The corpus file of `corpus` in the format load_corpus reads: a saved
+    corpus reloads identically."""
+    with open(path, "w", encoding="utf-8") as out:
+        for doc in corpus.documents:
+            out.write(f"DOC\t{doc.doc_id}\t{doc.topic_id}\n")
+            for t in doc.tokens:
+                out.write(f"TOK\t{t.index}\t{t.sentence_id}\t{t.word}\t{t.lemma}\n")
+            for m in doc.mentions:
+                idx = ",".join(str(i) for i in m.token_indices)
+                out.write(f"MEN\t{m.id}\t{m.gold_chain}\t{idx}\n")

@@ -18,6 +18,7 @@ from evcoref.clustering import lemma_delta_init, tune_tau
 from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_variant, parse_topic_list
 from evcoref.corpus import gold_clustering, load_corpus, split_by_topics
 from evcoref.errors import ConfigError, ParseError
+from evcoref.features import fit_tfidf
 from evcoref.matio import read_matrix, write_matrix
 from evcoref.network import NetParams, embed, load_checkpoint, save_checkpoint
 from synthcorpus import write_corpus
@@ -276,44 +277,35 @@ def test_feature_rows_disagreeing_with_mentions_is_exit_2(tmp_path, capsys, vari
     assert "Traceback" not in err
 
 
-def _drop_second_row(text):
-    header, first, second, *rest = text.splitlines(keepends=True)
-    return "".join([header, first, *rest])
-
-
-def _repeat_first_lemma(text):
-    header, first, second, *rest = text.splitlines(keepends=True)
-    second = first.split("\t")[0] + "\t" + second.split("\t", 1)[1]
-    return "".join([header, first, second, *rest])
-
-
 @pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (lambda text: text + "broken line\n", "expected lemma, column and idf"),
-        (lambda text: text.replace("\t0\t", "\tx\t", 1), "column 'x' where 0 was expected"),
-        (lambda text: text.replace("\t1\t", "\t0\t", 1), "column '0' where 1 was expected"),
-        (_drop_second_row, "column '2' where 1 was expected"),
-        (_repeat_first_lemma, "is repeated"),
-        (lambda text: text.rstrip("\n").rsplit("\t", 1)[0] + "\tabc\n", "non-numeric idf"),
-        (lambda text: text.rstrip("\n").rsplit("\t", 1)[0] + "\tnan\n", "non-finite idf"),
-    ],
-    ids=[
-        "short-row", "bad-column", "repeated-column", "deleted-row", "repeated-lemma",
-        "bad-idf", "nan-idf",
-    ],
+    "train_topics, message",
+    [("9", "train split has no documents"), ("99", "the train split has 1")],
+    ids=["no-train-document", "one-train-document"],
 )
-def test_corrupt_tfidf_model_is_exit_2(tmp_path, capsys, corrupt, message):
+def test_train_split_too_small_for_the_document_models_is_exit_2(tmp_path, capsys, train_topics, message):
     corpus_path, vec_path, _ = small_corpus(tmp_path)
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant="LEMMA-DELTA")
-    assert main(["features", "--config", str(cfg)]) == 0
-    model = out / "features" / "models" / "tfidf.tsv"
-    model.write_text(corrupt(model.read_text()))
+    with open(corpus_path, "a", encoding="utf-8") as corpus:  # topic 99: one document
+        corpus.write("DOC\tsolo\t99\nTOK\t0\t0\tstorm\tstorm\nMEN\tsolo_m\tsolo_c\t0\n")
+    cfg = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o")
+    cfg.write_text(cfg.read_text().replace("train = 1-4", f"train = {train_topics}"))
     capsys.readouterr()
-    assert main(["cluster", "--config", str(cfg)]) == 2
+    assert main(["features", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "tfidf.tsv:" in err and message in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+def test_lemma_delta_cluster_with_no_train_document_is_exit_2(pipeline_dir, tmp_path, capsys):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(
+        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant="LEMMA-DELTA"
+    )
+    cfg.write_text(cfg.read_text().replace("train = 1-4", "train = 9"))  # no topic 9
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg), "--delta", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "train split has no documents" in err and "Traceback" not in err
 
 
 def test_bad_mention_row_reports_its_line(tmp_path):
@@ -451,6 +443,23 @@ def test_missing_word_vectors_is_exit_2(tmp_path):
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
+
+
+def test_features_writes_only_the_split_files(pipeline_dir):
+    _, _, out = pipeline_dir
+    written = sorted(p.relative_to(out / "features").as_posix() for p in (out / "features").rglob("*"))
+    assert written == sorted(f"{name}.{ext}" for name in cli.SPLITS for ext in ("mat", "mentions.tsv"))
+
+
+@pytest.mark.parametrize("variant", ["LEMMA", "LEMMA-DELTA"])
+def test_lemma_cluster_needs_no_feature_models(pipeline_dir, tmp_path, variant):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    assert not (out / "features" / "models").exists()
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant)
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    assert _thresholds(out / "cluster" / "test.sys.chains").keys() == _thresholds_used(variant)
 
 
 def test_features_outputs_and_idempotence(pipeline_dir):
@@ -598,11 +607,11 @@ def test_given_delta_seeds_the_validation_tau_search(pipeline_dir):
     assert main(["cluster", "--config", str(cfg), "--delta", "0.3"]) == 0
     run = load_config(cfg)
     topics = (run.train_topics, run.val_topics, run.test_topics)
-    _, val, _ = split_by_topics(load_corpus(corpus_path), *topics)
+    train, val, _ = split_by_topics(load_corpus(corpus_path), *topics)
     params, _ = load_checkpoint(out / "train" / "checkpoint.ckpt")
     val_emb = embed(params, read_matrix(out / "features" / "validation.mat"))
     ids = [row[0] for row in _read_mentions_tsv(out / "features" / "validation.mentions.tsv")]
-    tfidf = cli._read_tfidf(out / "features" / "models" / "tfidf.tsv")
+    tfidf = fit_tfidf(train)
     tau, _ = tune_tau(val_emb, ids, gold_clustering(val), init=lemma_delta_init(val, tfidf, 0.3))
     assert _thresholds(out / "cluster" / "test.sys.chains") == {"delta": "0.3", "tau": str(tau)}
 

@@ -3,15 +3,16 @@ import pytest
 from conftest import corpus_from_docs, toks
 from evcoref.corpus import (
     Clustering,
-    build_label_scheme,
+    LabelScheme,
+    chain_members,
     ecbplus_default_split,
     gold_clustering,
     load_corpus,
     loads_corpus,
-    save_corpus,
     split_by_topics,
 )
 from evcoref.errors import ConfigError, IntegrityError, ParseError
+from oracles import save_corpus
 
 
 def test_minimal_wellformed_corpus():
@@ -152,35 +153,44 @@ def _label_corpus(chains):
     return corpus_from_docs(docs)
 
 
+def _label_scheme(corpus):
+    """The scheme the train stage builds from the (mention, chain) rows."""
+    return LabelScheme.from_chains(chain_members((m.id, m.gold_chain) for m in corpus.mentions()))
+
+
+def _classes(scheme, mentions):
+    return [scheme.class_of_id(m.gold_chain) for m in mentions]
+
+
 def test_label_scheme_one_multi_chain():
     corpus = _label_corpus({"a": 2, "b": 1})
-    scheme = build_label_scheme(corpus)
+    scheme = _label_scheme(corpus)
     mentions = list(corpus.mentions())
     assert scheme.n_classes == 2
-    assert [scheme.class_of(m) for m in mentions] == [0, 0, 1]
+    assert _classes(scheme, mentions) == [0, 0, 1]
 
 
 def test_label_scheme_all_singletons():
     corpus = _label_corpus({"a": 1, "b": 1, "c": 1})
-    scheme = build_label_scheme(corpus)
+    scheme = _label_scheme(corpus)
     assert scheme.n_classes == 1
-    assert all(scheme.class_of(m) == 0 for m in corpus.mentions())
+    assert set(_classes(scheme, corpus.mentions())) == {0}
 
 
 def test_label_scheme_two_multi_one_singleton():
     # enumerating chains by size: a and b are classes, the c singleton merges
     corpus = _label_corpus({"a": 2, "b": 2, "c": 1})
-    scheme = build_label_scheme(corpus)
+    scheme = _label_scheme(corpus)
     mentions = list(corpus.mentions())
     assert scheme.n_classes == 3
-    assert scheme.class_of(mentions[-1]) == 2
-    assert {scheme.class_of(m) for m in mentions[:2]} == {0}
-    assert {scheme.class_of(m) for m in mentions[2:4]} == {1}
+    assert _classes(scheme, mentions[-1:]) == [2]
+    assert _classes(scheme, mentions[:2]) == [0, 0]
+    assert _classes(scheme, mentions[2:4]) == [1, 1]
 
 
 def test_label_scheme_sorted_by_chain_id():
     corpus = _label_corpus({"zz": 2, "aa": 2})
-    scheme = build_label_scheme(corpus)
+    scheme = _label_scheme(corpus)
     assert scheme.class_of_chain == {"aa": 0, "zz": 1}
 
 
@@ -188,7 +198,7 @@ def test_label_scheme_class_count_property(rng):
     for _ in range(25):
         chains = {f"c{k}": int(rng.integers(1, 5)) for k in range(int(rng.integers(1, 8)))}
         corpus = _label_corpus(chains)
-        scheme = build_label_scheme(corpus)
+        scheme = _label_scheme(corpus)
         multi = sum(1 for n in chains.values() if n >= 2)
         assert scheme.n_classes == multi + 1
 
@@ -196,7 +206,7 @@ def test_label_scheme_class_count_property(rng):
 def test_label_scheme_empty_corpus_rejected():
     corpus = corpus_from_docs([("d1", "1", toks("a"), [])])
     with pytest.raises(IntegrityError):
-        build_label_scheme(corpus)
+        _label_scheme(corpus)
 
 
 def test_gold_clustering_groups_by_chain():

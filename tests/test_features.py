@@ -6,7 +6,7 @@ import pytest
 
 from conftest import corpus_from_docs, toks
 from evcoref.corpus import loads_corpus, split_by_topics
-from evcoref.errors import ParseError
+from evcoref.errors import IntegrityError, ParseError
 from evcoref.features import (
     LEMMA_OOV_SLOT,
     LEMMA_VOCAB_SIZE,
@@ -305,7 +305,7 @@ def test_pca_sign_convention(rng):
 
 
 def test_pca_needs_two_docs():
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError, match="the train split has 1"):
         fit_pca(np.ones((1, 4)))
 
 
