@@ -30,6 +30,7 @@ from .corpus import (
 from .errors import (
     ConfigError,
     EvcorefError,
+    IntegrityError,
     ModelMismatchError,
     ParseError,
     SamplerError,
@@ -205,10 +206,10 @@ def cmd_cluster(run: RunConfig) -> None:
     else an unset tau, is tuned on the validation split."""
     from . import clustering as clus
 
-    out = run.output / "cluster"
-    out.mkdir(parents=True, exist_ok=True)
     eval_name = run.eval_split
     eval_x, eval_rows = _load_split(run, eval_name)
+    if not eval_rows:
+        raise IntegrityError(f"the {eval_name} split has no mentions to cluster")
     delta, tau = run.delta, run.tau
     delta_seeded = run.variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA")
     if run.variant == "LEMMA" or delta_seeded:
@@ -276,6 +277,8 @@ def cmd_cluster(run: RunConfig) -> None:
         sys_clustering = clus.agglomerate(eval_ids, tau, eval_vectors, init=init)
 
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
+    out = run.output / "cluster"
+    out.mkdir(parents=True, exist_ok=True)
     write_chains(sys_clustering, out / f"{eval_name}.sys.chains", meta)
     write_chains(gold, out / f"{eval_name}.gold.chains", meta)
     print(
@@ -300,6 +303,8 @@ def cmd_score(
         if not Path(p).exists():
             raise ConfigError(f"missing chains file {p}")
     gold = read_chains(gold_path)
+    if not gold.chains:
+        raise IntegrityError(f"gold chains file {gold_path} names no mention")
     sys_clustering = read_chains(sys_path)
     if mode == "within-doc":
         doc_of = load_corpus(run.corpus).mention_doc_map()
@@ -372,9 +377,6 @@ def main(argv=None) -> int:
             )
         elif args.command == "pipeline":
             cmd_pipeline(run)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TrainingDivergedError, SamplerError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
@@ -384,7 +386,7 @@ def main(argv=None) -> int:
     except ScoringMismatchError as exc:
         print(f"scoring mismatch: {exc}", file=sys.stderr)
         return 5
-    except EvcorefError as exc:
+    except (EvcorefError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

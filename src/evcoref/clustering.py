@@ -86,28 +86,21 @@ class MergeRun:
         return _groups(self.labels_at(tau))
 
 
-def _init_slots(n: int, init: list[set[int]] | None) -> np.ndarray:
-    """Each mention's init label: the smallest member of its init cluster."""
+def _init_slots(n: int, init: np.ndarray | None) -> np.ndarray:
+    """Each mention's init label: the smallest row with its seed label."""
     if init is None:
         return np.arange(n)
-    covered: set[int] = set()
-    for part in init:
-        if not part:
-            raise IntegrityError("empty cluster in init partition")
-        if covered & part:
-            raise IntegrityError("init partition has overlapping clusters")
-        covered |= part
-    if covered != set(range(n)):
-        raise IntegrityError("init partition must cover all mention indices")
-    slot_of = np.empty(n, dtype=np.int64)
-    for part in init:
-        slot_of[list(part)] = min(part)
-    return slot_of
+    init = np.asarray(init)
+    if init.shape != (n,):
+        raise IntegrityError(f"seed labels have shape {init.shape}, expected ({n},)")
+    _, first, inverse = np.unique(init, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
-def build_merge_run(sims: np.ndarray, init: list[set[int]] | None = None) -> MergeRun:
+def build_merge_run(sims: np.ndarray, init: np.ndarray | None = None) -> MergeRun:
     """Run the merge kernel on the mention similarities down to one cluster,
-    and keep `init` (default: all singletons) as the seed of every cut."""
+    and keep `init` (one label per row, equal labels forming one seed
+    cluster; default: all singletons) as the seed of every cut."""
     sims = np.asarray(sims, dtype=np.float64)
     slot_of = _init_slots(sims.shape[0], init)
     seq_sims, lefts, rights = merge_sequence(sims)
@@ -115,7 +108,7 @@ def build_merge_run(sims: np.ndarray, init: list[set[int]] | None = None) -> Mer
 
 
 def agglomerate_indices(
-    sims: np.ndarray, tau: float, init: list[set[int]] | None = None
+    sims: np.ndarray, tau: float, init: np.ndarray | None = None
 ) -> list[set[int]]:
     return build_merge_run(sims, init).partition_at(tau)
 
@@ -130,21 +123,11 @@ def agglomerate(
     `init` (default: all singletons), merging while the best single-linkage
     similarity is >= tau. Ties break on the lowest cluster index pair, so
     results are deterministic."""
-    index_of = {m: i for i, m in enumerate(mention_ids)}
-    if len(index_of) != len(mention_ids):
+    if len(set(mention_ids)) != len(mention_ids):
         raise IntegrityError("duplicate mention ids")
-    if init is not None:
-        unknown = init.mention_ids() - index_of.keys()
-        if unknown:
-            raise IntegrityError(f"init partition names unknown mentions {sorted(unknown)[:3]}")
-    run = build_merge_run(cosine_similarity_matrix(embeddings), _index_sets(init, index_of))
+    seed = None if init is None else init.labels(mention_ids)
+    run = build_merge_run(cosine_similarity_matrix(embeddings), seed)
     return Clustering.from_labels(mention_ids, run.labels_at(tau))
-
-
-def _index_sets(init: Clustering | None, index_of: dict) -> list[set[int]] | None:
-    if init is None:
-        return None
-    return [{index_of[m] for m in chain} for chain in init.chains]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +243,8 @@ def tune_tau(
     nothing to tune on and raises IntegrityError."""
     if len(mention_ids) == 0:
         raise IntegrityError("cannot tune tau on a split with no mentions")
-    index_of = {m: i for i, m in enumerate(mention_ids)}
-    run = build_merge_run(cosine_similarity_matrix(embeddings), _index_sets(init, index_of))
+    seed = None if init is None else init.labels(mention_ids)
+    run = build_merge_run(cosine_similarity_matrix(embeddings), seed)
     return _search_tau(run, gold.labels(mention_ids))
 
 

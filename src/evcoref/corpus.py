@@ -138,9 +138,11 @@ class Clustering:
         `chains` or of their members."""
         chain_of = {m: c for c, chain in enumerate(self.chains) for m in chain}
         missing = [m for m in mention_ids if m not in chain_of]
-        if missing or len(chain_of) != len(mention_ids):
+        not_given = sorted(chain_of.keys() - set(mention_ids))
+        if missing or not_given or len(chain_of) != len(mention_ids):
             raise IntegrityError(
-                f"clustering does not partition the given mentions (missing {missing[:3]})"
+                f"clustering does not partition the given mentions: missing {missing[:3]}, not "
+                f"given {not_given[:3]} ({len(mention_ids)} ids given, {len(chain_of)} clustered)"
             )
         label_of: dict[int, int] = {}
         return np.array(

@@ -94,8 +94,6 @@ def load_word_vectors(path) -> WordVectors:
 class LemmaVocab:
     index_of: dict
 
-    size = LEMMA_VOCAB_SIZE
-
     def slot(self, lemma: str) -> int:
         return self.index_of.get(lemma, LEMMA_OOV_SLOT)
 

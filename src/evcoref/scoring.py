@@ -256,24 +256,13 @@ def report(gold: Clustering, sys: Clustering) -> MetricReport:
 _MEASURES = ("muc", "b3", "ceaf_m", "ceaf_e", "blanc")
 
 
-def format_report(rep: MetricReport, percent: bool = False) -> str:
-    """Tab-separated rows (measure, R, P, F) plus the CoNLL line. The machine
-    form keeps 4 decimals; percent=True gives paper-style whole percentages."""
+def format_report(rep: MetricReport) -> str:
+    """Tab-separated rows (measure, R, P, F) plus the CoNLL line, 4 decimals."""
     lines = ["measure\tR\tP\tF"]
     for name in _MEASURES:
         s: MetricScore = getattr(rep, name)
-        if percent:
-            lines.append(
-                f"{name}\t{100 * s.recall:.0f}\t{100 * s.precision:.0f}\t{100 * s.f1:.0f}"
-            )
-        else:
-            lines.append(
-                f"{name}\t{s.recall:.4f}\t{s.precision:.4f}\t{s.f1:.4f}"
-            )
-    if percent:
-        lines.append(f"conll\t\t\t{100 * rep.conll:.0f}")
-    else:
-        lines.append(f"conll\t\t\t{rep.conll:.4f}")
+        lines.append(f"{name}\t{s.recall:.4f}\t{s.precision:.4f}\t{s.f1:.4f}")
+    lines.append(f"conll\t\t\t{rep.conll:.4f}")
     return "\n".join(lines) + "\n"
 
 

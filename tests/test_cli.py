@@ -240,6 +240,36 @@ def test_empty_validation_split_is_exit_2(tmp_path, capsys):
     assert "no mentions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "variant, flags",
+    [("LEMMA", []), ("LEMMA-DELTA", []), ("UNSUPERVISED", ["--tau", "0.5"])],
+    ids=["LEMMA", "LEMMA-DELTA", "UNSUPERVISED"],
+)
+def test_empty_eval_split_is_exit_2(tmp_path, capsys, variant, flags):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant=variant)
+    cfg.write_text(cfg.read_text().replace("test = 7-8", "test = 9"))  # no topic 9
+    assert main(["features", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "the test split has no mentions" in err and "Traceback" not in err
+    assert not (out / "cluster").exists()
+
+
+def test_score_on_empty_chain_files_is_exit_2(pipeline_dir, tmp_path, capsys):
+    _, cfg, _ = pipeline_dir
+    empty = tmp_path / "empty.chains"
+    empty.write_text("# config_hash=0\n")
+    capsys.readouterr()
+    for mode in ("combined", "within-doc"):
+        argv = ["score", "--config", str(cfg), "--gold", str(empty), "--sys", str(empty)]
+        assert main([*argv, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "empty.chains names no mention" in err and "Traceback" not in err
+
+
 def test_truncated_feature_matrix_is_exit_2(tmp_path, capsys):
     corpus_path, vec_path, _ = small_corpus(tmp_path)
     out = tmp_path / "o"
@@ -373,6 +403,22 @@ def _learned_copy(pipeline_dir, tmp_path):
     for stage in ("features", "train"):
         shutil.copytree(src_out / stage, out / stage)
     return cfg, out / "train" / "checkpoint.ckpt"
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_seed_over_a_mention_the_features_lack_is_exit_2(pipeline_dir, tmp_path, capsys, split):
+    # the lemma-delta seed comes from the corpus, the rows from the features
+    cfg, _ = _learned_copy(pipeline_dir, tmp_path)
+    feats = cfg.parent / "o" / "features"
+    write_matrix(feats / f"{split}.mat", read_matrix(feats / f"{split}.mat")[:-1])
+    lines = (feats / f"{split}.mentions.tsv").read_text().splitlines(keepends=True)
+    (feats / f"{split}.mentions.tsv").write_text("".join(lines[:-1]))
+    dropped = lines[-1].split("\t")[0]
+    capsys.readouterr()
+    argv = ["cluster", "--config", str(cfg), "--variant", "CORE+CCE+LEMMA", "--delta", "0.3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"not given ['{dropped}']" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("edit", ["cut-inside-b4", "one-extra-byte"])
@@ -735,6 +781,28 @@ def _stage_modules(*argv) -> set[str]:
     )
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cluster_and_score_outputs_do_not_depend_on_the_hash_seed(pipeline_dir, tmp_path):
+    cfg, _ = _learned_copy(pipeline_dir, tmp_path)
+    out = cfg.parent / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(evcoref.__file__).parents[1]))
+    options = ["--config", str(cfg), "--variant", "CORE+CCE+LEMMA"]
+    outputs = []
+    for hash_seed in ("1", "777"):
+        for stage in ("cluster", "score"):
+            shutil.rmtree(out / stage, ignore_errors=True)
+        for argv in (["cluster"], ["score", "--mode", "combined"], ["score", "--mode", "within-doc"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "evcoref.cli", *argv, *options],
+                env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        outputs.append({
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for stage in ("cluster", "score") for p in sorted((out / stage).iterdir())
+        })
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,14 @@ def random_sim(rng, n):
     return s
 
 
+def seed_sets(labels):
+    """The seed clusters of a label vector (None: no seed), as the oracle's
+    index sets."""
+    if labels is None:
+        return None
+    return [set(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)]
+
+
 def is_coarsening(coarse, fine):
     return all(any(f <= c for c in coarse) for f in fine)
 
@@ -81,7 +89,7 @@ def test_agglomerate_respects_init_partition():
             [0.0, 0.95, 1.0],
         ]
     )
-    init = [{0, 1}, {2}]
+    init = np.array([0, 0, 2])  # seed clusters {0, 1} and {2}
     parts = agglomerate_indices(sims, 0.9, init=init)
     # single linkage: cluster {0,1} reaches 2 through mention 1's 0.95
     assert sorted(map(sorted, parts)) == [[0, 1, 2]]
@@ -106,20 +114,23 @@ def test_agglomerate_mention_id_wrapper(rng):
 
 
 @pytest.mark.parametrize(
-    "chains", [[{"m1", "m2"}, {"m3", "m4"}], [{"m1", "m2"}]], ids=["unknown", "missing"]
+    "chains, fault",
+    [
+        ([{"m1", "m2"}, {"m3", "m4"}], r"missing \[\], not given \['m4'\]"),
+        ([{"m1", "m2"}], r"missing \['m3'\], not given \[\]"),
+    ],
+    ids=["unknown", "missing"],
 )
-def test_agglomerate_refuses_init_over_other_mentions(chains):
+def test_agglomerate_refuses_init_over_other_mentions(chains, fault):
     init = Clustering.from_sets(chains)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=fault):
         agglomerate(["m1", "m2", "m3"], 0.5, embeddings=np.eye(3), init=init)
 
 
-def test_init_partition_must_cover_everything():
-    sims = np.eye(3)
-    with pytest.raises(IntegrityError):
-        agglomerate_indices(sims, 0.5, init=[{0, 1}])
-    with pytest.raises(IntegrityError):
-        agglomerate_indices(sims, 0.5, init=[{0, 1}, {1, 2}])
+def test_init_labels_must_be_one_per_row():
+    for init in ([0, 0], [0, 0, 1, 1], [[0], [0], [1]]):  # short, long, 2-d
+        with pytest.raises(IntegrityError, match="seed labels have shape"):
+            agglomerate_indices(np.eye(3), 0.5, init=np.array(init))
 
 
 def test_merge_matches_naive_oracle_with_inits(rng):
@@ -130,10 +141,9 @@ def test_merge_matches_naive_oracle_with_inits(rng):
         if rng.random() < 0.5:
             init = None
         else:
-            labels = rng.integers(0, max(1, n // 2), size=n)
-            init = [set(np.flatnonzero(labels == g)) for g in np.unique(labels)]
+            init = rng.integers(0, max(1, n // 2), size=n)
         got = sorted(map(sorted, agglomerate_indices(sims, tau, init)))
-        expected = sorted(map(sorted, naive_single_linkage(sims, tau, init)))
+        expected = sorted(map(sorted, naive_single_linkage(sims, tau, seed_sets(init))))
         assert got == expected
 
 
@@ -146,11 +156,10 @@ def test_merge_matches_naive_oracle_with_inits_and_tied_levels(rng):
         q = rng.integers(0, levels, size=(n, n))
         sims = np.maximum(q, q.T) / (levels - 1)
         np.fill_diagonal(sims, 1.0)
-        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
-        init = [set(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)]
+        init = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
         tau = float(rng.choice([*np.unique(sims), rng.random()]))
         got = sorted(map(sorted, agglomerate_indices(sims, tau, init)))
-        expected = sorted(map(sorted, naive_single_linkage(sims, tau, init)))
+        expected = sorted(map(sorted, naive_single_linkage(sims, tau, seed_sets(init))))
         assert got == expected
 
 
@@ -177,9 +186,9 @@ def test_partition_is_valid_for_any_tau(rng):
 def test_tau_above_max_similarity_returns_init(rng):
     sims = random_sim(rng, 6) * 0.8
     np.fill_diagonal(sims, 1.0)
-    init = [{0, 3}, {1}, {2, 4, 5}]
+    init = np.array([7, 1, 4, 7, 4, 4])  # seed clusters {0, 3}, {1} and {2, 4, 5}
     parts = agglomerate_indices(sims, 0.999, init=init)
-    assert sorted(map(sorted, parts)) == sorted(map(sorted, init))
+    assert sorted(map(sorted, parts)) == [[0, 3], [1], [2, 4, 5]]
 
 
 def test_cosine_similarity_matrix_properties(rng):

@@ -73,7 +73,6 @@ def test_vocab_small_corpus_keeps_oov_slot():
     corpus = corpus_from_docs([("d1", "1", toks("a", "b", "c"), [])])
     vocab = build_lemma_vocab(corpus)
     assert len(vocab.index_of) == 3
-    assert vocab.size == LEMMA_VOCAB_SIZE
     assert vocab.slot("zzz") == LEMMA_OOV_SLOT
 
 

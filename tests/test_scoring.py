@@ -6,7 +6,6 @@ from evcoref.corpus import Clustering
 from evcoref.errors import ScoringMismatchError
 from evcoref.scoring import (
     MetricScore,
-    format_report,
     report,
     score_b3,
     score_blanc,
@@ -269,8 +268,6 @@ def test_report_file_format(tmp_path):
     assert lines[0] == "measure\tR\tP\tF"
     assert lines[1] == "muc\t1.0000\t1.0000\t1.0000"
     assert lines[-1].startswith("conll\t")
-    pct = format_report(rep, percent=True)
-    assert "muc\t100\t100\t100" in pct
 
 # ---------------------------------------------------------------------------
 # Determinism and the per-component CEAF alignment
