@@ -20,8 +20,6 @@ from .config import LEARNED_VARIANTS, RunConfig, load_config
 from .corpus import (
     Clustering,
     Corpus,
-    LabelScheme,
-    chain_members,
     load_corpus,
     read_chains,
     split_by_topics,
@@ -57,9 +55,9 @@ def _write_mentions_tsv(path: Path, corpus: Corpus, mentions, run: RunConfig) ->
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
         out.write("# mention_id\tchain_id\tdoc_id\ttopic_id\n")
+        topic_of = {d.doc_id: d.topic_id for d in corpus.documents}
         for m in mentions:
-            topic = corpus.doc(m.doc_id).topic_id
-            out.write(f"{m.id}\t{m.gold_chain}\t{m.doc_id}\t{topic}\n")
+            out.write(f"{m.id}\t{m.gold_chain}\t{m.doc_id}\t{topic_of[m.doc_id]}\n")
 
 
 def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
@@ -84,12 +82,8 @@ def _split_corpora(run: RunConfig) -> dict[str, Corpus]:
     return {"train": train_c, "validation": val_c, "test": test_c}
 
 
-def _chains(rows) -> dict[str, list[str]]:
-    return chain_members((mention_id, chain_id) for mention_id, chain_id, _, _ in rows)
-
-
 def _gold(rows) -> Clustering:
-    return Clustering.from_sets(_chains(rows).values())
+    return Clustering.from_labels([r[0] for r in rows], [r[1] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +133,14 @@ def _load_split(run: RunConfig, name: str):
 
 def cmd_train(run: RunConfig) -> None:
     from .network import save_checkpoint
-    from .train import train
+    from .train import class_labels, train
 
     if run.variant not in LEARNED_VARIANTS:
         raise ConfigError(f"variant {run.variant} has no training stage")
     train_x, train_rows = _load_split(run, "train")
     val_x, val_rows = _load_split(run, "validation")
-    scheme = LabelScheme.from_chains(_chains(train_rows))
     chain_ids = [chain_id for _, chain_id, _, _ in train_rows]
-    labels = np.array([scheme.class_of_id(c) for c in chain_ids], dtype=np.int64)
+    labels, n_classes = class_labels(chain_ids)
     val_gold = _gold(val_rows)
     val_ids = [mention_id for mention_id, _, _, _ in val_rows]
 
@@ -174,7 +167,7 @@ def cmd_train(run: RunConfig) -> None:
             train_x,
             labels,
             chain_ids,
-            scheme.n_classes,
+            n_classes,
             run.training,
             val_features=val_x,
             val_mention_ids=val_ids,

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Clustering, Corpus, Document, Mention
 from .errors import IntegrityError
 from .kernels import components, merge_sequence
-from .scoring import Contingency, score_b3
+from .scoring import Contingency
 
 TAU_GRID_SIZE = 20
 DELTA_GRID_SIZE = 100
@@ -48,6 +48,13 @@ def _groups(labels: np.ndarray) -> list[set[int]]:
     return [set(part.tolist()) for part in np.split(order, bounds)] if len(order) else []
 
 
+def _number_by_smallest(first: np.ndarray) -> np.ndarray:
+    """Dense labels 0.. from each mention's smallest cluster member (a
+    component labelling), numbered in order of those members."""
+    n = len(first)
+    return (np.cumsum(first == np.arange(n)) - 1)[first]
+
+
 @dataclass(frozen=True)
 class MergeRun:
     """Full single-linkage merge sequence over the mentions, and the initial
@@ -73,13 +80,11 @@ class MergeRun:
         n_merges = int(np.searchsorted(-self.sims, -tau, side="right"))
         n = len(self.slot_of)
         seeded = np.flatnonzero(self.slot_of != np.arange(n))
-        first = components(
+        return _number_by_smallest(components(
             n,
             np.concatenate([self.lefts[:n_merges], seeded]),
             np.concatenate([self.rights[:n_merges], self.slot_of[seeded]]),
-        )
-        # each cluster's smallest member is its own label: number those in order
-        return (np.cumsum(first == np.arange(n)) - 1)[first]
+        ))
 
     def partition_at(self, tau: float) -> list[set[int]]:
         """The clusters of labels_at(tau) as index sets, in label order."""
@@ -142,11 +147,8 @@ def head_lemma(mention: Mention, doc: Document) -> str:
 
 def lemma_partition(corpus: Corpus) -> Clustering:
     """Merge all mentions sharing a head lemma, across all documents."""
-    groups: dict[str, set[str]] = {}
-    for doc in corpus.documents:
-        for m in doc.mentions:
-            groups.setdefault(head_lemma(m, doc), set()).add(m.id)
-    return Clustering.from_sets(groups[k] for k in sorted(groups))
+    heads = [(m.id, head_lemma(m, doc)) for doc in corpus.documents for m in doc.mentions]
+    return Clustering.from_labels([m for m, _ in heads], [lemma for _, lemma in heads])
 
 
 def _doc_unit_vectors(corpus: Corpus, tfidf) -> dict[str, np.ndarray]:
@@ -278,7 +280,7 @@ def tune_delta(
             raise IntegrityError("embedding mention ids differ from the corpus mentions")
         rows = [row_of[m] for m in pairs.mention_ids]
         run = build_merge_run(cosine_similarity_matrix(embeddings[rows]))
-        gold_labels = gold.labels(pairs.mention_ids)
+    gold_labels = gold.labels(pairs.mention_ids)
     tuned: dict[bytes, tuple[float | None, float]] = {}
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):
@@ -288,8 +290,8 @@ def tune_delta(
             if embeddings is not None:
                 tuned[key] = _search_tau(replace(run, slot_of=labels), gold_labels)
             else:
-                init = Clustering.from_labels(pairs.mention_ids, labels)
-                tuned[key] = (None, score_b3(gold, init).f1)
+                table = Contingency.from_labels(gold_labels, _number_by_smallest(labels))
+                tuned[key] = (None, table.b3().f1)
         tau, score = tuned[key]
         if score >= best[2]:
             best = (float(delta), tau, float(score))

@@ -7,15 +7,17 @@ The on-disk format is line-delimited UTF-8 with tab-separated fields:
     MEN <mention_id> <chain_id> <idx1[,idx2,...]>
 
 Tokens and mentions attach to the most recent DOC line; lines starting
-with ``#`` are comments. Chain ids are opaque strings, and a chain id
-shared across documents denotes cross-document identity.
+with ``#`` are comments. A mention id may not be blank or start with
+``#``, which chain files and mention lists would read as a blank or comment
+line. Chain ids are opaque strings, and a chain id shared across documents
+denotes cross-document identity.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,17 +73,6 @@ class Corpus:
             if doc.doc_id in seen:
                 raise IntegrityError(f"duplicate document id {doc.doc_id!r}")
             seen.add(doc.doc_id)
-
-    def doc(self, doc_id: str) -> Document:
-        return self._doc_index[doc_id]
-
-    @property
-    def _doc_index(self) -> dict:
-        idx = self.__dict__.get("_doc_index_cache")
-        if idx is None:
-            idx = {d.doc_id: d for d in self.documents}
-            object.__setattr__(self, "_doc_index_cache", idx)
-        return idx
 
     def mentions(self) -> Iterator[Mention]:
         for doc in self.documents:
@@ -151,10 +142,13 @@ class Clustering:
         )
 
     @classmethod
-    def from_labels(cls, mention_ids: Sequence[str], labels) -> "Clustering":
-        """Inverse of `labels`: one chain per distinct label."""
-        chains: dict[int, set[str]] = {}
-        for m, label in zip(mention_ids, np.asarray(labels).tolist()):
+    def from_labels(cls, mention_ids: Sequence[str], labels: Iterable[Hashable]) -> "Clustering":
+        """One chain per distinct label (a chain id, a head lemma, a (chain,
+        document) pair, an integer), in order of first appearance. Labels are
+        compared as given, so strings that differ only in trailing NULs stay
+        apart."""
+        chains: dict[Hashable, set[str]] = {}
+        for m, label in zip(mention_ids, labels):
             chains.setdefault(label, set()).add(m)
         return cls.from_sets(chains.values())
 
@@ -192,30 +186,6 @@ def read_chains(path) -> Clustering:
                 raise ParseError(path, line_no, f"chain repeats mention(s) {repeated[:3]}")
             chains.append(chain)
     return Clustering.from_sets(chains)
-
-
-@dataclass(frozen=True)
-class LabelScheme:
-    """Training classes: one per multi-mention train chain, plus one shared
-    class for all singletons."""
-
-    class_of_chain: dict[str, int]
-    singleton_class: int
-
-    @property
-    def n_classes(self) -> int:
-        return self.singleton_class + 1
-
-    @classmethod
-    def from_chains(cls, chains: dict[str, list[str]]) -> "LabelScheme":
-        """From `chain_members` output: classes follow the sorted chain ids."""
-        if not chains:
-            raise IntegrityError("cannot build a label scheme from a split with no mentions")
-        multi = [chain for chain, members in chains.items() if len(members) >= 2]
-        return cls({chain: i for i, chain in enumerate(multi)}, len(multi))
-
-    def class_of_id(self, chain_id: str) -> int:
-        return self.class_of_chain.get(chain_id, self.singleton_class)
 
 
 class _DocBuilder:
@@ -299,6 +269,8 @@ def _parse(handle, path) -> Corpus:
             mention_id, chain_id, idx_field = fields[1], fields[2], fields[3]
             if not mention_id or not chain_id:
                 raise ParseError(path, line_no, "empty mention_id or chain_id")
+            if not mention_id.strip() or mention_id.startswith("#"):
+                raise ParseError(path, line_no, f"mention id {mention_id!r} is blank or starts with '#'")
             try:
                 indices = tuple(int(p) for p in idx_field.split(","))
             except ValueError:
@@ -348,19 +320,7 @@ def ecbplus_default_split() -> tuple[set[str], set[str], set[str]]:
     return train, validation, test
 
 
-def chain_members(pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
-    """Group (mention id, gold chain id) pairs: chain id -> its mention ids,
-    chain ids in sorted order."""
-    chains: dict[str, list[str]] = {}
-    for mention_id, chain_id in pairs:
-        chains.setdefault(chain_id, []).append(mention_id)
-    return {chain: chains[chain] for chain in sorted(chains)}
-
-
-def _corpus_chains(corpus: Corpus) -> dict[str, list[str]]:
-    return chain_members((m.id, m.gold_chain) for m in corpus.mentions())
-
-
 def gold_clustering(corpus: Corpus) -> Clustering:
     """One chain per distinct gold chain id; singletons stay singleton."""
-    return Clustering.from_sets(_corpus_chains(corpus).values())
+    mentions = list(corpus.mentions())
+    return Clustering.from_labels([m.id for m in mentions], [m.gold_chain for m in mentions])

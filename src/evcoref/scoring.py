@@ -227,15 +227,11 @@ def score_blanc(gold: Clustering, sys: Clustering, table: Contingency | None = N
 def within_doc_projection(clustering: Clustering, doc_of: dict[str, str]) -> Clustering:
     """Cut every cross-document link: each chain splits into its per-document
     parts. `doc_of` maps each mention id to its document id."""
-    chains = []
-    for chain in clustering.chains:
-        groups: dict[str, set[str]] = {}
-        for m in chain:
-            if m not in doc_of:
-                raise IntegrityError(f"no document known for mention {m!r}")
-            groups.setdefault(doc_of[m], set()).add(m)
-        chains.extend(groups[k] for k in sorted(groups))
-    return Clustering.from_sets(chains)
+    chain_of = {m: c for c, chain in enumerate(clustering.chains) for m in chain}
+    unknown = chain_of.keys() - doc_of.keys()
+    if unknown:
+        raise IntegrityError(f"no document known for mention {min(unknown)!r}")
+    return Clustering.from_labels(list(chain_of), [(c, doc_of[m]) for m, c in chain_of.items()])
 
 
 def report(gold: Clustering, sys: Clustering) -> MetricReport:

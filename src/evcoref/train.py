@@ -10,6 +10,7 @@ the best validation B3 is retained. All randomness flows from one seed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,20 @@ def encode_chains(chain_ids) -> np.ndarray:
     """Map chain id strings to dense integer codes (equality-preserving)."""
     seen: dict[str, int] = {}
     return np.array([seen.setdefault(c, len(seen)) for c in chain_ids], dtype=np.int64)
+
+
+def class_labels(chain_ids) -> tuple[np.ndarray, int]:
+    """Training class of each mention, and the class count: one class per
+    multi-mention chain, numbered in sorted chain-id order, plus one shared
+    last class for all singletons. A split with no mentions has no classes
+    and raises IntegrityError."""
+    chain_ids = list(chain_ids)
+    if not chain_ids:
+        raise IntegrityError("cannot build training classes from a split with no mentions")
+    multi = sorted(c for c, size in Counter(chain_ids).items() if size >= 2)
+    class_of = {c: i for i, c in enumerate(multi)}
+    labels = np.array([class_of.get(c, len(multi)) for c in chain_ids], dtype=np.int64)
+    return labels, len(multi) + 1
 
 
 def sample_indices(chain_codes: np.ndarray, rng: np.random.Generator, size: int = BATCH_SIZE) -> np.ndarray:

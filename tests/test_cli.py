@@ -324,6 +324,21 @@ def test_train_split_too_small_for_the_document_models_is_exit_2(tmp_path, capsy
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rename", ["#{}", " "], ids=["comment", "blank"])
+def test_blank_or_comment_like_mention_id_is_exit_2_at_features(tmp_path, capsys, rename):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("MEN\t"))
+    _, mention_id, rest = lines[row].split("\t", 2)
+    lines[row] = f"MEN\t{rename.format(mention_id)}\t{rest}"
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    cfg = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o")
+    capsys.readouterr()
+    assert main(["features", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"corpus.tsv:{row + 1}: mention id" in err and "Traceback" not in err
+
+
 def test_lemma_delta_cluster_with_no_train_document_is_exit_2(pipeline_dir, tmp_path, capsys):
     src_tmp, _, src_out = pipeline_dir
     out = tmp_path / "o"
@@ -697,6 +712,24 @@ def test_score_mention_mismatch_is_exit_5(pipeline_dir):
     assert main(
         ["score", "--config", str(cfg), "--gold", str(gold), "--sys", str(bad)]
     ) == 5
+
+
+def test_within_doc_unknown_mention_error_does_not_depend_on_the_hash_seed(pipeline_dir, tmp_path):
+    _, cfg, out = pipeline_dir
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    gold = out / "cluster" / "test.gold.chains"
+    known = next(line for line in gold.read_text().splitlines() if not line.startswith("#"))
+    bad = tmp_path / "unknown.chains"
+    bad.write_text("\t".join([known.split("\t")[0], "zz4", "zz2", "zz3"]) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(evcoref.__file__).parents[1]))
+    argv = ["score", "--config", str(cfg), "--gold", str(bad), "--sys", str(bad), "--mode", "within-doc"]
+    for hash_seed in ("1", "3", "4"):
+        done = subprocess.run(
+            [sys.executable, "-m", "evcoref.cli", *argv],
+            env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2
+        assert "no document known for mention 'zz2'" in done.stderr, done.stderr
 
 
 def test_chain_line_repeating_a_mention_is_exit_2(pipeline_dir, capsys):

@@ -343,23 +343,23 @@ def test_tune_delta_tunes_each_distinct_partition_once(rng, monkeypatch):
         for delta in np.linspace(0.0, 1.0, 100)
     }
     assert len(distinct) > 3
-    calls = {"_search_tau": 0, "score_b3": 0}
+    calls = {"_search_tau": 0, "seed_b3": 0}
+    table = clustering.Contingency.from_labels
 
-    def counted(name):
-        fn = getattr(clustering, name)
+    def search(run, gold_labels):  # a tau search; its own tables are not seed scorings
+        calls["_search_tau"] += 1
+        return 0.5, 0.0
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def seed_table(gold_labels, labels):
+        calls["seed_b3"] += 1
+        return table(gold_labels, labels)
 
-        return wrapper
-
-    monkeypatch.setattr(clustering, "_search_tau", counted("_search_tau"))
-    monkeypatch.setattr(clustering, "score_b3", counted("score_b3"))
+    monkeypatch.setattr(clustering, "_search_tau", search)
+    monkeypatch.setattr(clustering.Contingency, "from_labels", staticmethod(seed_table))
     tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids), 6)), ids)
-    assert calls == {"_search_tau": len(distinct), "score_b3": 0}
+    assert calls == {"_search_tau": len(distinct), "seed_b3": 0}
     tune_delta(corpus, tfidf, gold)
-    assert calls == {"_search_tau": len(distinct), "score_b3": len(distinct)}
+    assert calls == {"_search_tau": len(distinct), "seed_b3": len(distinct)}
 
 
 def test_tune_delta_builds_one_merge_run(rng, monkeypatch):

@@ -3,8 +3,6 @@ import pytest
 from conftest import corpus_from_docs, toks
 from evcoref.corpus import (
     Clustering,
-    LabelScheme,
-    chain_members,
     ecbplus_default_split,
     gold_clustering,
     load_corpus,
@@ -12,6 +10,7 @@ from evcoref.corpus import (
     split_by_topics,
 )
 from evcoref.errors import ConfigError, IntegrityError, ParseError
+from evcoref.train import class_labels
 from oracles import save_corpus
 
 
@@ -42,6 +41,13 @@ def test_mention_referencing_missing_token_is_integrity_error():
 def test_parse_error_names_line_number():
     with pytest.raises(ParseError, match=":2:"):
         loads_corpus("DOC\td1\t1\nTOK\t0\t0\n")
+
+
+@pytest.mark.parametrize("mention_id", ["#m1", "#", " "])
+def test_blank_or_comment_like_mention_id_is_parse_error(mention_id):
+    text = "DOC\td1\t1\nTOK\t0\t0\ta\ta\nMEN\tm0\tc1\t0\n" f"MEN\t{mention_id}\tc1\t0\n"
+    with pytest.raises(ParseError, match=":4: mention id .* is blank or starts with '#'"):
+        loads_corpus(text)
 
 
 def test_token_and_mention_before_doc_rejected():
@@ -153,60 +159,57 @@ def _label_corpus(chains):
     return corpus_from_docs(docs)
 
 
-def _label_scheme(corpus):
-    """The scheme the train stage builds from the (mention, chain) rows."""
-    return LabelScheme.from_chains(chain_members((m.id, m.gold_chain) for m in corpus.mentions()))
-
-
-def _classes(scheme, mentions):
-    return [scheme.class_of_id(m.gold_chain) for m in mentions]
+def _class_labels(corpus):
+    """The training label scheme: the classes the train stage builds from
+    the split's chain ids (`train.class_labels`)."""
+    labels, n_classes = class_labels(m.gold_chain for m in corpus.mentions())
+    return labels.tolist(), n_classes
 
 
 def test_label_scheme_one_multi_chain():
-    corpus = _label_corpus({"a": 2, "b": 1})
-    scheme = _label_scheme(corpus)
-    mentions = list(corpus.mentions())
-    assert scheme.n_classes == 2
-    assert _classes(scheme, mentions) == [0, 0, 1]
+    labels, n_classes = _class_labels(_label_corpus({"a": 2, "b": 1}))
+    assert n_classes == 2
+    assert labels == [0, 0, 1]
 
 
 def test_label_scheme_all_singletons():
-    corpus = _label_corpus({"a": 1, "b": 1, "c": 1})
-    scheme = _label_scheme(corpus)
-    assert scheme.n_classes == 1
-    assert set(_classes(scheme, corpus.mentions())) == {0}
+    labels, n_classes = _class_labels(_label_corpus({"a": 1, "b": 1, "c": 1}))
+    assert n_classes == 1
+    assert set(labels) == {0}
 
 
 def test_label_scheme_two_multi_one_singleton():
     # enumerating chains by size: a and b are classes, the c singleton merges
-    corpus = _label_corpus({"a": 2, "b": 2, "c": 1})
-    scheme = _label_scheme(corpus)
-    mentions = list(corpus.mentions())
-    assert scheme.n_classes == 3
-    assert _classes(scheme, mentions[-1:]) == [2]
-    assert _classes(scheme, mentions[:2]) == [0, 0]
-    assert _classes(scheme, mentions[2:4]) == [1, 1]
+    labels, n_classes = _class_labels(_label_corpus({"a": 2, "b": 2, "c": 1}))
+    assert n_classes == 3
+    assert labels[-1:] == [2]
+    assert labels[:2] == [0, 0]
+    assert labels[2:4] == [1, 1]
 
 
 def test_label_scheme_sorted_by_chain_id():
-    corpus = _label_corpus({"zz": 2, "aa": 2})
-    scheme = _label_scheme(corpus)
-    assert scheme.class_of_chain == {"aa": 0, "zz": 1}
+    labels, _ = _class_labels(_label_corpus({"zz": 2, "aa": 2}))
+    assert labels == [1, 1, 0, 0]
+
+
+def test_label_scheme_follows_code_point_order():
+    labels, n_classes = class_labels(["é", "a", "Z", "é", "a", "Z"])
+    assert n_classes == 4
+    assert labels.tolist() == [2, 1, 0, 2, 1, 0]
 
 
 def test_label_scheme_class_count_property(rng):
     for _ in range(25):
         chains = {f"c{k}": int(rng.integers(1, 5)) for k in range(int(rng.integers(1, 8)))}
-        corpus = _label_corpus(chains)
-        scheme = _label_scheme(corpus)
+        _, n_classes = _class_labels(_label_corpus(chains))
         multi = sum(1 for n in chains.values() if n >= 2)
-        assert scheme.n_classes == multi + 1
+        assert n_classes == multi + 1
 
 
 def test_label_scheme_empty_corpus_rejected():
     corpus = corpus_from_docs([("d1", "1", toks("a"), [])])
     with pytest.raises(IntegrityError):
-        _label_scheme(corpus)
+        _class_labels(corpus)
 
 
 def test_gold_clustering_groups_by_chain():
@@ -229,6 +232,11 @@ def test_gold_clustering_partitions_mention_set(rng):
         ids = [m.id for m in corpus.mentions()]
         assert clustering.mention_ids() == frozenset(ids)
         assert sum(len(c) for c in clustering.chains) == len(ids)
+
+
+def test_from_labels_keeps_chain_ids_apart_that_differ_in_trailing_nuls():
+    clustering = Clustering.from_labels(["m1", "m2", "m3"], ["a", "a\x00", "a"])
+    assert clustering.chains == (frozenset({"m1", "m3"}), frozenset({"m2"}))
 
 
 def test_clustering_rejects_overlap():

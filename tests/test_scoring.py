@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcoref.corpus import Clustering
-from evcoref.errors import ScoringMismatchError
+from evcoref.errors import IntegrityError, ScoringMismatchError
 from evcoref.scoring import (
     MetricScore,
     report,
@@ -229,6 +229,12 @@ def test_within_doc_projection_identity_for_single_doc_chains():
     clustering = C({"a1", "a2"}, {"b1"})
     doc_of = {"a1": "A", "a2": "A", "b1": "B"}
     assert within_doc_projection(clustering, doc_of) == clustering
+
+
+def test_within_doc_projection_names_the_smallest_unknown_mention():
+    clustering = C({f"m{i}" for i in range(1, 10)})
+    with pytest.raises(IntegrityError, match="no document known for mention 'm2'"):
+        within_doc_projection(clustering, {"m1": "A"})
 
 
 def test_projection_never_decreases_chain_count(rng):
