@@ -54,9 +54,6 @@ class NetParams:
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _PARAM_FIELDS]
 
-    def copy(self) -> "NetParams":
-        return NetParams(*[a.copy() for a in self.arrays()])
-
 
 def init_params(
     rng: np.random.Generator,
@@ -102,10 +99,18 @@ class ForwardCache:
     dropout: float
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, computed in z's own buffer."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(x, w, out=out)
+    out += b
+    return out
 
 
 def forward(
@@ -114,10 +119,16 @@ def forward(
     mode: str = "infer",
     masks: tuple | None = None,
     dropout: float = 0.25,
+    out: ForwardCache | None = None,
 ) -> ForwardCache:
     """Run the network. In train mode the supplied binary masks are applied
     after each hidden layer with inverted 1/(1-p) scaling; infer mode uses no
-    dropout and is fully deterministic."""
+    dropout and is fully deterministic, and its d2 is its embeddings.
+
+    The activations are written into `out`, which is returned (allocated
+    when None). It must be the cache of an earlier train-mode call on as
+    many inputs; every array of it is overwritten, so nothing of that call
+    is read."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != params.w1.shape[0]:
         raise ModelMismatchError(
@@ -126,39 +137,39 @@ def forward(
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
+    if train and (masks is None or len(masks) != 3):
+        raise ValueError("train mode requires three dropout masks")
+    if out is None:
+        n, (_, h1, he, h3, k) = len(inputs), params.dims
+        embeddings = np.empty((n, he))
+        out = ForwardCache(
+            inputs, np.empty((n, h1)), np.empty((n, h1)), np.empty((n, he)), embeddings,
+            np.empty((n, he)) if train else embeddings, np.empty((n, h3)), np.empty((n, h3)),
+            np.empty((n, k)), None, dropout,
+        )
+    out.inputs, out.masks, out.dropout = inputs, masks if train else None, dropout
+    scale = 1.0 / (1.0 - dropout) if train else 1.0
+
+    _affine(inputs, params.w1, params.b1, out.z1)
+    np.maximum(out.z1, 0.0, out=out.d1)
     if train:
-        if masks is None or len(masks) != 3:
-            raise ValueError("train mode requires three dropout masks")
-        scale = 1.0 / (1.0 - dropout)
-    relu = lambda z: np.maximum(z, 0.0)
+        out.d1 *= masks[0]
+        out.d1 *= scale
 
-    z1 = inputs @ params.w1 + params.b1
-    a1 = relu(z1)
-    d1 = a1 * masks[0] * scale if train else a1
+    _affine(out.d1, params.w2, params.b2, out.z2)
+    np.maximum(out.z2, 0.0, out=out.embeddings)
+    if train:
+        np.multiply(out.embeddings, masks[1], out=out.d2)
+        out.d2 *= scale
 
-    z2 = d1 @ params.w2 + params.b2
-    embeddings = relu(z2)
-    d2 = embeddings * masks[1] * scale if train else embeddings
+    _affine(out.d2, params.w3, params.b3, out.z3)
+    np.maximum(out.z3, 0.0, out=out.d3)
+    if train:
+        out.d3 *= masks[2]
+        out.d3 *= scale
 
-    z3 = d2 @ params.w3 + params.b3
-    a3 = relu(z3)
-    d3 = a3 * masks[2] * scale if train else a3
-
-    z4 = d3 @ params.w4 + params.b4
-    probs = softmax(z4)
-    return ForwardCache(
-        inputs=inputs,
-        z1=z1,
-        d1=d1,
-        z2=z2,
-        embeddings=embeddings,
-        d2=d2,
-        z3=z3,
-        d3=d3,
-        probs=probs,
-        masks=masks if train else None,
-        dropout=dropout,
-    )
+    _softmax_rows(_affine(out.d3, params.w4, params.b4, out.probs))
+    return out
 
 
 def embed(params: NetParams, inputs: np.ndarray) -> np.ndarray:
@@ -166,12 +177,17 @@ def embed(params: NetParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def make_dropout_masks(
-    rng: np.random.Generator, n: int, dims: tuple[int, int, int, int, int], dropout: float
+    rng: np.random.Generator, n: int, dims: tuple[int, int, int, int, int], dropout: float,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    keep = 1.0 - dropout
-    return tuple(
-        (rng.random((n, width)) < keep).astype(np.float64) for width in dims[1:4]
-    )
+    """Keep (1.0) / drop (0.0) masks of the three hidden layers for n inputs,
+    written into the arrays of `out` when given."""
+    if out is None:
+        out = tuple(np.empty((n, width)) for width in dims[1:4])
+    for mask in out:
+        rng.random(out=mask)
+        np.less(mask, 1.0 - dropout, out=mask)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,28 @@ def sample_batch(
     mask_dims: tuple,
     size: int = BATCH_SIZE,
     dropout: float = 0.25,
+    out: Batch | None = None,
 ) -> Batch:
-    """A batch with dropout masks for a network of dims `mask_dims`."""
+    """A batch with dropout masks for a network of dims `mask_dims`, written
+    into the arrays of `out` (an earlier batch of as many members) and
+    returned, or into new ones when `out` is None."""
     idx = sample_indices(chain_codes, rng, size)
-    return Batch(
-        inputs=features[idx],
-        class_labels=np.asarray(class_labels)[idx],
-        chain_codes=np.asarray(chain_codes)[idx],
-        dropout_masks=make_dropout_masks(rng, len(idx), mask_dims, dropout),
-    )
+    class_labels, chain_codes = np.asarray(class_labels), np.asarray(chain_codes)
+    if out is None:
+        return Batch(
+            inputs=features[idx],
+            class_labels=class_labels[idx],
+            chain_codes=chain_codes[idx],
+            dropout_masks=make_dropout_masks(rng, len(idx), mask_dims, dropout),
+        )
+    # the default mode="raise" copies through a batch-sized temporary;
+    # mode="clip" does not, but measured 2.5x the train stage's minor page
+    # faults on the learned benchmark (96k against 39k)
+    np.take(features, idx, axis=0, out=out.inputs)
+    np.take(class_labels, idx, out=out.class_labels)
+    np.take(chain_codes, idx, out=out.chain_codes)
+    make_dropout_masks(rng, len(idx), mask_dims, dropout, out=out.dropout_masks)
+    return out
 
 
 @dataclass
@@ -117,13 +130,27 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    params: NetParams
+    """The best epoch's parameters, and the state after the last step: Adam
+    and, of the parameters, `final`, whose w1 holds only the movable rows
+    (`w1_runs`) back to back; `params` gives them whole."""
+
     adam: AdamState
     best_params: NetParams
     best_tau: float | None
     best_b3: float | None
     best_epoch: int
+    final: NetParams
+    w1_runs: Runs
     history: list = field(default_factory=list)
+
+    @property
+    def params(self) -> NetParams:
+        """The parameters after the last step, built on each read: the
+        other w1 rows never move, so they are best_params.w1's."""
+        w1 = self.best_params.w1.copy()
+        for rows, packed in _packed_rows(self.w1_runs):
+            w1[rows] = self.final.w1[packed]
+        return NetParams(w1, *self.final.arrays()[1:])
 
 
 def movable_w1_rows(features: np.ndarray) -> Runs:
@@ -147,13 +174,22 @@ def movable_w1_rows(features: np.ndarray) -> Runs:
     return row_runs(nonzero)
 
 
-def _snapshot(params: NetParams, best_params: NetParams, w1_runs: Runs) -> None:
-    """Copy the current parameters into the best-epoch buffers; of w1 only
-    the rows of `w1_runs`, the only ones training moves."""
-    (w1, *rest), (best_w1, *best_rest) = params.arrays(), best_params.arrays()
+def _packed_rows(w1_runs: Runs):
+    """(rows of w1, rows of a compact buffer) for each run: the compact
+    buffer holds the runs' rows back to back, as loss_and_grad's w1
+    gradient does."""
+    at = 0
     for lo, hi in w1_runs:
-        np.copyto(best_w1[lo:hi], w1[lo:hi])
-    for src, dst in zip(rest, best_rest):
+        yield slice(lo, hi), slice(at, at + hi - lo)
+        at += hi - lo
+
+
+def _snapshot(params: NetParams, best: NetParams, w1_runs: Runs) -> None:
+    """Copy the current parameters into the compact best-epoch buffers; of
+    w1 only the rows of `w1_runs`, the only ones training moves."""
+    for rows, packed in _packed_rows(w1_runs):
+        np.copyto(best.w1[packed], params.w1[rows])
+    for src, dst in zip(params.arrays()[1:], best.arrays()[1:]):
         np.copyto(dst, src)
 
 
@@ -171,7 +207,14 @@ def train(
     """Run the configured number of epochs; an epoch is ceil(n / batch_size)
     sampled batches. Aborts with diagnostics when the loss goes non-finite.
     With a validation split, tracks the epoch whose embeddings give the best
-    tuned-tau B3 and returns those parameters as best_params."""
+    tuned-tau B3 and returns those parameters as best_params.
+
+    Besides the parameters, the loop holds Adam's moments, the compact
+    gradient and the compact best-epoch snapshot (of w1, both only the
+    movable rows), all allocated once, and one batch and one forward cache
+    that every step overwrites. At the end the snapshot's rows are swapped
+    into params.w1, which becomes best_params.w1; the final rows move into
+    the idle gradient buffer."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
     w1_runs = movable_w1_rows(features)
@@ -189,13 +232,18 @@ def train(
     if has_val and len(val_mention_ids) == 0:
         raise IntegrityError("the validation split has no mentions to select an epoch on")
 
-    # allocated once: every step writes its gradients into `grads` (of w1
-    # only the movable rows), and each new best epoch is copied into
-    # `best_params`, whose other w1 rows stay as initialised
-    w1_grad = np.empty((sum(hi - lo for lo, hi in w1_runs), params.w1.shape[1]))
-    grads = NetParams(w1_grad, *[np.empty_like(a) for a in params.arrays()[1:]])
+    # allocated once: every step writes its gradients into `grads` and each
+    # new best epoch is copied into `best` (at first the initial parameters),
+    # of w1 both only the movable rows; the first step allocates `batch` and
+    # `cache`, which later steps overwrite
+    compact = lambda: NetParams(
+        np.empty((sum(hi - lo for lo, hi in w1_runs), params.w1.shape[1])),
+        *[np.empty_like(a) for a in params.arrays()[1:]],
+    )
+    grads, best = compact(), compact()
+    _snapshot(params, best, w1_runs)
+    batch = cache = None
     history: list[EpochLog] = []
-    best_params = params.copy()
     best_tau: float | None = None
     best_b3: float | None = None
     best_epoch = 0
@@ -205,7 +253,7 @@ def train(
         for _ in range(batches_per_epoch):
             batch = sample_batch(
                 features, class_labels, chain_codes, rng, dims,
-                size=config.batch_size, dropout=config.dropout,
+                size=config.batch_size, dropout=config.dropout, out=batch,
             )
             cache = forward(
                 params,
@@ -213,6 +261,7 @@ def train(
                 mode="train",
                 masks=batch.dropout_masks,
                 dropout=config.dropout,
+                out=cache,
             )
             breakdown, _ = loss_and_grad(
                 params, cache, batch.class_labels, batch.chain_codes,
@@ -245,21 +294,27 @@ def train(
             tau, b3 = tune_tau(val_emb, val_mention_ids, val_gold)
             log.val_b3, log.tau = b3, tau
             if best_b3 is None or b3 > best_b3:
-                _snapshot(params, best_params, w1_runs)
+                _snapshot(params, best, w1_runs)
                 best_tau, best_b3, best_epoch = tau, b3, epoch
         else:
-            _snapshot(params, best_params, w1_runs)
+            _snapshot(params, best, w1_runs)
             best_epoch = epoch
         history.append(log)
         if progress is not None:
             progress(log)
 
+    # swap in place, so no second whole w1 is made: the final movable rows
+    # go into the gradient buffer, the best epoch's into params.w1
+    for rows, packed in _packed_rows(w1_runs):
+        np.copyto(grads.w1[packed], params.w1[rows])
+        np.copyto(params.w1[rows], best.w1[packed])
     return TrainResult(
-        params=params,
         adam=adam,
-        best_params=best_params,
+        best_params=NetParams(params.w1, *best.arrays()[1:]),
         best_tau=best_tau,
         best_b3=best_b3,
         best_epoch=best_epoch,
+        final=NetParams(grads.w1, *params.arrays()[1:]),
+        w1_runs=w1_runs,
         history=history,
     )

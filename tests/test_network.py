@@ -113,6 +113,68 @@ def test_dropout_inverted_scaling_preserves_expectation(rng):
     assert rel < 0.01
 
 
+def expression_forward(params, x, masks=None, dropout=0.25):
+    """The forward pass as plain expressions, each making a new array:
+    (z1, d1, z2, embeddings, d2, z3, d3, probs)."""
+    relu = lambda z: np.maximum(z, 0.0)
+    drop = (lambda a, m: a * m * (1.0 / (1.0 - dropout))) if masks else (lambda a, m: a)
+    masks = masks or (None,) * 3
+    z1 = x @ params.w1 + params.b1
+    d1 = drop(relu(z1), masks[0])
+    z2 = d1 @ params.w2 + params.b2
+    emb = relu(z2)
+    d2 = drop(emb, masks[1])
+    z3 = d2 @ params.w3 + params.b3
+    d3 = drop(relu(z3), masks[2])
+    z4 = d3 @ params.w4 + params.b4
+    e = np.exp(z4 - z4.max(axis=1, keepdims=True))
+    return z1, d1, z2, emb, d2, z3, d3, e / e.sum(axis=1, keepdims=True)
+
+
+def cache_arrays(c):
+    return (c.z1, c.d1, c.z2, c.embeddings, c.d2, c.z3, c.d3, c.probs)
+
+
+def test_a_reused_forward_cache_equals_a_fresh_one(rng):
+    # two train-mode passes on different batches and masks through one
+    # workspace: every array of each equals a fresh pass and the plain
+    # expressions, byte for byte, so nothing of the first pass leaks into
+    # the second
+    params = tiny_params(rng, d=7, h1=9, he=5, h3=6, k=4)
+    ws = None
+    for _ in range(2):
+        x = rng.normal(size=(11, 7))
+        masks = make_dropout_masks(rng, 11, params.dims, 0.3)
+        fresh = forward(params, x, mode="train", masks=masks, dropout=0.3)
+        ws = forward(params, x, mode="train", masks=masks, dropout=0.3, out=ws)
+        expected = expression_forward(params, x, masks, 0.3)
+        for got, ref, plain in zip(cache_arrays(ws), cache_arrays(fresh), expected):
+            assert got.tobytes() == ref.tobytes() == plain.tobytes()
+        assert np.array_equal(ws.inputs, x) and ws.masks is masks and ws.dropout == 0.3
+
+
+def test_infer_forward_equals_the_plain_expressions(rng):
+    # no dropout: d1, d2 and d3 are the activations, and d2 is the embeddings
+    params = tiny_params(rng, d=7, h1=9, he=5, h3=6, k=4)
+    x = rng.normal(size=(11, 7))
+    cache = forward(params, x)
+    for got, plain in zip(cache_arrays(cache), expression_forward(params, x)):
+        assert got.tobytes() == plain.tobytes()
+    assert cache.d2 is cache.embeddings and cache.masks is None
+
+
+def test_dropout_masks_written_into_buffers_equal_new_ones():
+    dims = (5, 13, 4, 9, 3)
+    fresh = make_dropout_masks(np.random.default_rng(4), 17, dims, 0.3)
+    plain_rng = np.random.default_rng(4)
+    plain = [(plain_rng.random((17, w)) < 1.0 - 0.3).astype(np.float64) for w in dims[1:4]]
+    buffers = tuple(np.full((17, w), np.nan) for w in dims[1:4])
+    reused = make_dropout_masks(np.random.default_rng(4), 17, dims, 0.3, out=buffers)
+    assert reused is buffers
+    for a, b, c in zip(reused, fresh, plain):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Loss terms
 # ---------------------------------------------------------------------------

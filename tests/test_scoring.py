@@ -14,7 +14,9 @@ from evcoref.scoring import (
     within_doc_projection,
     write_report,
 )
-from oracles import oracle_b3, oracle_blanc, oracle_ceaf, oracle_muc, square_lsap_min
+from oracles import (
+    oracle_b3, oracle_blanc, oracle_ceaf, oracle_muc, square_lsap_min, union_find_components,
+)
 
 
 def C(*chains):
@@ -330,3 +332,72 @@ def test_ceaf_components_match_one_padded_assignment(rng):
             got = score_ceaf(gold, sys, phi)
             assert got.recall == pytest.approx(best / r_den, abs=1e-12)
             assert got.precision == pytest.approx(best / p_den, abs=1e-12)
+
+
+def split_and_merge(rng, n_gold, moved):
+    """Gold chains of 1-5 mentions, and a system that splits some gold chains
+    into up to 3 parts (a 1 x c overlap component), merges runs of 2-4 whole
+    gold chains (r x 1) and keeps the others (1 x 1); then the share `moved`
+    of mentions goes to random system chains, which joins some components
+    into larger ones."""
+    gold = np.repeat(np.arange(n_gold), rng.integers(1, 6, size=n_gold))
+    sys = np.empty_like(gold)
+    g = label = 0
+    while g < n_gold:
+        kind = rng.integers(3)
+        if kind == 0:  # split
+            members = np.flatnonzero(gold == g)
+            sys[members] = label + rng.integers(0, 3, size=len(members))
+            label, g = label + 3, g + 1
+        else:  # merge 2-4 chains, or keep 1
+            r = int(rng.integers(2, 5)) if kind == 1 else 1
+            sys[(gold >= g) & (gold < g + r)] = label
+            label, g = label + 1, g + r
+    sys = np.where(rng.random(len(gold)) < moved, rng.integers(0, label, size=len(gold)), sys)
+    order = rng.permutation(len(gold))
+    return labels_to_clustering(gold[order].tolist()), labels_to_clustering(sys[order].tolist())
+
+
+def per_component_ceaf(gold, sys, phi):
+    """CEAF with the square Kuhn-Munkres oracle run on each overlap
+    component's block, zero-padded to a square, its best cell per gold chain
+    summed in the scorer's chain order (chains numbered by first mention)."""
+    ids = sorted(gold.mention_ids())
+    g, s = gold.labels(ids), sys.labels(ids)
+    ng, ns = g.max() + 1, s.max() + 1
+    inter = np.zeros((ng, ns))
+    np.add.at(inter, (g, s), 1.0)
+    sizes = np.bincount(g)[:, None] + np.bincount(s)[None, :]
+    weights = inter if phi == "mention" else 2.0 * inter / sizes
+    rows, cols = np.nonzero(inter)
+    comp = np.array(union_find_components(ng + ns, list(zip(rows.tolist(), (ng + cols).tolist()))))
+    best_of_row = np.zeros(ng)
+    for root in np.unique(comp):
+        r, c = np.flatnonzero(comp[:ng] == root), np.flatnonzero(comp[ng:] == root)
+        block = np.zeros((max(len(r), len(c)),) * 2)
+        block[: len(r), : len(c)] = weights[np.ix_(r, c)]
+        best_of_row[r] = block[np.arange(len(r)), square_lsap_min(-block)[: len(r)]]
+    best = float(best_of_row.sum())
+    r_den, p_den = (len(ids), len(ids)) if phi == "mention" else (ng, ns)
+    recall, precision = best / r_den, best / p_den
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricScore(recall, precision, f1)
+
+
+@pytest.mark.parametrize("moved", [0.0, 0.03])
+def test_ceaf_one_row_and_one_column_components_match_the_square_oracle_exactly(rng, moved):
+    # with no moved mention every overlap component is 1 x c or r x 1, and
+    # a tied r x 1 component gives its column to the first tied gold chain
+    # in both, so both CEAFs are bit-identical; moved mentions add larger
+    # components, whose equally good alignments may sum in another order,
+    # so there only the integer-weighted mention CEAF is compared exactly
+    for _ in range(40):
+        gold, sys = split_and_merge(rng, int(rng.integers(5, 80)), moved)
+        rep = report(gold, sys)
+        assert rep.ceaf_m == per_component_ceaf(gold, sys, "mention")
+        expected_e = per_component_ceaf(gold, sys, "entity")
+        if moved == 0.0:
+            assert rep.ceaf_e == expected_e
+        else:
+            assert rep.ceaf_e.recall == pytest.approx(expected_e.recall, abs=1e-12)
+            assert rep.ceaf_e.precision == pytest.approx(expected_e.precision, abs=1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ def test_sample_batch_carries_masks_when_requested(rng):
     assert batch.dropout_masks[0].shape == (16, 8)
     assert batch.dropout_masks[1].shape == (16, 4)
     assert set(np.unique(batch.dropout_masks[0])) <= {0.0, 1.0}
+
+
+def test_a_batch_written_into_an_earlier_one_equals_a_new_one():
+    x, labels, chains = blob_data(np.random.default_rng(5))
+    codes = encode_chains(chains)
+    dims = (10, 8, 4, 8, 3)
+    rng_new, rng_reused = np.random.default_rng(9), np.random.default_rng(9)
+    buffers = sample_batch(x, labels, codes, rng_reused, dims, size=16)
+    sample_batch(x, labels, codes, rng_new, dims, size=16)  # keeps the generators in step
+    for _ in range(3):
+        fresh = sample_batch(x, labels, codes, rng_new, dims, size=16)
+        reused = sample_batch(x, labels, codes, rng_reused, dims, size=16, out=buffers)
+        assert reused is buffers
+        for a, b in zip(
+            (reused.inputs, reused.class_labels, reused.chain_codes, *reused.dropout_masks),
+            (fresh.inputs, fresh.class_labels, fresh.chain_codes, *fresh.dropout_masks),
+        ):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +400,30 @@ def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments():
     assert ours.adam.m[0][still].tobytes() == ours.adam.v[0][still].tobytes() == bytes(8 * 4 * 16)
     moved = [0, 1, 3, 4]
     assert np.all(ours.params.w1[moved] != initial.w1[moved])
+
+
+def test_training_holds_one_whole_first_layer_matrix():
+    # 30 of 3000 input columns are nonzero, so almost no w1 row can move:
+    # besides w1 itself, whole-w1-sized memory is only Adam's two moments
+    # (np.zeros, traced at full size though mostly never written). A second
+    # whole w1, such as a full best-epoch copy, would add 1.0 to the ratio.
+    rng = np.random.default_rng(11)
+    width, active = 3000, np.sort(rng.choice(3000, size=30, replace=False))
+    x30, labels, chains = blob_data(rng, n_per=20, d=30)  # n = 60
+    val30, val_ids, val_gold = val_split(rng, d=30)
+    x, val_x = np.zeros((60, width)), np.zeros((len(val_ids), width))
+    x[:, active], val_x[:, active] = x30, val30
+    cfg = TrainConfig(
+        lr=0.002, epochs=3, batch_size=32, hidden1=512, embed=16, hidden3=16, seed=3,
+    )
+    tracemalloc.start()
+    try:
+        result = train(
+            x, labels, chains, n_classes=4, config=cfg,
+            val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.best_params.w1.shape == (width, 512)
+    assert peak < 3.75 * result.best_params.w1.nbytes

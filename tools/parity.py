@@ -13,6 +13,15 @@ directory, one tree after the other, with the benchmark's per-corpus
 byte for byte; a stage that exits non-zero counts as a difference even when
 both trees fail alike. Exit status: 0 when all match, 1 otherwise.
 
+Next to the comparison, each stage's peak RSS and minor page faults
+(``ru_maxrss`` and ``ru_minflt`` of the reaped process) are printed for both
+trees, with their medians over the corpora at the end, so a change that
+should save memory shows its effect per stage in the run that checks its
+outputs. On Linux a child's ``ru_maxrss`` includes the peak RSS of the
+process that spawned it, so each stage is spawned from a small process of
+its own; that floor is printed too, and a stage that reads at the floor used
+no more than it.
+
 ``pipebench/run.py`` is imported, not copied, so the corpora are the ones
 the benchmark measures; nothing under ``pipebench/`` is written.
 """
@@ -21,8 +30,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
+import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,21 +46,45 @@ sys.path.insert(0, str(ROOT / "pipebench"))
 import run as pipebench  # noqa: E402
 
 
-def run_stages(tree: Path, case, workload) -> tuple[list[tuple[str, int, bytes]], dict[str, bytes]]:
+# Runs one stage and writes [exit code, ru_maxrss KB, ru_minflt, own VmHWM
+# KB] as JSON to its standard error. It is a small process of its own, so the
+# floor under the stage's ru_maxrss is this process's peak, not that of this
+# script, which holds every output it compares.
+SPAWN = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+with open("/proc/self/status", encoding="ascii") as lines:
+    hwm = next(int(line.split()[1]) for line in lines if line.startswith("VmHWM:"))
+json.dump([proc.returncode, usage.ru_maxrss, usage.ru_minflt, hwm], sys.stderr)
+"""
+
+
+def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, bytes, float, int, float]:
+    """(exit code, stdout, peak RSS MB, minor page faults, floor MB) of one
+    stage, spawned through SPAWN."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN] + argv, cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    code, rss_kb, minflt, floor_kb = json.loads(proc.stderr)
+    return code, proc.stdout, rss_kb / 1024.0, minflt, floor_kb / 1024.0
+
+
+def run_stages(tree: Path, case, workload) -> tuple[list[tuple], dict[str, bytes]]:
     """Every stage of `workload` on `case` with `tree`'s package: (stage,
-    exit code, stdout) per stage run, then the files left under out/."""
+    exit code, stdout, peak RSS MB, minor faults, floor MB) per stage run,
+    then the files left under out/."""
     out = case.dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = pipebench.child_env(case.seed)
     env["PYTHONPATH"] = str(tree / "src")
     stages = []
     for name, args in pipebench.stage_args(workload):
-        proc = subprocess.run(
-            [sys.executable, "-c", pipebench.ENTRY] + args,
-            cwd=case.dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        )
-        stages.append((name, proc.returncode, proc.stdout))
-        if proc.returncode != 0:
+        stage = run_stage([sys.executable, "-c", pipebench.ENTRY] + args, case.dir, env)
+        stages.append((name, *stage))
+        if stage[0] != 0:
             break
     files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     return stages, files
@@ -62,7 +98,7 @@ def compare(parent, change) -> list[str]:
     """One line per difference between two run_stages results."""
     (p_stages, p_files), (c_stages, c_files) = parent, change
     diffs = []
-    for (name, p_code, p_out), (_, c_code, c_out) in zip(p_stages, c_stages):
+    for (name, p_code, p_out, *_), (_, c_code, c_out, *_) in zip(p_stages, c_stages):
         if p_code != c_code or c_code != 0:
             diffs.append(f"{name}: exit {p_code} -> {c_code}")
         if p_out != c_out:
@@ -75,6 +111,16 @@ def compare(parent, change) -> list[str]:
             show = lambda b: "missing" if b is None else digest(b)
             diffs.append(f"out/{path}: {show(p)} -> {show(c)}")
     return diffs
+
+
+def usage_lines(rows) -> list[str]:
+    """One line per stage from (stage, parent (MB, faults), change (MB,
+    faults)) rows."""
+    return [
+        f"  {name:<12} peak RSS {p_mb:7.1f} -> {c_mb:7.1f} MB"
+        f"   minor faults {p_flt:8.0f} -> {c_flt:8.0f}"
+        for name, (p_mb, p_flt), (c_mb, c_flt) in rows
+    ]
 
 
 def main(argv=None) -> int:
@@ -92,6 +138,8 @@ def main(argv=None) -> int:
     workload = pipebench.WORKLOADS[args.workload]
 
     failed = 0
+    usage: dict[str, list] = {}  # stage -> [(parent (MB, faults), change (MB, faults))]
+    floor = 0.0  # MB, the largest peak of a process that spawned a stage
     with tempfile.TemporaryDirectory(prefix="parity-") as state:
         bench = pipebench.Bench(workload, args.seed, Path(state), deadline=math.inf)
         bench.work.mkdir(parents=True)
@@ -106,8 +154,22 @@ def main(argv=None) -> int:
                   f"({len(change[0])} stages, {len(change[1])} files, {checked} outputs)")
             for line in diffs:
                 print(f"  {line}")
+            rows = [(p[0], p[3:5], c[3:5]) for p, c in zip(parent[0], change[0])]
+            for line in usage_lines(rows):
+                print(line)
+            for name, p, c in rows:
+                usage.setdefault(name, []).append((p, c))
+            floor = max([floor] + [stage[5] for stage in parent[0] + change[0]])
             failed += bool(diffs)
     print(f"{failed} of {args.corpora} corpora differ")
+    print(f"median over corpora (peak RSS floor, the spawning process's peak: {floor:.1f} MB):")
+    median = lambda runs, side, i: statistics.median(run[side][i] for run in runs)
+    rows = [
+        (name, (median(runs, 0, 0), median(runs, 0, 1)), (median(runs, 1, 0), median(runs, 1, 1)))
+        for name, runs in usage.items()
+    ]
+    for line in usage_lines(rows):
+        print(line)
     return 1 if failed else 0
 
 
