@@ -1,9 +1,13 @@
 """Command-line pipeline: features -> train -> cluster -> score.
 
 Each stage reads its predecessors' files from the configured output
-directory, so stages are independently re-runnable and cacheable. Exit codes:
-0 success, 2 input/configuration error, 3 training failure, 4 model/feature
-mismatch, 5 scoring mismatch.
+directory, so stages are independently re-runnable and cacheable. Only
+`features` and the lemma seeds of `cluster` read the corpus: `train` reads
+the train and validation feature files, `cluster` the eval and validation
+feature files and the checkpoint, and `score` the two chain files and, within
+documents, the eval split's mention table. Exit codes: 0 success, 2
+input/configuration error (an unreadable path too), 3 training failure, 4
+model/feature mismatch, 5 scoring mismatch.
 """
 
 from __future__ import annotations
@@ -268,6 +272,8 @@ def cmd_cluster(run: RunConfig) -> None:
     if embed is not None:
         meta["tau"] = tau
         sys_clustering = clus.agglomerate(eval_ids, tau, eval_vectors, init=init)
+    else:  # the seed is the clustering, refused unless it partitions the split's mentions
+        init.labels(eval_ids)
 
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
     out = run.output / "cluster"
@@ -300,7 +306,8 @@ def cmd_score(
         raise IntegrityError(f"gold chains file {gold_path} names no mention")
     sys_clustering = read_chains(sys_path)
     if mode == "within-doc":
-        doc_of = load_corpus(run.corpus).mention_doc_map()
+        rows = _read_mentions_tsv(run.output / "features" / f"{run.eval_split}.mentions.tsv")
+        doc_of = {mention_id: doc_id for mention_id, _, doc_id, _ in rows}
         gold = scoring.within_doc_projection(gold, doc_of)
         sys_clustering = scoring.within_doc_projection(sys_clustering, doc_of)
 
@@ -379,7 +386,7 @@ def main(argv=None) -> int:
     except ScoringMismatchError as exc:
         print(f"scoring mismatch: {exc}", file=sys.stderr)
         return 5
-    except (EvcorefError, FileNotFoundError) as exc:
+    except (EvcorefError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

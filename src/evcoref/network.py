@@ -329,11 +329,11 @@ def _core_grad(p: _Pairs, lambda1: float, lambda2: float) -> np.ndarray:
 
 def backward(
     params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
-    use_cce: bool = True, out: NetParams | None = None,
+    use_cce: bool = True,
 ) -> NetParams:
     """Exact gradients of loss_total for every parameter: those of
-    loss_and_grad, written into `out` and returned."""
-    return loss_and_grad(params, cache, labels, chain_codes, lambda1, lambda2, use_cce, out)[1]
+    loss_and_grad."""
+    return loss_and_grad(params, cache, labels, chain_codes, lambda1, lambda2, use_cce)[1]
 
 
 Runs = tuple[tuple[int, int], ...]  # ascending, disjoint row ranges [lo, hi)

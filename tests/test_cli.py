@@ -436,6 +436,29 @@ def test_seed_over_a_mention_the_features_lack_is_exit_2(pipeline_dir, tmp_path,
     assert f"not given ['{dropped}']" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "variant, flags", [("LEMMA", []), ("LEMMA-DELTA", ["--delta", "0.3"])], ids=["LEMMA", "LEMMA-DELTA"]
+)
+def test_vectorless_seed_over_a_mention_the_features_lack_is_exit_2(
+    pipeline_dir, tmp_path, capsys, variant, flags
+):
+    # the seed is written as the clustering, so it is checked before writing
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    feats = out / "features"
+    shutil.copytree(src_out / "features", feats)
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant)
+    write_matrix(feats / "test.mat", read_matrix(feats / "test.mat")[:-1])
+    lines = (feats / "test.mentions.tsv").read_text().splitlines(keepends=True)
+    (feats / "test.mentions.tsv").write_text("".join(lines[:-1]))
+    dropped = lines[-1].split("\t")[0]
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"not given ['{dropped}']" in err and "Traceback" not in err
+    assert not (out / "cluster").exists()
+
+
 @pytest.mark.parametrize("edit", ["cut-inside-b4", "one-extra-byte"])
 def test_checkpoint_of_the_wrong_size_is_exit_2(pipeline_dir, tmp_path, capsys, edit):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
@@ -499,6 +522,14 @@ def test_missing_word_vectors_is_exit_2(tmp_path):
     corpus_path, vec_path, _ = small_corpus(tmp_path)
     cfg = write_config(tmp_path, corpus_path, tmp_path / "missing.txt", tmp_path / "o")
     assert main(["features", "--config", str(cfg)]) == 2
+
+
+def test_corpus_path_naming_a_directory_is_exit_2(tmp_path, capsys):
+    _, vec_path, _ = small_corpus(tmp_path)
+    cfg = write_config(tmp_path, tmp_path, vec_path, tmp_path / "o")
+    assert main(["features", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +818,40 @@ def test_tau_and_delta_overrides(pipeline_dir):
     assert "# delta=0.5" in meta
 
 
+def _stage_runs(cfg, out, capsys, *argvs):
+    """Each stage's standard output, then every file under `out`, after
+    running `argvs` in order with an earlier run's outputs of those stages
+    removed."""
+    for stage in {argv[0] for argv in argvs}:
+        shutil.rmtree(out / stage, ignore_errors=True)
+    capsys.readouterr()
+    stdout = []
+    for argv in argvs:
+        assert main([*argv, "--config", str(cfg)]) == 0, capsys.readouterr().err
+        stdout.append(capsys.readouterr().out)
+    return stdout, {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+_SCORES = (["score", "--mode", "combined"], ["score", "--mode", "within-doc"])
+
+
+@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])
+def test_stages_after_features_do_not_read_the_corpus(pipeline_dir, tmp_path, capsys, variant):
+    # the lemma seeds are the only readers of corpus.tsv after features
+    src_tmp, _, src_out = pipeline_dir
+    corpus, out = tmp_path / "corpus.tsv", tmp_path / "o"
+    shutil.copy(src_tmp / "corpus.tsv", corpus)
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(tmp_path, corpus, src_tmp / "vectors.txt", out, variant=variant)
+    argvs = [["train"]] * (variant in LEARNED_VARIANTS) + [["cluster"], *_SCORES]
+    in_place = _stage_runs(cfg, out, capsys, *argvs)
+    assert {"cluster/test.sys.chains", "score/report.tsv", "score/report_within.tsv"} <= in_place[1].keys()
+    corpus.unlink()
+    assert _stage_runs(cfg, out, capsys, *argvs) == in_place
+    corpus.write_text("garbage\n")
+    assert _stage_runs(cfg, out, capsys, *argvs) == in_place
+
+
 def test_full_pipeline_command(tmp_path):
     corpus_path, vec_path, _ = small_corpus(tmp_path)
     out = tmp_path / "pipe_out"
@@ -864,3 +929,92 @@ def test_a_stage_process_imports_only_what_it_runs(
         loaded = _stage_modules(stage, "--config", str(cfg), *(["--mode", mode] if mode else []))
         assert f"evcoref.{runs}" in loaded
         assert not loaded & {f"evcoref.{m}" for m in unused}, sorted(loaded)
+
+
+# ---------------------------------------------------------------------------
+# Robustness campaign: line edits of every stage input
+# ---------------------------------------------------------------------------
+
+_LINE_EDITS = ("delete", "duplicate", "swap", "truncate", "", "nan", "1e400", "-1", "x")
+_BYTE_EDITS = ("truncate", "append", "magic")
+_STAGE_INPUTS = {
+    "features": ("corpus.tsv", "vectors.txt", "run.ini"),
+    "train": tuple(f"out/features/{s}.{e}" for s in ("train", "validation") for e in ("mat", "mentions.tsv")),
+    "cluster": (
+        *(f"out/features/{s}.{e}" for s in ("test", "validation") for e in ("mat", "mentions.tsv")),
+        "out/train/checkpoint.ckpt",
+        "corpus.tsv",
+    ),
+    "score": ("out/cluster/test.sys.chains", "out/cluster/test.gold.chains", "out/features/test.mentions.tsv"),
+}
+
+
+def _edit_lines(text: str, edit: str, rng, sep: str) -> str:
+    """`text` with one line deleted, duplicated, swapped with another or cut
+    short, or with one of its `sep`-separated fields set to `edit`."""
+    lines = text.splitlines(keepends=True)
+    i = int(rng.integers(len(lines)))
+    line = lines[i].rstrip("\n")
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = int(rng.integers(len(lines)))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "truncate":
+        lines[i] = line[: int(rng.integers(len(line) + 1))] + "\n"
+    else:
+        fields = line.split(sep)
+        fields[int(rng.integers(len(fields)))] = edit
+        lines[i] = sep.join(fields) + "\n"
+    return "".join(lines)
+
+
+def _edit_bytes(data: bytes, edit: str, rng) -> bytes:
+    """`data` cut short, with bytes appended, or with another magic."""
+    if edit == "truncate":
+        return data[: int(rng.integers(len(data)))]
+    if edit == "append":
+        return data + rng.bytes(int(rng.integers(1, 17)))
+    return b"X" + data[1:]
+
+
+def test_line_edits_of_any_stage_input_end_in_a_documented_exit_code(tmp_path, monkeypatch, capsys):
+    # every path in run.ini is relative, so a copy of the directory is a
+    # whole run of its own
+    pristine = tmp_path / "pristine"
+    pristine.mkdir()
+    small_corpus(pristine)
+    write_config(pristine, "corpus.tsv", "vectors.txt", "out", variant="CORE+CCE+LEMMA").rename(
+        pristine / "run.ini"
+    )
+    monkeypatch.chdir(pristine)
+    for stage in ("features", "train", "cluster"):
+        assert main([stage, "--config", "run.ini"]) == 0
+    rng = np.random.default_rng(2026)
+    codes = []
+    for stage, names in _STAGE_INPUTS.items():
+        argvs = _SCORES if stage == "score" else ([stage],)
+        for name in names:
+            binary = name.endswith((".mat", ".ckpt"))
+            for edit in _BYTE_EDITS if binary else _LINE_EDITS:
+                work = tmp_path / "work"
+                shutil.copytree(pristine, work)
+                monkeypatch.chdir(work)
+                path = Path(name)
+                if binary:
+                    path.write_bytes(_edit_bytes(path.read_bytes(), edit, rng))
+                else:
+                    sep = {".ini": "=", ".txt": " "}.get(path.suffix, "\t")
+                    path.write_text(_edit_lines(path.read_text(), edit, rng, sep))
+                for argv in argvs:
+                    try:
+                        codes.append(main([*argv, "--config", "run.ini"]))
+                    except Exception as exc:
+                        pytest.fail(f"{' '.join(argv)} after {edit or 'empty'!r} in {name}: {exc!r}")
+                    assert codes[-1] in (0, 2, 3, 4, 5), (argv, name, edit)
+                monkeypatch.chdir(tmp_path)
+                shutil.rmtree(work)
+                capsys.readouterr()
+    assert {0, 2, 5} <= set(codes)
