@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -110,6 +110,7 @@ def cmd_features(run: RunConfig) -> None:
     for name in SPLITS:
         matrix, mentions = feat.extract_split(corpora[name], models, pool=run.pool)
         write_matrix(out / f"{name}.mat", matrix)
+        del matrix  # the stage holds one split's matrix at a time
         _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
     print(f"features written to {out}")
 
@@ -226,7 +227,7 @@ def cmd_cluster(run: RunConfig) -> None:
 
     embed = None  # feature matrix -> the vectors that single linkage runs on
     if run.variant == "UNSUPERVISED":
-        embed = np.asarray  # the raw features
+        embed = clus.unit_rows  # the raw features, scaled where they were read
     elif run.variant in LEARNED_VARIANTS:
         from . import network as net
 
@@ -238,12 +239,13 @@ def cmd_cluster(run: RunConfig) -> None:
             raise ModelMismatchError(
                 f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"
             )
-        embed = partial(net.embed, params)
+        embed = lambda x: clus.unit_rows(net.embed(params, x))
 
     @cache
     def split(name: str):
         """(mention ids, gold chains, vectors or None) of a split, read and
-        embedded once."""
+        embedded once; the stage owns the vectors, so they are scaled to unit
+        rows in place and the similarity makes no copy of them."""
         x, rows = (eval_x, eval_rows) if name == eval_name else _load_split(run, name)
         return [r[0] for r in rows], _gold(rows), None if embed is None else embed(x)
 

@@ -23,14 +23,45 @@ TAU_GRID_SIZE = 20
 DELTA_GRID_SIZE = 100
 
 
-def cosine_similarity_matrix(vectors: np.ndarray) -> np.ndarray:
-    """Symmetric cosine similarities; zero-norm rows get similarity 0."""
-    x = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    units = x / safe[:, None]
+NORM_BLOCK = 16  # rows per row-norm pass: the pass's scratch is NORM_BLOCK x d
+
+
+@dataclass(frozen=True)
+class UnitRows:
+    """Row vectors of unit length (zero rows stay zero), as `unit_rows`
+    leaves them: the similarity reads them as they are. A row selection is
+    unit rows again."""
+
+    rows: np.ndarray
+
+    def __getitem__(self, index) -> "UnitRows":
+        return UnitRows(self.rows[index])
+
+
+def unit_rows(x: np.ndarray) -> UnitRows:
+    """Scale the rows of the float64 matrix `x` to unit length in place
+    (zero-norm rows stay as they are) and return them as UnitRows; the
+    caller gives `x` up. Each row's norm reduces along that row alone, so
+    taking the norms NORM_BLOCK rows at a time gives the bits of one
+    whole-matrix np.linalg.norm without its n x d temporaries."""
+    for start in range(0, len(x), NORM_BLOCK):
+        block = x[start : start + NORM_BLOCK]
+        norms = np.linalg.norm(block, axis=1)
+        block /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return UnitRows(x)
+
+
+def cosine_similarity_matrix(vectors: np.ndarray | UnitRows) -> np.ndarray:
+    """Symmetric cosine similarities; zero-norm rows get similarity 0. Unit
+    rows are used as they are; a plain array is left untouched and its
+    scaled copy is the one n x d array made."""
+    if not isinstance(vectors, UnitRows):
+        vectors = unit_rows(np.array(vectors, dtype=np.float64))
+    units = vectors.rows
     sims = units @ units.T
-    sims = np.clip((sims + sims.T) / 2.0, -1.0, 1.0)
+    sims += sims.T
+    sims /= 2.0
+    np.clip(sims, -1.0, 1.0, out=sims)
     if not np.all(np.isfinite(sims)):
         raise IntegrityError("non-finite similarity entries")
     return sims
@@ -121,7 +152,7 @@ def agglomerate_indices(
 def agglomerate(
     mention_ids: list[str],
     tau: float,
-    embeddings: np.ndarray,
+    embeddings: np.ndarray | UnitRows,
     init: Clustering | None = None,
 ) -> Clustering:
     """Cluster mentions by the cosine of their embeddings, starting from
@@ -238,7 +269,10 @@ def _search_tau(run: MergeRun, gold_labels: np.ndarray) -> tuple[float, float]:
 
 
 def tune_tau(
-    embeddings: np.ndarray, mention_ids: list[str], gold: Clustering, init: Clustering | None = None
+    embeddings: np.ndarray | UnitRows,
+    mention_ids: list[str],
+    gold: Clustering,
+    init: Clustering | None = None,
 ) -> tuple[float, float]:
     """The stop threshold maximizing B3 F1 against the gold clustering, by
     the two-pass grid search of `_search_tau`. A split with no mentions has
@@ -254,7 +288,7 @@ def tune_delta(
     corpus: Corpus,
     tfidf,
     gold: Clustering,
-    embeddings: np.ndarray | None = None,
+    embeddings: np.ndarray | UnitRows | None = None,
     mention_ids: list[str] | None = None,
     n_values: int = DELTA_GRID_SIZE,
 ) -> tuple[float, float | None, float]:

@@ -21,6 +21,7 @@ LEMMA_OOV_SLOT = 499
 PCA_DIM = 100
 N_POSITIONAL = 3
 N_COMPARATIVE = 4
+COMPARE_BLOCK = 128  # rows per pass of the comparative features' B x n Dice scratch
 
 
 def feature_dim(embedding_dim: int) -> int:
@@ -270,40 +271,39 @@ def _count_matrix(bags: list[tuple[str, ...]]) -> np.ndarray:
     return counts
 
 
-def _dice_matrix(counts: np.ndarray) -> np.ndarray:
-    """Pairwise multiset Dice overlap 2|A&B| / (|A|+|B|) of count rows; 0
-    where both bags are empty.
+def _overlap_means(counts: np.ndarray, doc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean multiset Dice overlap 2|A&B| / (|A|+|B|) (0 where
+    both bags are empty) with the other rows of its document (equal `doc`
+    codes) and with all other rows; a mean over no other row is 0.
 
-    |A&B| = sum_k (C >= k)(C >= k)^T over k = 1..max count. The products sum
-    0/1 values, so the integer intersections are exact whatever order BLAS
-    adds them in, and so is each quotient.
+    Rows go COMPARE_BLOCK at a time, so the scratch is O(block x n), and
+    each row's entries do not depend on the block it falls in:
+    |A&B| = sum_k (C >= k)(C >= k)^T over k = 1..max count sums 0/1
+    products, an exact integer whatever rows a product has, and so is each
+    quotient; each mean adds its terms left to right (np.add.accumulate, not
+    the pairwise np.sum) with excluded terms set to +0.0, which adds exactly.
     """
     n = counts.shape[0]
-    inter = np.zeros((n, n))
-    for k in range(1, int(counts.max(initial=0.0)) + 1):
-        at_least = (counts >= k).astype(np.float64)
-        inter += at_least @ at_least.T
+    levels = [(counts >= k).astype(np.float64) for k in range(1, int(counts.max(initial=0.0)) + 1)]
     sizes = counts.sum(axis=1)
-    total = sizes[:, None] + sizes[None, :]
-    inter *= 2.0  # both bags empty: inter and total are 0, and the entry stays 0
-    return np.divide(inter, total, out=inter, where=total > 0)
-
-
-def _mean_over_others(dice: np.ndarray, same: np.ndarray | None) -> np.ndarray:
-    """Each row's mean over the other columns (within `same`, or all of
-    them); 0 for a row with no other column.
-
-    The terms are added left to right (np.add.accumulate, not the pairwise
-    np.sum) with excluded terms set to +0.0, which adds exactly; so each mean
-    equals sum(terms) / count taken over the kept columns in order.
-    """
-    n = dice.shape[0]
-    keep = np.ones((n, n), dtype=bool) if same is None else same.copy()
-    np.fill_diagonal(keep, False)
-    terms = np.where(keep, dice, 0.0)
-    sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    counts = keep.sum(axis=1)
-    return np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+    doc_means, pool_means = np.zeros(n), np.zeros(n)
+    for start in range(0, n, COMPARE_BLOCK):
+        stop = min(start + COMPARE_BLOCK, n)
+        inter = np.zeros((stop - start, n))
+        for level in levels:
+            inter += level[start:stop] @ level.T
+        total = sizes[start:stop, None] + sizes[None, :]
+        inter *= 2.0  # both bags empty: inter and total are 0, and the entry stays 0
+        dice = np.divide(inter, total, out=inter, where=total > 0)
+        own = (np.arange(stop - start), np.arange(start, stop))
+        same_doc = doc[start:stop, None] == doc[None, :]
+        for keep, means in ((same_doc, doc_means), (np.ones_like(same_doc), pool_means)):
+            keep[own] = False
+            terms = np.where(keep, dice, 0.0)
+            sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+            kept = keep.sum(axis=1)
+            np.divide(sums, kept, out=means[start:stop], where=kept > 0)
+    return doc_means, pool_means
 
 
 def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
@@ -326,17 +326,15 @@ def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
     out[:, 1] = rank / n_in_doc
     out[:, 2] = rank == n_in_doc
     # a document lies inside one topic, so a topic's mentions are all the
-    # comparison sets its mentions need; the n x n work stays per topic
+    # comparison sets its mentions need; the pairwise work stays per topic
     groups: dict[str, list[int]] = {}
     for i, v in enumerate(views):
         groups.setdefault(v.topic_id if pool == "topic" else "", []).append(i)
     for rows in groups.values():
         doc = np.unique([views[i].doc_id for i in rows], return_inverse=True)[1]
-        same_doc = doc[:, None] == doc[None, :]
         for col, attr in ((3, "words"), (4, "lemmas")):
-            dice = _dice_matrix(_count_matrix([getattr(views[i], attr) for i in rows]))
-            out[rows, col] = _mean_over_others(dice, same_doc)
-            out[rows, col + 2] = _mean_over_others(dice, None)
+            counts = _count_matrix([getattr(views[i], attr) for i in rows])
+            out[rows, col], out[rows, col + 2] = _overlap_means(counts, doc)
     return out
 
 

@@ -36,9 +36,10 @@ def merge_sequence(S: np.ndarray):
     sims = np.empty(k - 1)
     lefts = np.empty(k - 1, dtype=np.int64)
     rights = np.empty(k - 1, dtype=np.int64)
-    # upper triangle only; dead slots and the diagonal sit at -inf
-    iu = np.tril_indices(k)
-    S[iu] = -np.inf
+    # upper triangle only; dead slots and the diagonal sit at -inf (filled
+    # row by row: an index mask would hold two int64 arrays of k(k+1)/2)
+    for row in range(k):
+        S[row, : row + 1] = -np.inf
     for step in range(k - 1):
         flat = np.argmax(S)
         bi, bj = divmod(flat, k)

@@ -556,6 +556,63 @@ def comparative_block(views, pool: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Comparative features: the whole-matrix form, one n x n Dice matrix per pool
+# ---------------------------------------------------------------------------
+
+
+def whole_matrix_dice(bags) -> np.ndarray:
+    """Pairwise multiset Dice overlap 2|A&B| / (|A|+|B|) of token bags as one
+    n x n matrix; 0 where both bags are empty. |A&B| = sum_k (C >= k)(C >= k)^T
+    over k = 1..max count, exact integers whatever order BLAS adds them in."""
+    column: dict = {}
+    counts = np.zeros((len(bags), len({t for bag in bags for t in bag})))
+    for row, bag in enumerate(bags):
+        for token in bag:
+            counts[row, column.setdefault(token, len(column))] += 1.0
+    n = len(bags)
+    inter = np.zeros((n, n))
+    for k in range(1, int(counts.max(initial=0.0)) + 1):
+        at_least = (counts >= k).astype(np.float64)
+        inter += at_least @ at_least.T
+    sizes = counts.sum(axis=1)
+    total = sizes[:, None] + sizes[None, :]
+    inter *= 2.0
+    return np.divide(inter, total, out=inter, where=total > 0)
+
+
+def whole_matrix_mean_over_others(dice: np.ndarray, same: np.ndarray | None) -> np.ndarray:
+    """Each row's mean over the other columns (within `same`, or all of
+    them), added left to right with the excluded terms as +0.0; 0 for a row
+    with no other column."""
+    n = dice.shape[0]
+    keep = np.ones((n, n), dtype=bool) if same is None else same.copy()
+    np.fill_diagonal(keep, False)
+    terms = np.where(keep, dice, 0.0)
+    sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    counts = keep.sum(axis=1)
+    return np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+
+
+def whole_matrix_comparative(views, pool: str) -> np.ndarray:
+    """The (n, 7) positional and comparative block of a split from whole
+    n x n matrices per pool group (the split, or each topic)."""
+    out = np.zeros((len(views), 7))
+    for i, v in enumerate(views):
+        out[i, :3] = [v.rank == 1, v.rank / v.n_in_doc, v.rank == v.n_in_doc]
+    groups: dict = {}
+    for i, v in enumerate(views):
+        groups.setdefault(v.topic_id if pool == "topic" else "", []).append(i)
+    for rows in groups.values():
+        docs = [views[i].doc_id for i in rows]
+        same_doc = np.array([[a == b for b in docs] for a in docs])
+        for col, attr in ((3, "words"), (4, "lemmas")):
+            dice = whole_matrix_dice([getattr(views[i], attr) for i in rows])
+            out[rows, col] = whole_matrix_mean_over_others(dice, same_doc)
+            out[rows, col + 2] = whole_matrix_mean_over_others(dice, None)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Lemma-delta partition: the pair loop recomputed for one delta
 # ---------------------------------------------------------------------------
 

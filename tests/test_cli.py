@@ -14,9 +14,9 @@ import pytest
 import evcoref
 from evcoref import cli, network
 from evcoref.cli import _read_mentions_tsv, main
-from evcoref.clustering import lemma_delta_init, tune_tau
+from evcoref.clustering import agglomerate, lemma_delta_init, tune_tau
 from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_variant, parse_topic_list
-from evcoref.corpus import gold_clustering, load_corpus, split_by_topics
+from evcoref.corpus import Clustering, gold_clustering, load_corpus, split_by_topics, write_chains
 from evcoref.errors import ConfigError, ParseError
 from evcoref.features import fit_tfidf
 from evcoref.matio import read_matrix, write_matrix
@@ -671,6 +671,38 @@ def test_validation_eval_split_is_read_and_embedded_once(pipeline_dir, tmp_path,
     assert reads == ["validation.mat"]
     assert len(embeds) == (variant in LEARNED_VARIANTS)
     assert _thresholds(out / "cluster" / "validation.sys.chains").keys() == _thresholds_used(variant)
+
+
+@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])
+def test_validation_eval_split_chains_match_library_calls(pipeline_dir, tmp_path, variant):
+    """The cluster stage scales the one validation matrix it holds in place,
+    for the tau search and the clustering both; its chain files, headers
+    included, are those of the library calls on untouched copies."""
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    shutil.copytree(src_out / "train", out / "train")
+    cfg = write_config(
+        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant,
+        extra="\n[cluster]\neval_split = validation",
+    )
+    assert main(["cluster", "--config", str(cfg)]) == 0
+
+    vectors = read_matrix(out / "features" / "validation.mat")
+    if variant == "CORE+CCE":
+        vectors = embed(load_checkpoint(out / "train" / "checkpoint.ckpt")[0], vectors)
+    rows = _read_mentions_tsv(out / "features" / "validation.mentions.tsv")
+    ids = [row[0] for row in rows]
+    gold = Clustering.from_labels(ids, [row[1] for row in rows])
+    tau, _ = tune_tau(vectors.copy(), ids, gold)
+    run = load_config(cfg)
+    meta = {"variant": variant, "split": "validation", "tau": tau,
+            "config_hash": run.config_hash, "seed": run.training.seed}
+    write_chains(agglomerate(ids, tau, vectors.copy()), tmp_path / "sys.chains", meta)
+    write_chains(gold, tmp_path / "gold.chains", meta)
+    for kind in ("sys", "gold"):
+        written = (out / "cluster" / f"validation.{kind}.chains").read_bytes()
+        assert written == (tmp_path / f"{kind}.chains").read_bytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

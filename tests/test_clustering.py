@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import corpus_from_docs, toks
 from evcoref import clustering
 from evcoref.clustering import (
+    UnitRows,
     agglomerate,
     agglomerate_indices,
     build_merge_run,
@@ -13,6 +16,7 @@ from evcoref.clustering import (
     lemma_partition,
     tune_delta,
     tune_tau,
+    unit_rows,
 )
 from evcoref.corpus import (
     Clustering,
@@ -199,6 +203,66 @@ def test_cosine_similarity_matrix_properties(rng):
     assert np.all(np.isfinite(sims))
     assert np.all(sims <= 1.0) and np.all(sims >= -1.0)
     assert np.all(sims[2, :3] == 0.0)  # zero rows are similar to nothing
+
+
+def whole_matrix_units(x):
+    """Unit rows by one whole-matrix norm and one division."""
+    norms = np.linalg.norm(x, axis=1)
+    return x / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def test_unit_rows_scale_in_place_to_the_whole_matrix_bits(rng):
+    n = 2 * clustering.NORM_BLOCK + 5  # a last block of 5 rows
+    x = rng.normal(size=(n, 9)) * rng.uniform(0.01, 100.0, size=(n, 1))
+    x[[0, clustering.NORM_BLOCK, n - 1]] = 0.0
+    owned = x.copy()
+    units = unit_rows(owned)
+    assert units.rows is owned
+    assert owned.tobytes() == whole_matrix_units(x).tobytes()
+    picked = [n - 1, 3, 3, clustering.NORM_BLOCK + 1]
+    assert isinstance(units[picked], UnitRows)
+    assert units[picked].rows.tobytes() == owned[picked].tobytes()
+    assert cosine_similarity_matrix(units).tobytes() == cosine_similarity_matrix(x).tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_similarity_of_unit_rows_makes_no_n_by_d_array(rng):
+    n, d = 24, 20000
+    # unit rows: only n x n arrays; a plain array: its scaled copy as well
+    assert traced_peak(cosine_similarity_matrix, unit_rows(rng.normal(size=(n, d)))) < n * d * 8 / 4
+    assert traced_peak(cosine_similarity_matrix, rng.normal(size=(n, d))) >= n * d * 8
+
+
+def test_plain_arrays_are_left_untouched(rng):
+    ids = [f"m{i}" for i in range(30)]
+    gold = Clustering.from_labels(ids, [i % 4 for i in range(30)])
+    emb = rng.normal(size=(30, 5)) * 3.0
+    before = emb.tobytes()
+    tau, score = tune_tau(emb, ids, gold)
+    chains = agglomerate(ids, tau, emb).sorted_chains()
+    assert emb.tobytes() == before
+    # and give what the same rows give once scaled in place
+    assert tune_tau(unit_rows(emb.copy()), ids, gold) == (tau, score)
+    assert agglomerate(ids, tau, unit_rows(emb.copy())).sorted_chains() == chains
+
+
+def test_tune_delta_selects_unit_rows(rng):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    ids = [m.id for m in corpus.mentions()]
+    order = rng.permutation(len(ids))
+    ids = [ids[i] for i in order]
+    emb = rng.normal(size=(len(ids), 6))
+    expected = tune_delta(corpus, tfidf, gold, emb, ids, n_values=20)
+    assert tune_delta(corpus, tfidf, gold, unit_rows(emb.copy()), ids, n_values=20) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Next to the comparison, each stage's peak RSS and minor page faults
 (``ru_maxrss`` and ``ru_minflt`` of the reaped process) are printed for both
 trees, with their medians over the corpora at the end, so a change that
 should save memory shows its effect per stage in the run that checks its
-outputs. On Linux a child's ``ru_maxrss`` includes the peak RSS of the
+outputs. The last line gives each tree's workload peak, the largest stage
+peak over all stages and corpora, as the benchmark's ``peak_rss_mb`` reads
+a run. On Linux a child's ``ru_maxrss`` includes the peak RSS of the
 process that spawned it, so each stage is spawned from a small process of
 its own; that floor is printed too, and a stage that reads at the floor used
 no more than it.
@@ -170,6 +172,9 @@ def main(argv=None) -> int:
     ]
     for line in usage_lines(rows):
         print(line)
+    peak = lambda side: max((run[side][0] for runs in usage.values() for run in runs), default=0.0)
+    print(f"workload peak RSS (largest stage over all corpora, as peak_rss_mb reads it): "
+          f"{peak(0):.1f} -> {peak(1):.1f} MB")
     return 1 if failed else 0
 
 
