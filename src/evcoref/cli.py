@@ -167,9 +167,14 @@ def cmd_train(run: RunConfig) -> None:
             f"val B3 {entry.val_b3:.4f} tau {entry.tau:.3f}"
         )
 
+    # handed over, not kept: `train` keeps only the movable columns, so with
+    # no reference left here the full-width matrix is freed before the
+    # network is allocated
+    handover = [train_x]
+    del train_x
     try:
         result = train(
-            train_x,
+            handover.pop(),
             labels,
             chain_ids,
             n_classes,
@@ -265,6 +270,10 @@ def cmd_cluster(run: RunConfig) -> None:
         tau = tuned_tau if tau is None else tau
         chosen = " ".join(f"{k} {v:.4f}" for k, v in tuned.items() if v is not None)
         print(f"tuned {chosen} (validation B3 {score:.4f})")
+        # nothing reads the validation vectors again unless they are the eval split's
+        del val_vectors
+        if eval_name != "validation":
+            split.cache_clear()
 
     meta: dict = {"variant": run.variant, "split": eval_name}
     if delta_seeded:

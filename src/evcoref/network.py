@@ -347,7 +347,7 @@ def row_runs(mask: np.ndarray) -> Runs:
 
 def loss_and_grad(
     params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
-    use_cce: bool = True, out: NetParams | None = None, w1_runs: Runs | None = None,
+    use_cce: bool = True, out: NetParams | None = None, w1_inputs: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, NetParams]:
     """loss_total's breakdown and the exact gradients of its total for every
     parameter, both read off one pair geometry of the cached embeddings. The
@@ -356,19 +356,20 @@ def loss_and_grad(
     feed the embedding layer directly (pre-dropout); the cross-entropy path
     routes through the same dropout masks the forward pass used.
 
-    With `w1_runs` (at least one run), out.w1 holds only the first-layer
-    weight rows of those runs, back to back: a compact (rows, hidden1)
+    `w1_inputs` (batch x m, at least one column) is some of the batch's
+    input columns, back to back; out.w1 then holds only the gradients of
+    their first-layer weight rows, in that order: a compact (m, hidden1)
     buffer. Each row still sums over the whole batch, so it equals the same
     row of the full gradient wherever the BLAS computes a row of a product
     independently of how many rows the product has. OpenBLAS 0.3.31's
     Haswell kernels do when hidden1 is a multiple of 8 and two or more rows
     are taken; otherwise the last hidden1 % 8 columns can differ in the last
-    bits. None takes every row: the full gradient."""
+    bits. None takes every column of cache.inputs: the full gradient."""
     pairs = _core_pairs(cache.embeddings, chain_codes, lambda1, lambda2)
     loss = _breakdown(cache.probs, labels, pairs, lambda1, lambda2, use_cce)
-    runs = ((0, params.w1.shape[0]),) if w1_runs is None else w1_runs
+    w1_inputs = cache.inputs if w1_inputs is None else w1_inputs
     if out is None:
-        shapes = [(sum(hi - lo for lo, hi in runs), params.w1.shape[1])]
+        shapes = [(w1_inputs.shape[1], params.w1.shape[1])]
         shapes += [a.shape for a in params.arrays()[1:]]
         out = NetParams(*[np.empty(shape) for shape in shapes])
     n = cache.inputs.shape[0]
@@ -405,11 +406,7 @@ def loss_and_grad(
     d_a1 = d_d1 * cache.masks[0] * scale if train else d_d1
     d_z1 = d_a1 * (cache.z1 > 0.0)
 
-    # the input columns of the runs; one run is a view, so the full
-    # gradient is one product over the inputs as they are
-    columns = [cache.inputs[:, lo:hi] for lo, hi in runs]
-    taken = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
-    np.matmul(taken.T, d_z1, out=out.w1)
+    np.matmul(w1_inputs.T, d_z1, out=out.w1)
     d_z1.sum(axis=0, out=out.b1)
     return loss, out
 
@@ -431,9 +428,11 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: NetParams) -> "AdamState":
-        # np.zeros, not zeros_like: zeros_like writes every page, while the
-        # pages of np.zeros are mapped only when first written, so the
-        # moments of the w1 rows adam_step never visits take no memory
+        """Zero moments of `params`' shapes; the training loop passes its
+        compact gradients, so w1's moments are (movable rows, hidden1).
+        Unwritten rows of a large np.zeros array are not free: numpy asks
+        for 2 MB transparent huge pages on it, so writing one row maps the
+        whole 2 MB page around it."""
         return cls(
             m=[np.zeros(a.shape) for a in params.arrays()],
             v=[np.zeros(a.shape) for a in params.arrays()],
@@ -451,12 +450,12 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 def _segments(param, grad, m, v, runs: Runs):
     """(param, grad, m, v) flat views per run of rows: the rows of the run
-    in param, m and v, and the rows of grad that hold their gradient, which
-    are the runs' rows back to back."""
+    in param, and the rows of grad, m and v that belong to them, which are
+    the runs' rows back to back."""
     at = 0
     for lo, hi in runs:
         rows, packed = slice(lo, hi), slice(at, at + hi - lo)
-        yield _flat(param[rows]), grad[packed].reshape(-1), _flat(m[rows]), _flat(v[rows])
+        yield _flat(param[rows]), grad[packed].reshape(-1), _flat(m[packed]), _flat(v[packed])
         at += hi - lo
 
 
@@ -479,10 +478,14 @@ def adam_step(
     at a time through two scratch blocks, so a step allocates nothing the
     size of a parameter.
 
-    With `w1_runs`, grads.w1 is loss_and_grad's compact gradient of those
-    first-layer rows, and only those rows of w1, m and v are updated. A row
-    whose gradient has been +-0 on every step so far has m = v = +0, so its
-    update is exactly 0 and skipping it changes no bit."""
+    The moments have the gradients' shapes. With `w1_runs`, grads.w1 is
+    loss_and_grad's compact gradient of those first-layer rows, and only
+    those rows of w1 are updated. A row whose gradient has been +-0 on every
+    step so far has m = v = +0, so its update is exactly 0 and skipping it
+    changes no bit."""
+    for grad, m, v in zip(grads.arrays(), state.m, state.v):
+        if not grad.shape == m.shape == v.shape:
+            raise ValueError(f"Adam moments of shape {m.shape} for a gradient of shape {grad.shape}")
     state.t += 1
     t = state.t
     c1 = 1.0 - beta1**t

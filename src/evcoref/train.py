@@ -110,10 +110,14 @@ def sample_batch(
             chain_codes=chain_codes[idx],
             dropout_masks=make_dropout_masks(rng, len(idx), mask_dims, dropout),
         )
-    # the default mode="raise" copies through a batch-sized temporary;
-    # mode="clip" does not, but measured 2.5x the train stage's minor page
-    # faults on the learned benchmark (96k against 39k)
-    np.take(features, idx, axis=0, out=out.inputs)
+    # mode="clip" writes the rows straight into out.inputs, where the
+    # default mode="raise" copies through a batch-sized temporary (idx is
+    # always in range). With the compact batch of train's packed features it
+    # raised neither the train stage's minor faults (median 33.4k against
+    # 34.0k) nor its peak RSS (270.0-270.3 MB) on the learned benchmark (seed
+    # 1, 3 corpora, two runs of each); with the full-width batch it had
+    # measured 96k faults against 39k
+    np.take(features, idx, axis=0, out=out.inputs, mode="clip")
     np.take(class_labels, idx, out=out.class_labels)
     np.take(chain_codes, idx, out=out.chain_codes)
     make_dropout_masks(rng, len(idx), mask_dims, dropout, out=out.dropout_masks)
@@ -130,16 +134,17 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    """The best epoch's parameters, and the state after the last step: Adam
-    and, of the parameters, `final`, whose w1 holds only the movable rows
-    (`w1_runs`) back to back; `params` gives them whole."""
+    """The best epoch's parameters, and the state after the last step: of
+    the parameters `final` and of Adam `final_adam`, whose w1 arrays hold
+    only the movable rows (`w1_runs`) back to back; `params` and `adam` give
+    them whole."""
 
-    adam: AdamState
     best_params: NetParams
     best_tau: float | None
     best_b3: float | None
     best_epoch: int
     final: NetParams
+    final_adam: AdamState
     w1_runs: Runs
     history: list = field(default_factory=list)
 
@@ -151,6 +156,18 @@ class TrainResult:
         for rows, packed in _packed_rows(self.w1_runs):
             w1[rows] = self.final.w1[packed]
         return NetParams(w1, *self.final.arrays()[1:])
+
+    @property
+    def adam(self) -> AdamState:
+        """Adam's state after the last step, built on each read: the moments
+        of the other w1 rows are still +0."""
+        whole = []
+        for compact in (self.final_adam.m, self.final_adam.v):
+            w1 = np.zeros(self.best_params.w1.shape)
+            for rows, packed in _packed_rows(self.w1_runs):
+                w1[rows] = compact[0][packed]
+            whole.append([w1, *compact[1:]])
+        return AdamState(*whole, t=self.final_adam.t)
 
 
 def movable_w1_rows(features: np.ndarray) -> Runs:
@@ -177,7 +194,8 @@ def movable_w1_rows(features: np.ndarray) -> Runs:
 def _packed_rows(w1_runs: Runs):
     """(rows of w1, rows of a compact buffer) for each run: the compact
     buffer holds the runs' rows back to back, as loss_and_grad's w1
-    gradient does."""
+    gradient does. The same slices index the columns of the inputs and
+    of the packed train features."""
     at = 0
     for lo, hi in w1_runs:
         yield slice(lo, hi), slice(at, at + hi - lo)
@@ -209,21 +227,28 @@ def train(
     With a validation split, tracks the epoch whose embeddings give the best
     tuned-tau B3 and returns those parameters as best_params.
 
-    Besides the parameters, the loop holds Adam's moments, the compact
-    gradient and the compact best-epoch snapshot (of w1, both only the
-    movable rows), all allocated once, and one batch and one forward cache
-    that every step overwrites. At the end the snapshot's rows are swapped
-    into params.w1, which becomes best_params.w1; the final rows move into
-    the idle gradient buffer."""
+    Training works in the movable-row space: the m input columns nonzero in
+    some train row, and their first-layer rows, packed back to back. It
+    copies those columns of `features` once into an n x m matrix and drops
+    its reference to `features`, which it never writes; a caller that keeps
+    no reference of its own frees the full-width matrix here. Besides the
+    parameters, the loop holds the compact gradient, Adam's moments and the
+    compact best-epoch snapshot (of w1, each only the movable rows), all
+    allocated once, and one compact batch, one full-width forward input and
+    one forward cache that every step overwrites. The forward input's other
+    columns stay +0.0. At the end the snapshot's rows are swapped into
+    params.w1, which becomes best_params.w1; the final rows move into the
+    idle gradient buffer."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
     w1_runs = movable_w1_rows(features)
+    packed_features = np.concatenate([features[:, lo:hi] for lo, hi in w1_runs], axis=1)
+    del features
     chain_codes = encode_chains(chain_ids)
     rng = np.random.default_rng(config.seed)
     params = init_params(
         rng, width, n_classes, config.hidden1, config.embed, config.hidden3
     )
-    adam = AdamState.for_params(params)
     dims = params.dims
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
     has_val = val_features is not None
@@ -234,15 +259,16 @@ def train(
 
     # allocated once: every step writes its gradients into `grads` and each
     # new best epoch is copied into `best` (at first the initial parameters),
-    # of w1 both only the movable rows; the first step allocates `batch` and
-    # `cache`, which later steps overwrite
+    # of w1 both only the movable rows; the first step allocates `batch`,
+    # `inputs` and `cache`, which later steps overwrite
     compact = lambda: NetParams(
-        np.empty((sum(hi - lo for lo, hi in w1_runs), params.w1.shape[1])),
+        np.empty((packed_features.shape[1], params.w1.shape[1])),
         *[np.empty_like(a) for a in params.arrays()[1:]],
     )
     grads, best = compact(), compact()
+    adam = AdamState.for_params(grads)
     _snapshot(params, best, w1_runs)
-    batch = cache = None
+    batch = inputs = cache = None
     history: list[EpochLog] = []
     best_tau: float | None = None
     best_b3: float | None = None
@@ -252,12 +278,16 @@ def train(
         sums = np.zeros(4)  # total, cce, attract, repulse
         for _ in range(batches_per_epoch):
             batch = sample_batch(
-                features, class_labels, chain_codes, rng, dims,
+                packed_features, class_labels, chain_codes, rng, dims,
                 size=config.batch_size, dropout=config.dropout, out=batch,
             )
+            if inputs is None:
+                inputs = np.zeros((len(batch.inputs), width))
+            for cols, packed_cols in _packed_rows(w1_runs):
+                inputs[:, cols] = batch.inputs[:, packed_cols]
             cache = forward(
                 params,
-                batch.inputs,
+                inputs,
                 mode="train",
                 masks=batch.dropout_masks,
                 dropout=config.dropout,
@@ -266,7 +296,7 @@ def train(
             breakdown, _ = loss_and_grad(
                 params, cache, batch.class_labels, batch.chain_codes,
                 config.lambda1, config.lambda2, use_cce=config.use_cce, out=grads,
-                w1_runs=w1_runs,
+                w1_inputs=batch.inputs,
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDivergedError(
@@ -309,12 +339,12 @@ def train(
         np.copyto(grads.w1[packed], params.w1[rows])
         np.copyto(params.w1[rows], best.w1[packed])
     return TrainResult(
-        adam=adam,
         best_params=NetParams(params.w1, *best.arrays()[1:]),
         best_tau=best_tau,
         best_b3=best_b3,
         best_epoch=best_epoch,
         final=NetParams(grads.w1, *params.arrays()[1:]),
+        final_adam=adam,
         w1_runs=w1_runs,
         history=history,
     )

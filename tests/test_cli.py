@@ -1050,3 +1050,42 @@ def test_line_edits_of_any_stage_input_end_in_a_documented_exit_code(tmp_path, m
                 shutil.rmtree(work)
                 capsys.readouterr()
     assert {0, 2, 5} <= set(codes)
+
+
+@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])
+@pytest.mark.parametrize("eval_split", ["test", "validation"])
+def test_validation_vectors_are_released_once_tuned(pipeline_dir, tmp_path, monkeypatch, variant, eval_split):
+    """The vectors the tau search ran on are freed before the eval split is
+    clustered, unless the eval split is the validation split, whose vectors
+    are clustered as they are."""
+    import weakref
+
+    from evcoref import clustering
+
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    shutil.copytree(src_out / "train", out / "train")
+    cfg = write_config(
+        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant,
+        extra=f"\n[cluster]\neval_split = {eval_split}",
+    )
+    tuned, clustered = [], []
+
+    def tune_tau(vectors, *args, **kwargs):
+        tuned.append(weakref.ref(vectors.rows))
+        return real_tune_tau(vectors, *args, **kwargs)
+
+    def agglomerate(ids, tau, vectors, **kwargs):
+        clustered.append((tuned[0](), vectors.rows))
+        return real_agglomerate(ids, tau, vectors, **kwargs)
+
+    real_tune_tau, real_agglomerate = clustering.tune_tau, clustering.agglomerate
+    monkeypatch.setattr(clustering, "tune_tau", tune_tau)
+    monkeypatch.setattr(clustering, "agglomerate", agglomerate)
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    [(validation, clustered_rows)] = clustered
+    if eval_split == "test":
+        assert validation is None
+    else:
+        assert validation is clustered_rows

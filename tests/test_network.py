@@ -485,8 +485,8 @@ def test_compact_w1_gradient_is_the_rows_of_the_full_gradient(rng, runs, dropout
     masks = make_dropout_masks(rng, 9, params.dims, dropout) if dropout else None
     cache = forward(params, x, mode="train" if masks else "infer", masks=masks)
     full_loss, full = loss_and_grad(params, cache, labels, codes, 2.0, 0.5)
-    loss, compact = loss_and_grad(params, cache, labels, codes, 2.0, 0.5, w1_runs=runs)
     rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+    loss, compact = loss_and_grad(params, cache, labels, codes, 2.0, 0.5, w1_inputs=x[:, rows])
     assert compact.w1.shape == (len(rows), 16)
     assert compact.w1.tobytes() == full.w1[rows].tobytes()
     for ours, ref in zip(compact.arrays()[1:], full.arrays()[1:]):
@@ -567,20 +567,25 @@ def test_row_run_adam_step_equals_the_full_step_over_zero_gradient_rows(rng):
     rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
     arrays = [rng.normal(size=(80, 700))] + [rng.normal(size=s) for s in (7, (7, 5), 5, 3, 4, (4, 2), 2)]
     arrays[0][75] = -0.0
+    others = np.setdiff1d(np.arange(80), rows)
     full, restricted = NetParams(*[a.copy() for a in arrays]), NetParams(*[a.copy() for a in arrays])
-    full_state, state = AdamState.for_params(full), AdamState.for_params(restricted)
+    full_state = AdamState.for_params(full)
+    state = AdamState.for_params(NetParams(arrays[0][rows], *arrays[1:]))  # the compact shapes
     for _ in range(6):
         grads = [rng.normal(size=a.shape) for a in arrays]
-        grads[0][np.setdiff1d(np.arange(80), rows)] = 0.0
+        grads[0][others] = 0.0
         grads[0] *= np.where(rng.random((80, 1)) < 0.5, -1.0, 1.0)  # signed zeros
         adam_step(full, full_state, NetParams(*grads), lr=0.003)
         compact = NetParams(grads[0][rows], *grads[1:])
         adam_step(restricted, state, compact, lr=0.003, w1_runs=runs)
         assert state.t == full_state.t
-        for ours, ref in zip(
-            restricted.arrays() + state.m + state.v, full.arrays() + full_state.m + full_state.v
-        ):
+        for ours, ref in zip(restricted.arrays(), full.arrays()):
             assert ours.tobytes() == ref.tobytes()
+        for ours, ref in zip(state.m + state.v, full_state.m + full_state.v):
+            ref = ref[rows] if ref.shape == arrays[0].shape else ref
+            assert ours.tobytes() == ref.tobytes()
+        for moment in (full_state.m[0], full_state.v[0]):
+            assert moment[others].tobytes() == bytes(8 * len(others) * 700)
     assert np.signbit(restricted.w1[75]).all()
 
 
@@ -590,7 +595,7 @@ def test_adam_step_allocates_no_parameter_sized_array(rng):
         grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
         if w1_runs is not None:
             grads.w1 = np.concatenate([grads.w1[lo:hi] for lo, hi in w1_runs])
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(grads)
         tracemalloc.start()
         try:
             adam_step(params, state, grads, lr=0.01, w1_runs=w1_runs)
@@ -598,6 +603,13 @@ def test_adam_step_allocates_no_parameter_sized_array(rng):
         finally:
             tracemalloc.stop()
         assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
+
+
+def test_adam_step_refuses_moments_of_other_shapes_than_the_gradients(rng):
+    params = NetParams(rng.normal(size=(6, 4)), *[rng.normal(size=2) for _ in range(7)])
+    grads = NetParams(rng.normal(size=(2, 4)), *[rng.normal(size=2) for _ in range(7)])
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(params, AdamState.for_params(params), grads, lr=0.01, w1_runs=((1, 3),))
 
 
 def test_adam_step_refuses_a_non_contiguous_parameter(rng):

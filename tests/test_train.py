@@ -427,3 +427,33 @@ def test_training_holds_one_whole_first_layer_matrix():
         tracemalloc.stop()
     assert result.best_params.w1.shape == (width, 512)
     assert peak < 3.75 * result.best_params.w1.nbytes
+
+
+def test_training_holds_no_other_first_layer_sized_array():
+    # 30 of 3000 input columns are nonzero: the gradient, Adam's moments,
+    # the best-epoch snapshot, the train features and the batch all hold
+    # only those 30 columns or rows, so besides w1 itself the peak is the
+    # full-width forward input and small arrays. Two whole-w1 moments would
+    # add 2.0 to the ratio.
+    rng = np.random.default_rng(11)
+    width, active = 3000, np.sort(rng.choice(3000, size=30, replace=False))
+    x30, labels, chains = blob_data(rng, n_per=20, d=30)  # n = 60
+    val30, val_ids, val_gold = val_split(rng, d=30)
+    x, val_x = np.zeros((60, width)), np.zeros((len(val_ids), width))
+    x[:, active], val_x[:, active] = x30, val30
+    given = x.copy()
+    cfg = TrainConfig(
+        lr=0.002, epochs=3, batch_size=32, hidden1=512, embed=16, hidden3=16, seed=3,
+    )
+    tracemalloc.start()
+    try:
+        result = train(
+            x, labels, chains, n_classes=4, config=cfg,
+            val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.final.w1.shape == result.final_adam.m[0].shape == (30, 512)
+    assert peak < 1.5 * result.best_params.w1.nbytes
+    assert x.tobytes() == given.tobytes()  # train copies the columns it keeps

@@ -13,11 +13,12 @@ directory, one tree after the other, with the benchmark's per-corpus
 byte for byte; a stage that exits non-zero counts as a difference even when
 both trees fail alike. Exit status: 0 when all match, 1 otherwise.
 
-Next to the comparison, each stage's peak RSS and minor page faults
-(``ru_maxrss`` and ``ru_minflt`` of the reaped process) are printed for both
-trees, with their medians over the corpora at the end, so a change that
-should save memory shows its effect per stage in the run that checks its
-outputs. The last line gives each tree's workload peak, the largest stage
+Next to the comparison, each stage's wall time, peak RSS and minor page
+faults (``ru_maxrss`` and ``ru_minflt`` of the reaped process) are printed
+for both trees, with their medians over the corpora at the end, so a change
+that should save memory shows its effect per stage, and that no stage got
+slower, in the run that checks its outputs. The wall time is taken in the
+spawning process, from the stage's start to its exit. The last line gives each tree's workload peak, the largest stage
 peak over all stages and corpora, as the benchmark's ``peak_rss_mb`` reads
 a run. On Linux a child's ``ru_maxrss`` includes the peak RSS of the
 process that spawned it, so each stage is spawned from a small process of
@@ -49,35 +50,37 @@ import run as pipebench  # noqa: E402
 
 
 # Runs one stage and writes [exit code, ru_maxrss KB, ru_minflt, own VmHWM
-# KB] as JSON to its standard error. It is a small process of its own, so the
+# KB, wall seconds] as JSON to its standard error. It is a small process of its own, so the
 # floor under the stage's ru_maxrss is this process's peak, not that of this
 # script, which holds every output it compares.
 SPAWN = """
-import json, os, subprocess, sys
+import json, os, subprocess, sys, time
+start = time.perf_counter()
 proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
+seconds = time.perf_counter() - start
 proc.returncode = os.waitstatus_to_exitcode(status)
 with open("/proc/self/status", encoding="ascii") as lines:
     hwm = next(int(line.split()[1]) for line in lines if line.startswith("VmHWM:"))
-json.dump([proc.returncode, usage.ru_maxrss, usage.ru_minflt, hwm], sys.stderr)
+json.dump([proc.returncode, usage.ru_maxrss, usage.ru_minflt, hwm, seconds], sys.stderr)
 """
 
 
-def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, bytes, float, int, float]:
-    """(exit code, stdout, peak RSS MB, minor page faults, floor MB) of one
-    stage, spawned through SPAWN."""
+def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, bytes, float, int, float, float]:
+    """(exit code, stdout, peak RSS MB, minor page faults, floor MB, wall
+    seconds) of one stage, spawned through SPAWN."""
     proc = subprocess.run(
         [sys.executable, "-c", SPAWN] + argv, cwd=cwd, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    code, rss_kb, minflt, floor_kb = json.loads(proc.stderr)
-    return code, proc.stdout, rss_kb / 1024.0, minflt, floor_kb / 1024.0
+    code, rss_kb, minflt, floor_kb, seconds = json.loads(proc.stderr)
+    return code, proc.stdout, rss_kb / 1024.0, minflt, floor_kb / 1024.0, seconds
 
 
 def run_stages(tree: Path, case, workload) -> tuple[list[tuple], dict[str, bytes]]:
     """Every stage of `workload` on `case` with `tree`'s package: (stage,
-    exit code, stdout, peak RSS MB, minor faults, floor MB) per stage run,
-    then the files left under out/."""
+    exit code, stdout, peak RSS MB, minor faults, floor MB, wall seconds) per
+    stage run, then the files left under out/."""
     out = case.dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = pipebench.child_env(case.seed)
@@ -116,12 +119,13 @@ def compare(parent, change) -> list[str]:
 
 
 def usage_lines(rows) -> list[str]:
-    """One line per stage from (stage, parent (MB, faults), change (MB,
-    faults)) rows."""
+    """One line per stage from (stage, parent (MB, faults, s), change (MB,
+    faults, s)) rows."""
     return [
-        f"  {name:<12} peak RSS {p_mb:7.1f} -> {c_mb:7.1f} MB"
+        f"  {name:<12} wall {p_s:6.3f} -> {c_s:6.3f} s"
+        f"   peak RSS {p_mb:7.1f} -> {c_mb:7.1f} MB"
         f"   minor faults {p_flt:8.0f} -> {c_flt:8.0f}"
-        for name, (p_mb, p_flt), (c_mb, c_flt) in rows
+        for name, (p_mb, p_flt, p_s), (c_mb, c_flt, c_s) in rows
     ]
 
 
@@ -140,7 +144,7 @@ def main(argv=None) -> int:
     workload = pipebench.WORKLOADS[args.workload]
 
     failed = 0
-    usage: dict[str, list] = {}  # stage -> [(parent (MB, faults), change (MB, faults))]
+    usage: dict[str, list] = {}  # stage -> [(parent (MB, faults, s), change (MB, faults, s))]
     floor = 0.0  # MB, the largest peak of a process that spawned a stage
     with tempfile.TemporaryDirectory(prefix="parity-") as state:
         bench = pipebench.Bench(workload, args.seed, Path(state), deadline=math.inf)
@@ -156,7 +160,8 @@ def main(argv=None) -> int:
                   f"({len(change[0])} stages, {len(change[1])} files, {checked} outputs)")
             for line in diffs:
                 print(f"  {line}")
-            rows = [(p[0], p[3:5], c[3:5]) for p, c in zip(parent[0], change[0])]
+            usage_of = lambda stage: (stage[3], stage[4], stage[6])
+            rows = [(p[0], usage_of(p), usage_of(c)) for p, c in zip(parent[0], change[0])]
             for line in usage_lines(rows):
                 print(line)
             for name, p, c in rows:
@@ -167,7 +172,7 @@ def main(argv=None) -> int:
     print(f"median over corpora (peak RSS floor, the spawning process's peak: {floor:.1f} MB):")
     median = lambda runs, side, i: statistics.median(run[side][i] for run in runs)
     rows = [
-        (name, (median(runs, 0, 0), median(runs, 0, 1)), (median(runs, 1, 0), median(runs, 1, 1)))
+        (name, *[tuple(median(runs, side, i) for i in range(3)) for side in (0, 1)])
         for name, runs in usage.items()
     ]
     for line in usage_lines(rows):
