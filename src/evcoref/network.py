@@ -178,16 +178,12 @@ def embed(params: NetParams, inputs: np.ndarray) -> np.ndarray:
 
 def make_dropout_masks(
     rng: np.random.Generator, n: int, dims: tuple[int, int, int, int, int], dropout: float,
-    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep (1.0) / drop (0.0) masks of the three hidden layers for n inputs,
-    written into the arrays of `out` when given."""
-    if out is None:
-        out = tuple(np.empty((n, width)) for width in dims[1:4])
-    for mask in out:
-        rng.random(out=mask)
-        np.less(mask, 1.0 - dropout, out=mask)
-    return out
+    """Keep (True) / drop (False) boolean masks of the three hidden layers
+    for n inputs, an eighth of the bytes of float64 masks. A float times a
+    bool is exactly the float times 1.0 or 0.0, so forward and backward give
+    the bits float64 masks would give."""
+    return tuple(rng.random((n, width)) < 1.0 - dropout for width in dims[1:4])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,10 @@ def loss_and_grad(
     gradients are written into `out` (a NetParams-shaped container of
     C-contiguous float64 arrays, allocated when None). The pairwise terms
     feed the embedding layer directly (pre-dropout); the cross-entropy path
-    routes through the same dropout masks the forward pass used.
+    routes through the same dropout masks the forward pass used. One delta
+    is alive at a time: each layer's is one new array, taken through the
+    layer's steps in place, and it is freed when the layer below makes its
+    own. Nothing of params, cache or its masks is written.
 
     `w1_inputs` (batch x m, at least one column) is some of the batch's
     input columns, back to back; out.w1 then holds only the gradients of
@@ -377,37 +376,32 @@ def loss_and_grad(
     scale = 1.0 / (1.0 - cache.dropout) if train else 1.0
 
     if use_cce:
-        d_z4 = cache.probs.copy()
-        d_z4[np.arange(n), labels] -= 1.0
-        d_z4 /= n
+        d = cache.probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        d /= n
     else:
-        d_z4 = np.zeros_like(cache.probs)
+        d = np.zeros_like(cache.probs)
 
-    np.matmul(cache.d3.T, d_z4, out=out.w4)
-    d_z4.sum(axis=0, out=out.b4)
+    np.matmul(cache.d3.T, d, out=out.w4)
+    d.sum(axis=0, out=out.b4)
 
-    d_d3 = d_z4 @ params.w4.T
-    d_a3 = d_d3 * cache.masks[2] * scale if train else d_d3
-    d_z3 = d_a3 * (cache.z3 > 0.0)
-
-    np.matmul(cache.d2.T, d_z3, out=out.w3)
-    d_z3.sum(axis=0, out=out.b3)
-
-    d_d2 = d_z3 @ params.w3.T
-    d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
-    if pairs is not None:
-        d_emb = d_emb + _core_grad(pairs, lambda1, lambda2)
-    d_z2 = d_emb * (cache.z2 > 0.0)
-
-    np.matmul(cache.d1.T, d_z2, out=out.w2)
-    d_z2.sum(axis=0, out=out.b2)
-
-    d_d1 = d_z2 @ params.w2.T
-    d_a1 = d_d1 * cache.masks[0] * scale if train else d_d1
-    d_z1 = d_a1 * (cache.z1 > 0.0)
-
-    np.matmul(w1_inputs.T, d_z1, out=out.w1)
-    d_z1.sum(axis=0, out=out.b1)
+    # in place, in the order of the expressions d * mask * scale, + the CORE
+    # gradient, * (z > 0)
+    layers = (
+        (params.w4, 2, cache.z3, cache.d2, out.w3, out.b3),
+        (params.w3, 1, cache.z2, cache.d1, out.w2, out.b2),
+        (params.w2, 0, cache.z1, w1_inputs, out.w1, out.b1),
+    )
+    for w_above, layer, z, inputs, grad_w, grad_b in layers:
+        d = d @ w_above.T
+        if train:
+            d *= cache.masks[layer]
+            d *= scale
+        if layer == 1 and pairs is not None:
+            d += _core_grad(pairs, lambda1, lambda2)
+        d *= z > 0.0
+        np.matmul(inputs.T, d, out=grad_w)
+        d.sum(axis=0, out=grad_b)
     return loss, out
 
 

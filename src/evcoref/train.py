@@ -34,6 +34,9 @@ from .network import (
 
 @dataclass
 class Batch:
+    """Members' inputs, labels and chain codes, and the boolean dropout
+    masks of the three hidden layers (True keeps a unit)."""
+
     inputs: np.ndarray
     class_labels: np.ndarray
     chain_codes: np.ndarray
@@ -98,9 +101,10 @@ def sample_batch(
     dropout: float = 0.25,
     out: Batch | None = None,
 ) -> Batch:
-    """A batch with dropout masks for a network of dims `mask_dims`, written
-    into the arrays of `out` (an earlier batch of as many members) and
-    returned, or into new ones when `out` is None."""
+    """A batch with dropout masks for a network of dims `mask_dims`: its
+    rows, labels and chain codes are written into the arrays of `out` (an
+    earlier batch of as many members), which is returned and holds the new
+    masks, or into new ones when `out` is None."""
     idx = sample_indices(chain_codes, rng, size)
     class_labels, chain_codes = np.asarray(class_labels), np.asarray(chain_codes)
     if out is None:
@@ -120,7 +124,7 @@ def sample_batch(
     np.take(features, idx, axis=0, out=out.inputs, mode="clip")
     np.take(class_labels, idx, out=out.class_labels)
     np.take(chain_codes, idx, out=out.chain_codes)
-    make_dropout_masks(rng, len(idx), mask_dims, dropout, out=out.dropout_masks)
+    out.dropout_masks = make_dropout_masks(rng, len(idx), mask_dims, dropout)
     return out
 
 
@@ -236,9 +240,10 @@ def train(
     compact best-epoch snapshot (of w1, each only the movable rows), all
     allocated once, and one compact batch, one full-width forward input and
     one forward cache that every step overwrites. The forward input's other
-    columns stay +0.0. At the end the snapshot's rows are swapped into
-    params.w1, which becomes best_params.w1; the final rows move into the
-    idle gradient buffer."""
+    columns stay +0.0. Each step draws new boolean dropout masks, and its
+    backward pass holds one delta at a time (loss_and_grad). At the end the
+    snapshot's rows are swapped into params.w1, which becomes
+    best_params.w1; the final rows move into the idle gradient buffer."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
     w1_runs = movable_w1_rows(features)

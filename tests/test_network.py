@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -163,16 +164,30 @@ def test_infer_forward_equals_the_plain_expressions(rng):
     assert cache.d2 is cache.embeddings and cache.masks is None
 
 
-def test_dropout_masks_written_into_buffers_equal_new_ones():
+def test_dropout_masks_are_boolean_draws_of_the_generator():
     dims = (5, 13, 4, 9, 3)
-    fresh = make_dropout_masks(np.random.default_rng(4), 17, dims, 0.3)
+    masks = make_dropout_masks(np.random.default_rng(4), 17, dims, 0.3)
     plain_rng = np.random.default_rng(4)
-    plain = [(plain_rng.random((17, w)) < 1.0 - 0.3).astype(np.float64) for w in dims[1:4]]
-    buffers = tuple(np.full((17, w), np.nan) for w in dims[1:4])
-    reused = make_dropout_masks(np.random.default_rng(4), 17, dims, 0.3, out=buffers)
-    assert reused is buffers
-    for a, b, c in zip(reused, fresh, plain):
-        assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert len(masks) == 3
+    for mask, width in zip(masks, dims[1:4]):
+        assert mask.dtype == bool
+        assert np.array_equal(mask, plain_rng.random((17, width)) < 1 - 0.3)
+
+
+def test_boolean_masks_give_the_bytes_of_float_masks(rng):
+    # a float times a bool is the float times 1.0 or 0.0: the train-mode
+    # forward and the step read the same bits off either kind of mask
+    params = tiny_params(rng, d=7, h1=9, he=5, h3=6, k=4)
+    x = rng.normal(size=(11, 7))
+    labels, codes = rng.integers(0, 4, size=11), rng.integers(0, 3, size=11)
+    masks = make_dropout_masks(rng, 11, params.dims, 0.3)
+    runs = []
+    for kind in (masks, tuple(m.astype(np.float64) for m in masks)):
+        cache = forward(params, x, mode="train", masks=kind, dropout=0.3)
+        loss, grads = loss_and_grad(params, cache, labels, codes, 2.0, 0.5)
+        runs.append([*cache_arrays(cache), np.array(dataclasses.astuple(loss)), *grads.arrays()])
+    for got, ref in zip(*runs, strict=True):
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +507,29 @@ def test_compact_w1_gradient_is_the_rows_of_the_full_gradient(rng, runs, dropout
     for ours, ref in zip(compact.arrays()[1:], full.arrays()[1:]):
         assert ours.tobytes() == ref.tobytes()
     assert loss == full_loss
+
+
+def test_loss_and_grad_holds_one_delta_at_a_time(rng):
+    # a second call into the first call's gradients holds one batch x
+    # hidden1 delta at a time (its peak is about 1.6 such arrays, the
+    # expressions d * mask * scale * (z > 0) would make 6.8), and writes
+    # none of what it reads
+    params = init_params(rng, 300, 5, hidden1=512, embed=32, hidden3=512)
+    x = rng.normal(size=(64, 300))
+    labels, codes = rng.integers(0, 5, size=64), rng.integers(0, 8, size=64)
+    masks = make_dropout_masks(rng, 64, params.dims, 0.25)
+    cache = forward(params, x, mode="train", masks=masks, dropout=0.25)
+    _, grads = loss_and_grad(params, cache, labels, codes, 2.0, 0.5)
+    read = [*cache_arrays(cache), cache.inputs, *masks, *params.arrays()]
+    before = [a.tobytes() for a in read]
+    tracemalloc.start()
+    try:
+        loss_and_grad(params, cache, labels, codes, 2.0, 0.5, out=grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 64 * 512 * 8
+    assert [a.tobytes() for a in read] == before
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ configuration are generated exactly as ``pipebench/run.py`` generates them.
 The benchmark's stages (``features``, ``train`` for learned variants,
 ``cluster``, ``score --mode combined``, ``score --mode within-doc``) then
 run once with each tree's ``src/`` on the package path, in the same
-directory, one tree after the other, with the benchmark's per-corpus
+directory, one tree after the other (the parent first on even corpora, the
+change first on odd ones, so that neither tree's medians carry the bias of
+always running first or second), with the benchmark's per-corpus
 ``PYTHONHASHSEED`` and BLAS thread count. Every file a stage writes under
 ``out/``, every stage's standard output and every exit code are compared
 byte for byte; a stage that exits non-zero counts as a difference even when
@@ -151,8 +153,9 @@ def main(argv=None) -> int:
         bench.work.mkdir(parents=True)
         for index in range(args.corpora):
             case = bench.case(index)
-            parent = run_stages(trees["parent"], case, workload)
-            change = run_stages(trees["change"], case, workload)
+            order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
+            ran = {side: run_stages(trees[side], case, workload) for side in order}
+            parent, change = ran["parent"], ran["change"]
             diffs = compare(parent, change)
             checked = len(change[0]) + len(change[1])
             label = f"{args.workload} seed {args.seed} corpus {index}"
