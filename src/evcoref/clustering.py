@@ -5,7 +5,8 @@ cluster-pair similarity stays at or above the threshold tau. Because single
 linkage makes merge similarities non-increasing, the mention-level merge
 sequence is computed once per similarity matrix, and every partition, seeded
 or not, is the connected components of the merges at or above tau plus the
-seed's links. That makes the tau grid search and the delta search cheap.
+seed's links. That makes the tau grid search and the delta search cheap:
+a tau search scores each distinct partition of its grid once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .corpus import Clustering, Corpus, Document, Mention
 from .errors import IntegrityError
-from .kernels import components, merge_sequence
+from .kernels import _find, components, merge_sequence
 from .scoring import Contingency
 
 TAU_GRID_SIZE = 20
@@ -90,8 +91,12 @@ def _number_by_smallest(first: np.ndarray) -> np.ndarray:
 class MergeRun:
     """Full single-linkage merge sequence over the mentions, and the initial
     partition that seeds every cut. A merge (sim, i, j) joins the clusters of
-    mentions i and j. Single linkage from a seed is the closure of the seed
-    and the pairs at or above tau (Gower & Ross 1969), so the seed does not
+    mentions i and j. The merges are the edges of a maximum spanning tree of
+    the similarities in non-increasing order, a level of tied edges replayed
+    so that (i, j) name the pair the lowest-pair tie rule merges
+    (`kernels.merge_sequence`: O(k^2), and it reads the matrix without
+    copying it). Single linkage from a seed is the closure of the seed and
+    the pairs at or above tau (Gower & Ross 1969), so the seed does not
     change the merge sequence."""
 
     slot_of: np.ndarray  # init label of each mention: its init cluster's smallest member
@@ -116,6 +121,20 @@ class MergeRun:
             np.concatenate([self.lefts[:n_merges], seeded]),
             np.concatenate([self.rights[:n_merges], self.slot_of[seeded]]),
         ))
+
+    def joined(self) -> np.ndarray:
+        """For m = 0 .. len(sims), how many of the first m merges join two
+        clusters of the seed and the earlier merges (the rest fall inside
+        one). The cuts are nested, so two cuts give one partition exactly
+        when they join the same number."""
+        parent = self.slot_of.tolist()  # each seed cluster's smallest member is its root
+        counts = [0]
+        for i, j in zip(self.lefts.tolist(), self.rights.tolist()):
+            i, j = _find(parent, i), _find(parent, j)
+            if i != j:
+                parent[max(i, j)] = min(i, j)
+            counts.append(counts[-1] + (i != j))
+        return np.array(counts)
 
     def partition_at(self, tau: float) -> list[set[int]]:
         """The clusters of labels_at(tau) as index sets, in label order."""
@@ -249,18 +268,26 @@ def _search_tau(run: MergeRun, gold_labels: np.ndarray) -> tuple[float, float]:
     """Two-pass grid search over the cuts of one merge run, maximizing B3 F1
     against the gold labels (same mention order). Pass one scans
     TAU_GRID_SIZE equally spaced values in [0, 1]; pass two rescans the
-    interval between the best value's neighbors. Ties prefer the larger tau."""
+    interval between the best value's neighbors. Ties prefer the larger tau.
+    Each distinct partition is scored once: cuts joining the same number of
+    clusters give the same one."""
+    joined = run.joined()
+    f1_of: dict[int, float] = {}  # joined clusters -> B3 F1 of that partition
 
-    def evaluate(tau: float) -> float:
-        return Contingency.from_labels(gold_labels, run.labels_at(tau)).b3().f1
+    def evaluate(taus: np.ndarray) -> list[float]:
+        counts = joined[np.searchsorted(-run.sims, -taus, side="right")].tolist()
+        for tau, count in zip(taus, counts):
+            if count not in f1_of:
+                f1_of[count] = Contingency.from_labels(gold_labels, run.labels_at(tau)).b3().f1
+        return [f1_of[count] for count in counts]
 
     grid1 = np.linspace(0.0, 1.0, TAU_GRID_SIZE)
-    scores1 = [evaluate(t) for t in grid1]
+    scores1 = evaluate(grid1)
     best1 = max(range(TAU_GRID_SIZE), key=lambda i: (scores1[i], grid1[i]))
     lo = grid1[best1 - 1] if best1 > 0 else 0.0
     hi = grid1[best1 + 1] if best1 < TAU_GRID_SIZE - 1 else 1.0
     grid2 = np.linspace(lo, hi, TAU_GRID_SIZE)
-    scores2 = [evaluate(t) for t in grid2]
+    scores2 = evaluate(grid2)
 
     taus = np.concatenate([grid1, grid2])
     scores = np.array(scores1 + scores2)

@@ -1,6 +1,7 @@
-"""The loop kernels: the agglomerative merge loop, connected
-components (every partition the package builds is a `components` call), and
-the optimal-assignment solver. Everything else is BLAS-bound plain numpy.
+"""The loop kernels: the single-linkage merge sequence (a maximum spanning
+tree), connected components (every partition the package builds is a
+`components` call), and the optimal-assignment solver. Everything else is
+BLAS-bound plain numpy.
 """
 
 from __future__ import annotations
@@ -13,19 +14,131 @@ USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# Single-linkage merge sequence
+# Single-linkage merge sequence from a maximum spanning tree
 #
-# Input: dense cluster-similarity matrix S (symmetric, k x k). The loop
-# repeatedly merges the most similar active pair, recording (sim, i, j);
-# under single linkage the merged cluster's similarity to the rest is the
-# elementwise max of its parts, so merge similarities are non-increasing and
-# any threshold clustering is a prefix of the full sequence. Ties resolve to
-# the lexicographically smallest (i, j); the surviving cluster keeps slot i.
+# Input: dense similarity matrix S (symmetric and finite, k x k), only read.
+# Output: the k - 1 merges (sim, i, j) of single linkage over the k rows.
+# Merging repeatedly the most similar pair of clusters, where a cluster pair's
+# similarity is the largest entry between them, gives non-increasing merge
+# similarities, so any threshold clustering is a prefix of the sequence. Ties
+# resolve to the lexicographically smallest cluster pair, a cluster is named
+# by its smallest member, and the merged cluster keeps the smaller name.
+#
+# The merge similarities are the weights of a maximum spanning tree, and the
+# clusters at any threshold are the components of the tree edges at or above
+# it (Gower & Ross 1969; Muellner 2011). Prim's algorithm finds the tree in
+# O(k^2) and only reads S. A level (one tree weight) with one tree edge is
+# one merge, of its two ends' clusters: every other entry of that value lies
+# inside a cluster or between the same two. A level with several tree edges
+# is replayed from the entries of that value, gathered a row block at a time;
+# the replays compare each pair of rows at most once. So the kernel is O(k^2)
+# in time and, besides S, O(k) in memory (REPLAY_BLOCK x k for a replay).
 # ---------------------------------------------------------------------------
+
+REPLAY_BLOCK = 64  # rows of S gathered at a time by a tie replay
+
+
+def _find(parent: list, a: int) -> int:
+    """Root of `a` in the union-find forest `parent` (a list of each node's
+    parent, a root its own), halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _spanning_tree(S: np.ndarray):
+    """Weights and ends of a maximum spanning tree of S (Prim), in the order
+    the tree takes its vertices."""
+    k = S.shape[0]
+    outside = np.arange(1, k)  # vertices not yet in the tree, first m live
+    best = S[0, 1:].copy()  # largest entry between each and the tree
+    near = np.zeros(k - 1, dtype=np.int64)  # the tree vertex it joins
+    weights = np.empty(k - 1)
+    ends = np.empty((2, k - 1), dtype=np.int64)
+    for step in range(k - 1):
+        m = k - 1 - step
+        t = int(np.argmax(best[:m]))
+        v = outside[t]
+        weights[step], ends[0, step], ends[1, step] = best[t], near[t], v
+        m -= 1  # the last live slot moves into v's
+        outside[t], best[t], near[t] = outside[m], best[m], near[m]
+        if m:
+            sims = S[v, outside[:m]]
+            closer = sims > best[:m]
+            np.maximum(best[:m], sims, out=best[:m])
+            np.copyto(near[:m], v, where=closer)
+    return weights, ends[0], ends[1]
+
+
+def _neighbours(S: np.ndarray, s: float, own: np.ndarray, ahead: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The `at` entries of the `ahead` rows with an entry of value s against
+    a row of `own`, comparing REPLAY_BLOCK rows of the shorter side with the
+    whole other side at a time."""
+    found = [at[:0]]
+    if len(own) <= len(ahead):
+        for start in range(0, len(own), REPLAY_BLOCK):
+            block = S.take(own[start : start + REPLAY_BLOCK], axis=0).take(ahead, axis=1)
+            found.append(at[np.nonzero(block == s)[1]])
+    else:
+        for start in range(0, len(ahead), REPLAY_BLOCK):
+            block = S.take(ahead[start : start + REPLAY_BLOCK], axis=0).take(own, axis=1)
+            found.append(at[start : start + REPLAY_BLOCK][(block == s).any(axis=1)])
+    return np.concatenate(found)
+
+
+def _replay_level(S: np.ndarray, s: float, pairs: list, parent: list) -> list:
+    """The merges of one tied level s, in order, from the (i, j) cluster names
+    of the level's tree edges at its start and the union-find `parent` then.
+
+    Call two clusters neighbours when an entry of value s lies between them.
+    Merging the lexicographically smallest pair of neighbours until none is
+    left merges each group the tree edges join, in order of its smallest name,
+    into the cluster of that name, the smallest neighbour at a time: that
+    name stays the smallest one with neighbours and is kept. So each group is
+    searched from its smallest name, and a cluster it reaches is compared with
+    the rows of the group's clusters not yet reached. Two rows are compared
+    at most once over all levels, since afterwards they share a cluster."""
+    labels = np.array(parent)
+    while True:  # each row's cluster name, by pointer jumping
+        up = labels[labels]
+        if np.array_equal(up, labels):
+            break
+        labels = up
+    group = {name: name for pair in pairs for name in pair}  # union-find over the names
+    for i, j in pairs:
+        i, j = _find(group, i), _find(group, j)
+        group[max(i, j)] = min(i, j)
+    groups = {}
+    for name in sorted(group):
+        groups.setdefault(_find(group, name), []).append(name)
+    merges = []
+    for first in sorted(groups):
+        names = groups[first]  # ascending, so `first` is at 0
+        place = np.full(len(labels), -1)
+        place[names] = np.arange(len(names))
+        at_of = place[labels]  # each row's cluster in `names`, -1 outside the group
+        rows = np.flatnonzero(at_of >= 0)
+        row_at = at_of[rows]
+        ahead, ahead_at = rows[row_at > 0], row_at[row_at > 0]
+        waiting = np.zeros(len(names), dtype=bool)  # reached and not yet merged
+        at = 0
+        while True:
+            hit = _neighbours(S, s, rows[row_at == at], ahead, ahead_at)
+            if len(hit):
+                waiting[hit] = True
+                keep = ~waiting[ahead_at]  # a row leaves `ahead` once its cluster is reached
+                ahead, ahead_at = ahead[keep], ahead_at[keep]
+            if not waiting.any():
+                break
+            at = int(np.argmax(waiting))
+            waiting[at] = False
+            merges.append((first, names[at]))
+    return merges
 
 
 def merge_sequence(S: np.ndarray):
-    S = np.array(S, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
     k = S.shape[0]
     if k < 2:
         return (
@@ -33,28 +146,30 @@ def merge_sequence(S: np.ndarray):
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-    sims = np.empty(k - 1)
+    weights, ends_a, ends_b = _spanning_tree(S)
+    # Python's sort, not numpy's: numpy's float sort code faults about 190 KB
+    # of pages into a stage process that sorts no other floats
+    order = sorted(range(k - 1), key=weights.tolist().__getitem__, reverse=True)
+    sims = weights[order]
+    levels, ends_a, ends_b = sims.tolist(), ends_a[order].tolist(), ends_b[order].tolist()
     lefts = np.empty(k - 1, dtype=np.int64)
     rights = np.empty(k - 1, dtype=np.int64)
-    # upper triangle only; dead slots and the diagonal sit at -inf (filled
-    # row by row: an index mask would hold two int64 arrays of k(k+1)/2)
-    for row in range(k):
-        S[row, : row + 1] = -np.inf
-    for step in range(k - 1):
-        flat = np.argmax(S)
-        bi, bj = divmod(flat, k)
-        sims[step] = S[bi, bj]
-        lefts[step] = bi
-        rights[step] = bj
-        merged_row = np.maximum(S[bi, :], S[bj, :])
-        merged_col = np.maximum(S[:, bi], S[:, bj])
-        merged = np.maximum(merged_row, merged_col)
-        S[bi, :] = -np.inf
-        S[:, bi] = -np.inf
-        S[bi, bi + 1 :] = merged[bi + 1 :]
-        S[:bi, bi] = merged[:bi]
-        S[bj, :] = -np.inf
-        S[:, bj] = -np.inf
+    parent = list(range(k))  # union-find; a cluster's root is its smallest member
+    step = 0
+    while step < k - 1:
+        end = step + 1
+        while end < k - 1 and levels[end] == levels[step]:
+            end += 1
+        merges = [
+            tuple(sorted((_find(parent, a), _find(parent, b))))
+            for a, b in zip(ends_a[step:end], ends_b[step:end])
+        ]
+        if len(merges) > 1:
+            merges = _replay_level(S, levels[step], merges, parent)
+        for a, b in merges:
+            lefts[step], rights[step] = a, b
+            parent[b] = a
+            step += 1
     return sims, lefts, rights
 
 

@@ -46,6 +46,34 @@ def naive_merge_sequence(sims: np.ndarray, init=None):
     return seq
 
 
+def dense_merge_sequence(S: np.ndarray):
+    """The merge sequence by the dense cubic loop: each step takes the argmax
+    over the k x k cluster-similarity matrix (upper triangle; dead slots and
+    the diagonal at -inf), records it, and writes the merged cluster's row as
+    the elementwise max of its parts into the lower slot. Returns the
+    kernel's (sims, lefts, rights) arrays."""
+    S = np.array(S, dtype=np.float64)
+    k = S.shape[0]
+    if k < 2:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    sims = np.empty(k - 1)
+    lefts = np.empty(k - 1, dtype=np.int64)
+    rights = np.empty(k - 1, dtype=np.int64)
+    for row in range(k):
+        S[row, : row + 1] = -np.inf
+    for step in range(k - 1):
+        bi, bj = divmod(int(np.argmax(S)), k)
+        sims[step], lefts[step], rights[step] = S[bi, bj], bi, bj
+        merged = np.maximum(np.maximum(S[bi, :], S[bj, :]), np.maximum(S[:, bi], S[:, bj]))
+        S[bi, :] = -np.inf
+        S[:, bi] = -np.inf
+        S[bi, bi + 1 :] = merged[bi + 1 :]
+        S[:bi, bi] = merged[:bi]
+        S[bj, :] = -np.inf
+        S[:, bj] = -np.inf
+    return sims, lefts, rights
+
+
 def naive_single_linkage(sims: np.ndarray, tau: float, init=None):
     """Partition after merging while similarity >= tau."""
     n = sims.shape[0]

@@ -535,6 +535,65 @@ def test_tune_tau_with_init(rng):
     assert score == 1.0
 
 
+def brute_force_tau_search(sims, gold_labels, seed):
+    """The two-pass grid search of `tune_tau` with each of its 40 cuts
+    clustered by a merge run of its own and scored from scratch: the best
+    (tau, B3 F1), larger tau on ties, and the distinct partitions cut."""
+
+    def evaluate(tau):
+        parts = agglomerate_indices(sims, float(tau), seed)
+        labels = np.empty(len(sims), dtype=np.int64)
+        for number, part in enumerate(parts):  # numbered by smallest member
+            labels[list(part)] = number
+        score = clustering.Contingency.from_labels(gold_labels, labels).b3().f1
+        return score, frozenset(map(frozenset, parts))
+
+    size = clustering.TAU_GRID_SIZE
+    grid1 = np.linspace(0.0, 1.0, size)
+    cuts1 = [evaluate(t) for t in grid1]
+    best1 = max(range(size), key=lambda i: (cuts1[i][0], grid1[i]))
+    lo = grid1[best1 - 1] if best1 > 0 else 0.0
+    hi = grid1[best1 + 1] if best1 < size - 1 else 1.0
+    grid2 = np.linspace(lo, hi, size)
+    taus, cuts = np.concatenate([grid1, grid2]), cuts1 + [evaluate(t) for t in grid2]
+    best = max(range(len(taus)), key=lambda i: (cuts[i][0], taus[i]))
+    return (float(taus[best]), float(cuts[best][0])), {part for _, part in cuts}
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("quantized", [False, True], ids=["random", "quantized"])
+def test_tune_tau_matches_brute_force_grid_and_scores_each_partition_once(
+    rng, monkeypatch, seeded, quantized
+):
+    # 0/1 embeddings give few cosine values (zero rows give 0 to every row,
+    # equal rows 1.0), so whole levels tie and many cuts give one partition
+    calls = []
+    table = clustering.Contingency.from_labels
+
+    def counted(gold_labels, labels):
+        calls.append(1)
+        return table(gold_labels, labels)
+
+    for _ in range(15):
+        n = int(rng.integers(2, 40))
+        ids = [f"m{i}" for i in range(n)]
+        if quantized:
+            emb = rng.integers(0, 2, size=(n, 3)).astype(float)
+        else:
+            emb = rng.normal(size=(n, 4))
+        gold = Clustering.from_labels(ids, rng.integers(0, max(1, n // 3), size=n).tolist())
+        seed = rng.integers(0, max(1, n // 2), size=n) if seeded else None
+        init = None if seed is None else Clustering.from_labels(ids, seed.tolist())
+        expected, partitions = brute_force_tau_search(
+            cosine_similarity_matrix(emb), gold.labels(ids), None if init is None else init.labels(ids)
+        )
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering.Contingency, "from_labels", staticmethod(counted))
+            assert tune_tau(emb, ids, gold, init=init) == expected
+        assert len(calls) == len(partitions)
+
+
 def test_tau_and_delta_searches_refuse_a_split_without_mentions():
     # at zero mentions every threshold scores the same empty B3; there is
     # nothing to select

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evcoref import kernels
-from oracles import naive_merge_sequence, union_find_components
+from evcoref.clustering import cosine_similarity_matrix
+from oracles import dense_merge_sequence, naive_merge_sequence, union_find_components
 
 MERGE_IMPLS = [kernels.merge_sequence]
 LSAP_IMPLS = [kernels.lsap_min]
@@ -53,6 +55,63 @@ def test_merge_sequence_trivial_sizes():
         assert len(sims) == len(lefts) == len(rights) == 0
         sims, lefts, rights = impl(np.zeros((0, 0)))
         assert len(sims) == 0
+
+
+def tied_similarities(rng, n, kind):
+    """n x n similarities whose merge levels tie: cosines of rows of which
+    some are zero (cosine exactly 0 to every row) or repeat another row
+    (cosine clipped to 1.0), or entries quantized to 2-4 values."""
+    if kind == "quantized":
+        levels = int(rng.integers(2, 5))
+        q = rng.integers(0, levels, size=(n, n))
+        sims = np.maximum(q, q.T) / (levels - 1)
+        np.fill_diagonal(sims, 1.0)
+        return sims
+    x = rng.normal(size=(n, 8))
+    if kind == "zero-rows":
+        x[rng.random(n) < 0.2] = 0.0
+    else:
+        x = x[rng.integers(0, n // 3, size=n)]
+    return cosine_similarity_matrix(x)
+
+
+@pytest.mark.parametrize("kind", ["zero-rows", "duplicate-rows", "quantized"])
+def test_merge_sequence_matches_dense_kernel_on_tied_levels(kind, rng):
+    # equal cosines are one level, -0.0 and 0.0 included, in both kernels
+    for _ in range(3):
+        n = int(rng.integers(100, 401))
+        sims = tied_similarities(rng, n, kind)
+        got = kernels.merge_sequence(sims)
+        assert len(np.unique(got[0])) < n - 1  # some level holds several merges
+        for g, e in zip(got, dense_merge_sequence(sims)):
+            assert g.dtype == e.dtype
+            assert np.array_equal(g, e)
+
+
+def test_merge_sequence_matches_dense_kernel_when_every_entry_ties():
+    for n in (2, 3, 50):
+        for value in (0.0, 0.5, 1.0):
+            sims = np.full((n, n), value)
+            got = kernels.merge_sequence(sims)
+            assert list(got[1]) == [0] * (n - 1) and list(got[2]) == list(range(1, n))
+            for g, e in zip(got, dense_merge_sequence(sims)):
+                assert np.array_equal(g, e)
+
+
+def test_merge_sequence_reads_the_matrix_without_a_copy(rng):
+    # untied cosines: no level is replayed
+    x = rng.normal(size=(600, 16))
+    sims = cosine_similarity_matrix(x)
+    before = sims.copy()
+    tracemalloc.start()
+    try:
+        got = kernels.merge_sequence(sims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(got[0])) == 599
+    assert peak < sims.nbytes
+    assert np.array_equal(sims, before)
 
 
 def _components(n, edges):

@@ -1,6 +1,7 @@
 """Byte-compare the pipeline outputs of two source trees on benchmark corpora.
 
     python3 tools/parity.py --parent DIR --change DIR --workload learned --seed 1 --corpora 3
+    python3 tools/parity.py --change DIR --threads 1,2 --workload learned --seed 1 --corpora 3
 
 For corpus i = 0 .. N-1 of ``--seed``, the corpus, word vectors and run
 configuration are generated exactly as ``pipebench/run.py`` generates them.
@@ -14,6 +15,12 @@ always running first or second), with the benchmark's per-corpus
 ``out/``, every stage's standard output and every exit code are compared
 byte for byte; a stage that exits non-zero counts as a difference even when
 both trees fail alike. Exit status: 0 when all match, 1 otherwise.
+
+With ``--threads A,B`` the ``--change`` tree alone runs twice, with the BLAS
+thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS``) at A and then at B in place of the benchmark's, and the
+same comparison lists the outputs that depend on the thread count; the
+"parent" columns are the run at A and the "change" columns the run at B.
 
 Next to the comparison, each stage's wall time, peak RSS and minor page
 faults (``ru_maxrss`` and ``ru_minflt`` of the reaped process) are printed
@@ -79,14 +86,18 @@ def run_stage(argv: list[str], cwd: Path, env: dict) -> tuple[int, bytes, float,
     return code, proc.stdout, rss_kb / 1024.0, minflt, floor_kb / 1024.0, seconds
 
 
-def run_stages(tree: Path, case, workload) -> tuple[list[tuple], dict[str, bytes]]:
-    """Every stage of `workload` on `case` with `tree`'s package: (stage,
-    exit code, stdout, peak RSS MB, minor faults, floor MB, wall seconds) per
-    stage run, then the files left under out/."""
+def run_stages(tree: Path, threads: int | None, case, workload) -> tuple[list[tuple], dict[str, bytes]]:
+    """Every stage of `workload` on `case` with `tree`'s package, at
+    `threads` BLAS threads (None: the benchmark's count): (stage, exit code,
+    stdout, peak RSS MB, minor faults, floor MB, wall seconds) per stage run,
+    then the files left under out/."""
     out = case.dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = pipebench.child_env(case.seed)
     env["PYTHONPATH"] = str(tree / "src")
+    if threads is not None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
     stages = []
     for name, args in pipebench.stage_args(workload):
         stage = run_stage([sys.executable, "-c", pipebench.ENTRY] + args, case.dir, env)
@@ -131,18 +142,34 @@ def usage_lines(rows) -> list[str]:
     ]
 
 
+def thread_counts(text: str) -> tuple[int, int]:
+    """The two positive thread counts of an "A,B" argument."""
+    counts = tuple(int(part) for part in text.split(","))
+    if len(counts) != 2 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected two positive counts A,B, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, type=Path, help="source tree with src/evcoref")
+    parser.add_argument("--parent", type=Path, help="source tree with src/evcoref")
     parser.add_argument("--change", required=True, type=Path, help="source tree with src/evcoref")
+    parser.add_argument("--threads", type=thread_counts, metavar="A,B",
+                        help="run --change alone at A and at B BLAS threads (no --parent)")
     parser.add_argument("--workload", required=True, choices=sorted(pipebench.WORKLOADS))
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--corpora", required=True, type=int)
     args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for label, tree in trees.items():
-        if not (tree / "src" / "evcoref" / "cli.py").is_file():
+    if (args.parent is None) == (args.threads is None):
+        parser.error("give either --parent or --threads")
+    for label, tree in (("parent", args.parent), ("change", args.change)):
+        if tree is not None and not (tree / "src" / "evcoref" / "cli.py").is_file():
             parser.error(f"--{label} {tree} has no src/evcoref")
+    if args.threads is None:  # side -> (tree, BLAS threads)
+        sides = {"parent": (args.parent.resolve(), None), "change": (args.change.resolve(), None)}
+    else:
+        sides = {side: (args.change.resolve(), n) for side, n in zip(("parent", "change"), args.threads)}
+        print(f"one tree, {args.threads[0]} -> {args.threads[1]} BLAS threads")
     workload = pipebench.WORKLOADS[args.workload]
 
     failed = 0
@@ -154,7 +181,7 @@ def main(argv=None) -> int:
         for index in range(args.corpora):
             case = bench.case(index)
             order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
-            ran = {side: run_stages(trees[side], case, workload) for side in order}
+            ran = {side: run_stages(*sides[side], case, workload) for side in order}
             parent, change = ran["parent"], ran["change"]
             diffs = compare(parent, change)
             checked = len(change[0]) + len(change[1])
