@@ -2,10 +2,10 @@
 
 Each stage reads its predecessors' files from the configured output
 directory, so stages are independently re-runnable and cacheable. Only
-`features` and the lemma seeds of `cluster` read the corpus: `train` reads
-the train and validation feature files, `cluster` the eval and validation
-feature files and the checkpoint, and `score` the two chain files and, within
-documents, the eval split's mention table. Exit codes: 0 success, 2
+`features` reads the corpus: `train` reads the train and validation feature
+files, `cluster` the eval and validation feature files, their lemma-pair
+files for the lemma seeds, and the checkpoint, and `score` the two chain files
+and, within documents, the eval split's mention table. Exit codes: 0 success, 2
 input/configuration error (an unreadable path too), 3 training failure, 4
 model/feature mismatch, 5 scoring mismatch.
 """
@@ -24,6 +24,7 @@ from .config import LEARNED_VARIANTS, RunConfig, load_config
 from .corpus import (
     Clustering,
     Corpus,
+    lemma_pairs,
     load_corpus,
     read_chains,
     split_by_topics,
@@ -78,14 +79,6 @@ def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def _split_corpora(run: RunConfig) -> dict[str, Corpus]:
-    corpus = load_corpus(run.corpus)
-    train_c, val_c, test_c = split_by_topics(
-        corpus, run.train_topics, run.val_topics, run.test_topics
-    )
-    return {"train": train_c, "validation": val_c, "test": test_c}
-
-
 def _gold(rows) -> Clustering:
     return Clustering.from_labels([r[0] for r in rows], [r[1] for r in rows])
 
@@ -99,7 +92,8 @@ def cmd_features(run: RunConfig) -> None:
     from . import features as feat
 
     wv = feat.load_word_vectors(run.require_word_vectors())
-    corpora = _split_corpora(run)
+    topics = (run.train_topics, run.val_topics, run.test_topics)
+    corpora = dict(zip(SPLITS, split_by_topics(load_corpus(run.corpus), *topics)))
     for name in SPLITS:
         summary = corpora[name].summary()
         print(f"{name}: " + " ".join(f"{k}={v}" for k, v in summary.items()))
@@ -112,6 +106,8 @@ def cmd_features(run: RunConfig) -> None:
         write_matrix(out / f"{name}.mat", matrix)
         del matrix  # the stage holds one split's matrix at a time
         _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
+        if name != "train":  # the lemma seeds of the cluster stage, in mention-row order
+            write_matrix(out / f"{name}.lemma_pairs.mat", lemma_pairs(corpora[name], models.tfidf))
     print(f"features written to {out}")
 
 
@@ -200,13 +196,28 @@ def cmd_train(run: RunConfig) -> None:
     )
 
 
+def _read_pairs(run: RunConfig, name: str, n: int) -> np.ndarray:
+    """The split's lemma-pair file, refused unless each row is finite and
+    names two of its n mention rows, 0 <= left < right < n."""
+    path = run.output / "features" / f"{name}.lemma_pairs.mat"
+    pairs = read_matrix(path)
+    if pairs.shape[1] != 4:
+        raise ParseError(path, 1, f"{pairs.shape[1]} columns, not 4 (left, right, same doc, cosine)")
+    rows = pairs[:, :2]
+    bad = ~np.isfinite(pairs).all(axis=1) | (rows != np.floor(rows)).any(axis=1)
+    bad = np.flatnonzero(bad | ~((0 <= rows[:, 0]) & (rows[:, 0] < rows[:, 1]) & (rows[:, 1] < n)))
+    if len(bad):
+        raise ParseError(path, 1, f"pair {bad[0]} is not finite with rows 0 <= left < right < {n}")
+    return pairs
+
+
 def cmd_cluster(run: RunConfig) -> None:
     """Chains for the eval split. Every variant is single linkage from a seed
-    partition (the lemma partition for LEMMA, the lemma-delta partition for
-    LEMMA-DELTA and CORE+CCE+LEMMA, singletons otherwise) over vectors (the
-    raw features for UNSUPERVISED, the checkpoint's embeddings for learned
-    variants); with no vectors the seed is the clustering. An unset delta, or
-    else an unset tau, is tuned on the validation split."""
+    partition (from the split's lemma pairs, at -inf for LEMMA and at delta
+    for LEMMA-DELTA and CORE+CCE+LEMMA; singletons otherwise) over vectors
+    (the raw features for UNSUPERVISED, the checkpoint's embeddings for
+    learned variants); with no vectors the seed is the clustering. An unset
+    delta, or else an unset tau, is tuned on the validation split."""
     from . import clustering as clus
 
     eval_name = run.eval_split
@@ -215,20 +226,14 @@ def cmd_cluster(run: RunConfig) -> None:
         raise IntegrityError(f"the {eval_name} split has no mentions to cluster")
     delta, tau = run.delta, run.tau
     delta_seeded = run.variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA")
-    if run.variant == "LEMMA" or delta_seeded:
-        corpora = _split_corpora(run)
-    if delta_seeded:
-        from .features import fit_tfidf
+    lemma_seeded = delta_seeded or run.variant == "LEMMA"
 
-        tfidf = fit_tfidf(corpora["train"])
-
-    def seed(split: str) -> Clustering | None:
+    def seed(pairs) -> Clustering | None:
         """The partition single linkage starts from (None: singletons)."""
-        if run.variant == "LEMMA":
-            return clus.lemma_partition(corpora[split])
-        if delta_seeded:
-            return clus.lemma_delta_init(corpora[split], tfidf, delta)
-        return None
+        if pairs is None:
+            return None
+        at = delta if delta_seeded else -np.inf  # LEMMA keeps every pair
+        return Clustering.from_labels(pairs.mention_ids, pairs.labels_at(at))
 
     embed = None  # feature matrix -> the vectors that single linkage runs on
     if run.variant == "UNSUPERVISED":
@@ -248,24 +253,22 @@ def cmd_cluster(run: RunConfig) -> None:
 
     @cache
     def split(name: str):
-        """(mention ids, gold chains, vectors or None) of a split, read and
-        embedded once; the stage owns the vectors, so they are scaled to unit
-        rows in place and the similarity makes no copy of them."""
+        """(mention ids, gold chains, vectors or None, lemma pairs or None) of a
+        split, read and embedded once; the stage owns the vectors, so they are
+        scaled to unit rows in place and the similarity makes no copy of them."""
         x, rows = (eval_x, eval_rows) if name == eval_name else _load_split(run, name)
-        return [r[0] for r in rows], _gold(rows), None if embed is None else embed(x)
+        ids = [r[0] for r in rows]
+        pairs = clus.LemmaPairs(ids, _read_pairs(run, name, len(ids))) if lemma_seeded else None
+        return ids, _gold(rows), None if embed is None else embed(x), pairs
 
     delta_unset = delta_seeded and delta is None
     if delta_unset or (embed is not None and tau is None):
-        val_ids, val_gold, val_vectors = split("validation")
+        val_ids, val_gold, val_vectors, val_pairs = split("validation")
         if delta_unset:  # with vectors, tau is searched on each delta's seed
-            delta, tuned_tau, score = clus.tune_delta(
-                corpora["validation"], tfidf, val_gold, val_vectors, val_ids
-            )
+            delta, tuned_tau, score = clus.search_delta(val_pairs, val_gold, val_vectors)
             tuned = {"delta": delta, "tau": tuned_tau}
         else:
-            tuned_tau, score = clus.tune_tau(
-                val_vectors, val_ids, val_gold, init=seed("validation")
-            )
+            tuned_tau, score = clus.tune_tau(val_vectors, val_ids, val_gold, init=seed(val_pairs))
             tuned = {"tau": tuned_tau}
         tau = tuned_tau if tau is None else tau
         chosen = " ".join(f"{k} {v:.4f}" for k, v in tuned.items() if v is not None)
@@ -278,13 +281,11 @@ def cmd_cluster(run: RunConfig) -> None:
     meta: dict = {"variant": run.variant, "split": eval_name}
     if delta_seeded:
         meta["delta"] = delta
-    eval_ids, gold, eval_vectors = split(eval_name)
-    sys_clustering = init = seed(eval_name)
+    eval_ids, gold, eval_vectors, eval_pairs = split(eval_name)
+    sys_clustering = init = seed(eval_pairs)
     if embed is not None:
         meta["tau"] = tau
         sys_clustering = clus.agglomerate(eval_ids, tau, eval_vectors, init=init)
-    else:  # the seed is the clustering, refused unless it partitions the split's mentions
-        init.labels(eval_ids)
 
     meta.update({"config_hash": run.config_hash, "seed": run.training.seed})
     out = run.output / "cluster"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Clustering, Corpus, Document, Mention
+from .corpus import Clustering, Corpus, head_lemma, lemma_pairs
 from .errors import IntegrityError
 from .kernels import _find, components, merge_sequence
 from .scoring import Contingency
@@ -190,72 +190,41 @@ def agglomerate(
 # ---------------------------------------------------------------------------
 
 
-def head_lemma(mention: Mention, doc: Document) -> str:
-    """Lemma of the span's final token, the approximate syntactic head."""
-    return doc.tokens[mention.last_index].lemma
-
-
 def lemma_partition(corpus: Corpus) -> Clustering:
     """Merge all mentions sharing a head lemma, across all documents."""
     heads = [(m.id, head_lemma(m, doc)) for doc in corpus.documents for m in doc.mentions]
     return Clustering.from_labels([m for m, _ in heads], [lemma for _, lemma in heads])
 
 
-def _doc_unit_vectors(corpus: Corpus, tfidf) -> dict[str, np.ndarray]:
-    out = {}
-    for doc in corpus.documents:
-        vec = tfidf.doc_vector(doc)
-        norm = np.linalg.norm(vec)
-        out[doc.doc_id] = vec / norm if norm > 0 else vec
-    return out
-
-
 @dataclass(frozen=True)
-class _LemmaPairs:
+class LemmaPairs:
     """The mention pairs of one split that share a head lemma, each with its
-    documents' TF-IDF cosine; computed once, thresholded per delta."""
+    documents' TF-IDF cosine, as `corpus.lemma_pairs` rows (left row, right
+    row, same document, cosine) over the split's mentions in row order;
+    computed once, thresholded per delta."""
 
     mention_ids: list[str]
-    lefts: np.ndarray
-    rights: np.ndarray
-    same_doc: np.ndarray
-    cosines: np.ndarray  # 0 for same-document pairs, which always merge
+    pairs: np.ndarray
 
     @classmethod
-    def of(cls, corpus: Corpus, tfidf) -> "_LemmaPairs":
-        doc_vecs = _doc_unit_vectors(corpus, tfidf)
-        mention_ids, by_lemma = [], {}
-        for doc in corpus.documents:
-            for m in doc.mentions:
-                by_lemma.setdefault(head_lemma(m, doc), []).append((len(mention_ids), m.doc_id))
-                mention_ids.append(m.id)
-        pairs = [
-            (i, j, di == dj, 0.0 if di == dj else float(doc_vecs[di] @ doc_vecs[dj]))
-            for group in by_lemma.values()
-            for a, (i, di) in enumerate(group)
-            for j, dj in group[a + 1 :]
-        ]
-        lefts, rights, same_doc, cosines = zip(*pairs) if pairs else ((), (), (), ())
-        return cls(
-            mention_ids=mention_ids,
-            lefts=np.array(lefts, dtype=np.int64),
-            rights=np.array(rights, dtype=np.int64),
-            same_doc=np.array(same_doc, dtype=bool),
-            cosines=np.array(cosines, dtype=np.float64),
-        )
+    def of(cls, corpus: Corpus, tfidf) -> "LemmaPairs":
+        return cls([m.id for m in corpus.mentions()], lemma_pairs(corpus, tfidf))
 
     def labels_at(self, delta: float) -> np.ndarray:
-        """Each mention's smallest component member at this delta: equal
-        partitions give equal label vectors."""
-        keep = self.same_doc | (self.cosines > delta)
-        return components(len(self.mention_ids), self.lefts[keep], self.rights[keep])
+        """Each mention's smallest component member at this delta (-inf
+        keeps every pair: the lemma partition): equal partitions give equal
+        label vectors."""
+        _, _, same_doc, cosines = self.pairs.T
+        keep = (same_doc != 0.0) | (cosines > delta)
+        rows = self.pairs[keep, :2].astype(np.int64)
+        return components(len(self.mention_ids), rows[:, 0], rows[:, 1])
 
 
 def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
     """Transitive closure of: same head lemma AND document TF-IDF cosine
     strictly above delta. Same-document mentions with one head lemma always
     merge (a document's self-similarity is 1 > delta for delta < 1)."""
-    pairs = _LemmaPairs.of(corpus, tfidf)
+    pairs = LemmaPairs.of(corpus, tfidf)
     return Clustering.from_labels(pairs.mention_ids, pairs.labels_at(delta))
 
 
@@ -319,29 +288,37 @@ def tune_delta(
     mention_ids: list[str] | None = None,
     n_values: int = DELTA_GRID_SIZE,
 ) -> tuple[float, float | None, float]:
+    """`search_delta` on the lemma pairs of `corpus`; embedding rows follow `mention_ids`."""
+    pairs = LemmaPairs.of(corpus, tfidf)
+    if embeddings is not None:
+        # the lemma rows follow the corpus order: put the embedding rows in it too
+        given = pairs.mention_ids if mention_ids is None else mention_ids
+        row_of = {m: i for i, m in enumerate(given)}
+        if len(row_of) != len(given) or row_of.keys() != set(pairs.mention_ids):
+            raise IntegrityError("embedding mention ids differ from the corpus mentions")
+        embeddings = embeddings[[row_of[m] for m in pairs.mention_ids]]
+    return search_delta(pairs, gold, embeddings, n_values)
+
+
+def search_delta(
+    pairs: LemmaPairs, gold: Clustering, embeddings: np.ndarray | UnitRows | None = None,
+    n_values: int = DELTA_GRID_SIZE,
+) -> tuple[float, float | None, float]:
     """Scan `n_values` delta thresholds for the lemma-delta partition on the
-    tuning split. With embeddings (rows in `mention_ids` order), each delta
-    seeds agglomeration and tau is re-tuned on top (returns (delta, tau,
-    B3)); without, the partition itself is scored (returns (delta, None,
-    B3)). Ties prefer the larger delta. A split with no mentions raises
-    IntegrityError, as in tune_tau.
+    tuning split against the gold clustering. With embeddings (rows in the
+    pairs' mention order), each delta seeds agglomeration and tau is
+    re-tuned on top (returns (delta, tau, B3)); without, the partition
+    itself is scored (returns (delta, None, B3)). Ties prefer the larger
+    delta. A split with no mentions raises IntegrityError, as in tune_tau.
 
     The seed does not change the merge sequence, so one merge run serves
     every delta, and each distinct partition (nearby deltas often give the
     same one) is tuned once."""
-    if mention_ids is None:
-        mention_ids = [m.id for m in corpus.mentions()]
-    if len(mention_ids) == 0:
+    if len(pairs.mention_ids) == 0:
         raise IntegrityError("cannot tune delta on a split with no mentions")
-    pairs = _LemmaPairs.of(corpus, tfidf)
-    if embeddings is not None:
-        # the lemma labels follow the corpus order: put the rows in it too
-        row_of = {m: i for i, m in enumerate(mention_ids)}
-        if len(row_of) != len(mention_ids) or row_of.keys() != set(pairs.mention_ids):
-            raise IntegrityError("embedding mention ids differ from the corpus mentions")
-        rows = [row_of[m] for m in pairs.mention_ids]
-        run = build_merge_run(cosine_similarity_matrix(embeddings[rows]))
     gold_labels = gold.labels(pairs.mention_ids)
+    if embeddings is not None:
+        run = build_merge_run(cosine_similarity_matrix(embeddings))
     tuned: dict[bytes, tuple[float | None, float]] = {}
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):

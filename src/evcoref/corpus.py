@@ -324,3 +324,30 @@ def gold_clustering(corpus: Corpus) -> Clustering:
     """One chain per distinct gold chain id; singletons stay singleton."""
     mentions = list(corpus.mentions())
     return Clustering.from_labels([m.id for m in mentions], [m.gold_chain for m in mentions])
+
+
+def head_lemma(mention: Mention, doc: Document) -> str:
+    """Lemma of the span's final token, the approximate syntactic head."""
+    return doc.tokens[mention.last_index].lemma
+
+
+def lemma_pairs(corpus: Corpus, tfidf) -> np.ndarray:
+    """The mention pairs that share a head lemma, one (left row, right row,
+    same document, cosine) row each, as float64: rows number the mentions in
+    corpus order, left < right, and the cosine is that of the two documents'
+    unit `tfidf.doc_vector`s, 0 for same-document pairs, which always merge."""
+    doc_vecs = {}
+    for doc in corpus.documents:
+        vec = tfidf.doc_vector(doc)
+        norm = np.linalg.norm(vec)
+        doc_vecs[doc.doc_id] = vec / norm if norm > 0 else vec
+    by_lemma: dict[str, list[tuple[int, str]]] = {}
+    for row, (m, doc) in enumerate((m, doc) for doc in corpus.documents for m in doc.mentions):
+        by_lemma.setdefault(head_lemma(m, doc), []).append((row, m.doc_id))
+    pairs = [
+        (i, j, di == dj, 0.0 if di == dj else float(doc_vecs[di] @ doc_vecs[dj]))
+        for group in by_lemma.values()
+        for a, (i, di) in enumerate(group)
+        for j, dj in group[a + 1 :]
+    ]
+    return np.array(pairs, dtype=np.float64).reshape(-1, 4)

@@ -87,12 +87,9 @@ class ForwardCache:
     """Everything backward() needs, plus the public (embeddings, probs)."""
 
     inputs: np.ndarray
-    z1: np.ndarray
     d1: np.ndarray
-    z2: np.ndarray
     embeddings: np.ndarray  # relu(z2), pre-dropout
     d2: np.ndarray
-    z3: np.ndarray
     d3: np.ndarray
     probs: np.ndarray
     masks: tuple | None
@@ -143,27 +140,23 @@ def forward(
         n, (_, h1, he, h3, k) = len(inputs), params.dims
         embeddings = np.empty((n, he))
         out = ForwardCache(
-            inputs, np.empty((n, h1)), np.empty((n, h1)), np.empty((n, he)), embeddings,
-            np.empty((n, he)) if train else embeddings, np.empty((n, h3)), np.empty((n, h3)),
-            np.empty((n, k)), None, dropout,
+            inputs, np.empty((n, h1)), embeddings, np.empty((n, he)) if train else embeddings,
+            np.empty((n, h3)), np.empty((n, k)), None, dropout,
         )
     out.inputs, out.masks, out.dropout = inputs, masks if train else None, dropout
     scale = 1.0 / (1.0 - dropout) if train else 1.0
 
-    _affine(inputs, params.w1, params.b1, out.z1)
-    np.maximum(out.z1, 0.0, out=out.d1)
+    np.maximum(_affine(inputs, params.w1, params.b1, out.d1), 0.0, out=out.d1)
     if train:
         out.d1 *= masks[0]
         out.d1 *= scale
 
-    _affine(out.d1, params.w2, params.b2, out.z2)
-    np.maximum(out.z2, 0.0, out=out.embeddings)
+    np.maximum(_affine(out.d1, params.w2, params.b2, out.embeddings), 0.0, out=out.embeddings)
     if train:
         np.multiply(out.embeddings, masks[1], out=out.d2)
         out.d2 *= scale
 
-    _affine(out.d2, params.w3, params.b3, out.z3)
-    np.maximum(out.z3, 0.0, out=out.d3)
+    np.maximum(_affine(out.d2, params.w3, params.b3, out.d3), 0.0, out=out.d3)
     if train:
         out.d3 *= masks[2]
         out.d3 *= scale
@@ -386,20 +379,22 @@ def loss_and_grad(
     d.sum(axis=0, out=out.b4)
 
     # in place, in the order of the expressions d * mask * scale, + the CORE
-    # gradient, * (z > 0)
+    # gradient, * (z > 0), with z > 0 read as a > 0 off the layer's activation:
+    # relu(z) > 0 exactly when z > 0, a dropout scale >= 1 keeps a kept unit
+    # above 0, and a dropped unit's d is already +-0 or NaN, alike x 1 or x 0.
     layers = (
-        (params.w4, 2, cache.z3, cache.d2, out.w3, out.b3),
-        (params.w3, 1, cache.z2, cache.d1, out.w2, out.b2),
-        (params.w2, 0, cache.z1, w1_inputs, out.w1, out.b1),
+        (params.w4, 2, cache.d3, cache.d2, out.w3, out.b3),
+        (params.w3, 1, cache.embeddings, cache.d1, out.w2, out.b2),
+        (params.w2, 0, cache.d1, w1_inputs, out.w1, out.b1),
     )
-    for w_above, layer, z, inputs, grad_w, grad_b in layers:
+    for w_above, layer, a, inputs, grad_w, grad_b in layers:
         d = d @ w_above.T
         if train:
             d *= cache.masks[layer]
             d *= scale
         if layer == 1 and pairs is not None:
             d += _core_grad(pairs, lambda1, lambda2)
-        d *= z > 0.0
+        d *= a > 0.0
         np.matmul(inputs.T, d, out=grad_w)
         d.sum(axis=0, out=grad_b)
     return loss, out

@@ -59,9 +59,11 @@ def gradcheck_case(rng, d=5, h1=4, he=3, h3=4, k=3, n=6, dropout=None):
         masks = make_dropout_masks(rng, n, params.dims, dropout) if dropout else None
         mode = "train" if masks is not None else "infer"
         cache = forward(params, x, mode=mode, masks=masks, dropout=dropout or 0.25)
-        pre_acts = np.concatenate(
-            [cache.z1.ravel(), cache.z2.ravel(), cache.z3.ravel()]
-        )
+        pre_acts = np.concatenate([
+            (x @ params.w1 + params.b1).ravel(),
+            (cache.d1 @ params.w2 + params.b2).ravel(),
+            (cache.d2 @ params.w3 + params.b3).ravel(),
+        ])
         norms = np.linalg.norm(cache.embeddings, axis=1)
         if np.abs(pre_acts).min() > 1e-4 and norms.min() > 1e-2:
             return params, x, labels, codes, masks

@@ -427,15 +427,17 @@ def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
         d_z4 /= n
     else:
         d_z4[:] = 0.0
+    # the pre-activations, recomputed from the cached layer inputs
+    z1, z2, z3 = cache.inputs @ w1 + b1, cache.d1 @ w2 + b2, cache.d2 @ w3 + b3
     d_d3 = d_z4 @ w4.T
-    d_z3 = (d_d3 * cache.masks[2] * scale if train else d_d3) * (cache.z3 > 0.0)
+    d_z3 = (d_d3 * cache.masks[2] * scale if train else d_d3) * (z3 > 0.0)
     d_d2 = d_z3 @ w3.T
     d_emb = d_d2 * cache.masks[1] * scale if train else d_d2
     if lam1 != 0.0 or lam2 != 0.0:
         d_emb = d_emb + core_embedding_grad(cache.embeddings, codes, lam1, lam2)
-    d_z2 = d_emb * (cache.z2 > 0.0)
+    d_z2 = d_emb * (z2 > 0.0)
     d_d1 = d_z2 @ w2.T
-    d_z1 = (d_d1 * cache.masks[0] * scale if train else d_d1) * (cache.z1 > 0.0)
+    d_z1 = (d_d1 * cache.masks[0] * scale if train else d_d1) * (z1 > 0.0)
     grads = [
         cache.inputs.T @ d_z1, d_z1.sum(axis=0), cache.d1.T @ d_z2, d_z2.sum(axis=0),
         cache.d2.T @ d_z3, d_z3.sum(axis=0), cache.d3.T @ d_z4, d_z4.sum(axis=0),

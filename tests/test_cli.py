@@ -339,20 +339,6 @@ def test_blank_or_comment_like_mention_id_is_exit_2_at_features(tmp_path, capsys
     assert f"corpus.tsv:{row + 1}: mention id" in err and "Traceback" not in err
 
 
-def test_lemma_delta_cluster_with_no_train_document_is_exit_2(pipeline_dir, tmp_path, capsys):
-    src_tmp, _, src_out = pipeline_dir
-    out = tmp_path / "o"
-    shutil.copytree(src_out / "features", out / "features")
-    cfg = write_config(
-        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant="LEMMA-DELTA"
-    )
-    cfg.write_text(cfg.read_text().replace("train = 1-4", "train = 9"))  # no topic 9
-    capsys.readouterr()
-    assert main(["cluster", "--config", str(cfg), "--delta", "0.5"]) == 2
-    err = capsys.readouterr().err
-    assert "train split has no documents" in err and "Traceback" not in err
-
-
 def test_bad_mention_row_reports_its_line(tmp_path):
     path = tmp_path / "train.mentions.tsv"
     path.write_text("# config_hash=x seed=1\n# header\nm1\tc1\td1\t1\nm2\tc1\td1\n")
@@ -420,20 +406,26 @@ def _learned_copy(pipeline_dir, tmp_path):
     return cfg, out / "train" / "checkpoint.ckpt"
 
 
+def _pair_past_the_last_row(feats, split):
+    """Append to the split's lemma-pair file a pair whose right row is one
+    past the split's last mention row."""
+    path = feats / f"{split}.lemma_pairs.mat"
+    n = len(_read_mentions_tsv(feats / f"{split}.mentions.tsv"))
+    write_matrix(path, np.vstack([read_matrix(path), [0.0, n, 0.0, 0.5]]))
+
+
 @pytest.mark.parametrize("split", ["validation", "test"])
 def test_seed_over_a_mention_the_features_lack_is_exit_2(pipeline_dir, tmp_path, capsys, split):
-    # the lemma-delta seed comes from the corpus, the rows from the features
+    # the lemma-delta seed is read from the split's lemma-pair file
     cfg, _ = _learned_copy(pipeline_dir, tmp_path)
-    feats = cfg.parent / "o" / "features"
-    write_matrix(feats / f"{split}.mat", read_matrix(feats / f"{split}.mat")[:-1])
-    lines = (feats / f"{split}.mentions.tsv").read_text().splitlines(keepends=True)
-    (feats / f"{split}.mentions.tsv").write_text("".join(lines[:-1]))
-    dropped = lines[-1].split("\t")[0]
+    out = cfg.parent / "o"
+    _pair_past_the_last_row(out / "features", split)
     capsys.readouterr()
     argv = ["cluster", "--config", str(cfg), "--variant", "CORE+CCE+LEMMA", "--delta", "0.3"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"not given ['{dropped}']" in err and "Traceback" not in err
+    assert f"{split}.lemma_pairs.mat" in err and "Traceback" not in err
+    assert not (out / "cluster").exists()
 
 
 @pytest.mark.parametrize(
@@ -448,14 +440,40 @@ def test_vectorless_seed_over_a_mention_the_features_lack_is_exit_2(
     feats = out / "features"
     shutil.copytree(src_out / "features", feats)
     cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant=variant)
-    write_matrix(feats / "test.mat", read_matrix(feats / "test.mat")[:-1])
-    lines = (feats / "test.mentions.tsv").read_text().splitlines(keepends=True)
-    (feats / "test.mentions.tsv").write_text("".join(lines[:-1]))
-    dropped = lines[-1].split("\t")[0]
+    _pair_past_the_last_row(feats, "test")
     capsys.readouterr()
     assert main(["cluster", "--config", str(cfg), *flags]) == 2
     err = capsys.readouterr().err
-    assert f"not given ['{dropped}']" in err and "Traceback" not in err
+    assert "test.lemma_pairs.mat" in err and "Traceback" not in err
+    assert not (out / "cluster").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["missing", "3-columns", "5-columns", "nan", "inf", "fraction", "negative", "left-is-right", "right-is-n"],
+)
+def test_bad_lemma_pair_file_is_exit_2(pipeline_dir, tmp_path, capsys, edit):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant="LEMMA-DELTA")
+    path = out / "features" / "test.lemma_pairs.mat"
+    pairs = read_matrix(path)
+    n = len(_read_mentions_tsv(out / "features" / "test.mentions.tsv"))
+    rows = {
+        "nan": [0, 1, 0, np.nan], "inf": [0, np.inf, 0, 0.5], "fraction": [0.5, 1, 0, 0.5],
+        "negative": [-1, 1, 0, 0.5], "left-is-right": [1, 1, 0, 0.5], "right-is-n": [0, n, 0, 0.5],
+    }
+    if edit == "missing":
+        path.unlink()
+    elif edit in rows:
+        write_matrix(path, np.vstack([pairs, rows[edit]]))
+    else:
+        write_matrix(path, pairs[:, :3] if edit == "3-columns" else np.hstack([pairs, pairs[:, :1]]))
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg), "--delta", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "test.lemma_pairs.mat" in err and "Traceback" not in err
     assert not (out / "cluster").exists()
 
 
@@ -540,7 +558,9 @@ def test_corpus_path_naming_a_directory_is_exit_2(tmp_path, capsys):
 def test_features_writes_only_the_split_files(pipeline_dir):
     _, _, out = pipeline_dir
     written = sorted(p.relative_to(out / "features").as_posix() for p in (out / "features").rglob("*"))
-    assert written == sorted(f"{name}.{ext}" for name in cli.SPLITS for ext in ("mat", "mentions.tsv"))
+    expected = [f"{name}.{ext}" for name in cli.SPLITS for ext in ("mat", "mentions.tsv")]
+    expected += [f"{name}.lemma_pairs.mat" for name in ("validation", "test")]
+    assert written == sorted(expected)
 
 
 @pytest.mark.parametrize("variant", ["LEMMA", "LEMMA-DELTA"])
@@ -668,7 +688,9 @@ def test_validation_eval_split_is_read_and_embedded_once(pipeline_dir, tmp_path,
     monkeypatch.setattr(cli, "read_matrix", counted)
     monkeypatch.setattr(network, "embed", lambda *a: embeds.append(1) or embed(*a))
     assert main(["cluster", "--config", str(cfg)]) == 0
-    assert reads == ["validation.mat"]
+    assert reads.count("validation.mat") == 1
+    assert reads.count("validation.lemma_pairs.mat") == (variant in ("CORE+CCE+LEMMA", "LEMMA-DELTA"))
+    assert len(reads) == 1 + reads.count("validation.lemma_pairs.mat")
     assert len(embeds) == (variant in LEARNED_VARIANTS)
     assert _thresholds(out / "cluster" / "validation.sys.chains").keys() == _thresholds_used(variant)
 
@@ -867,9 +889,8 @@ def _stage_runs(cfg, out, capsys, *argvs):
 _SCORES = (["score", "--mode", "combined"], ["score", "--mode", "within-doc"])
 
 
-@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])
+@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE", "LEMMA", "LEMMA-DELTA", "CORE+CCE+LEMMA"])
 def test_stages_after_features_do_not_read_the_corpus(pipeline_dir, tmp_path, capsys, variant):
-    # the lemma seeds are the only readers of corpus.tsv after features
     src_tmp, _, src_out = pipeline_dir
     corpus, out = tmp_path / "corpus.tsv", tmp_path / "o"
     shutil.copy(src_tmp / "corpus.tsv", corpus)
@@ -940,9 +961,10 @@ def test_cluster_and_score_outputs_do_not_depend_on_the_hash_seed(pipeline_dir, 
     [
         ("features", "CORE+CCE", "features", {"network", "train", "clustering"}),
         ("cluster", "UNSUPERVISED", "clustering", {"network", "train"}),
+        ("cluster", "CORE+CCE+LEMMA", "clustering", {"features", "train"}),
         ("score", "CORE+CCE", "scoring", {"network", "train", "features", "clustering"}),
     ],
-    ids=["features", "cluster-unsupervised", "score"],
+    ids=["features", "cluster-unsupervised", "cluster-lemma-seeded", "score"],
 )
 def test_a_stage_process_imports_only_what_it_runs(
     pipeline_dir, tmp_path, stage, variant, runs, unused
@@ -975,7 +997,7 @@ _STAGE_INPUTS = {
     "cluster": (
         *(f"out/features/{s}.{e}" for s in ("test", "validation") for e in ("mat", "mentions.tsv")),
         "out/train/checkpoint.ckpt",
-        "corpus.tsv",
+        *(f"out/features/{s}.lemma_pairs.mat" for s in ("test", "validation")),
     ),
     "score": ("out/cluster/test.sys.chains", "out/cluster/test.gold.chains", "out/features/test.mentions.tsv"),
 }

@@ -102,7 +102,7 @@ def test_dropout_inverted_scaling_preserves_expectation(rng):
     # Monte Carlo mean of the mask-scaled pre-activation ~ infer pre-activation
     params = tiny_params(rng, d=4, h1=8, he=6, h3=6, k=3)
     x = rng.normal(size=(16, 4)) + 1.0
-    z2_infer = forward(params, x).z2
+    z2_infer = forward(params, x).d1 @ params.w2 + params.b2
     total = np.zeros_like(z2_infer)
     n_masks = 10_000
     for _ in range(n_masks):
@@ -116,7 +116,7 @@ def test_dropout_inverted_scaling_preserves_expectation(rng):
 
 def expression_forward(params, x, masks=None, dropout=0.25):
     """The forward pass as plain expressions, each making a new array:
-    (z1, d1, z2, embeddings, d2, z3, d3, probs)."""
+    (d1, embeddings, d2, d3, probs)."""
     relu = lambda z: np.maximum(z, 0.0)
     drop = (lambda a, m: a * m * (1.0 / (1.0 - dropout))) if masks else (lambda a, m: a)
     masks = masks or (None,) * 3
@@ -129,11 +129,11 @@ def expression_forward(params, x, masks=None, dropout=0.25):
     d3 = drop(relu(z3), masks[2])
     z4 = d3 @ params.w4 + params.b4
     e = np.exp(z4 - z4.max(axis=1, keepdims=True))
-    return z1, d1, z2, emb, d2, z3, d3, e / e.sum(axis=1, keepdims=True)
+    return d1, emb, d2, d3, e / e.sum(axis=1, keepdims=True)
 
 
 def cache_arrays(c):
-    return (c.z1, c.d1, c.z2, c.embeddings, c.d2, c.z3, c.d3, c.probs)
+    return (c.d1, c.embeddings, c.d2, c.d3, c.probs)
 
 
 def test_a_reused_forward_cache_equals_a_fresh_one(rng):
