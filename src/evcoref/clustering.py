@@ -162,6 +162,15 @@ def build_merge_run(sims: np.ndarray, init: np.ndarray | None = None) -> MergeRu
     return MergeRun(slot_of=slot_of, sims=seq_sims, lefts=lefts, rights=rights)
 
 
+def _merge_run(embeddings: np.ndarray | UnitRows, n_mentions: int, init=None) -> MergeRun:
+    """build_merge_run over the embeddings' cosines, refused unless there
+    is one embedding row per mention."""
+    rows = len(embeddings.rows if isinstance(embeddings, UnitRows) else embeddings)
+    if rows != n_mentions:
+        raise IntegrityError(f"{rows} embedding rows for {n_mentions} mentions")
+    return build_merge_run(cosine_similarity_matrix(embeddings), init)
+
+
 def agglomerate_indices(
     sims: np.ndarray, tau: float, init: np.ndarray | None = None
 ) -> list[set[int]]:
@@ -181,7 +190,7 @@ def agglomerate(
     if len(set(mention_ids)) != len(mention_ids):
         raise IntegrityError("duplicate mention ids")
     seed = None if init is None else init.labels(mention_ids)
-    run = build_merge_run(cosine_similarity_matrix(embeddings), seed)
+    run = _merge_run(embeddings, len(mention_ids), seed)
     return Clustering.from_labels(mention_ids, run.labels_at(tau))
 
 
@@ -276,7 +285,7 @@ def tune_tau(
     if len(mention_ids) == 0:
         raise IntegrityError("cannot tune tau on a split with no mentions")
     seed = None if init is None else init.labels(mention_ids)
-    run = build_merge_run(cosine_similarity_matrix(embeddings), seed)
+    run = _merge_run(embeddings, len(mention_ids), seed)
     return _search_tau(run, gold.labels(mention_ids))
 
 
@@ -318,7 +327,7 @@ def search_delta(
         raise IntegrityError("cannot tune delta on a split with no mentions")
     gold_labels = gold.labels(pairs.mention_ids)
     if embeddings is not None:
-        run = build_merge_run(cosine_similarity_matrix(embeddings))
+        run = _merge_run(embeddings, len(pairs.mention_ids))
     tuned: dict[bytes, tuple[float | None, float]] = {}
     best = (-1.0, None, -1.0)
     for delta in np.linspace(0.0, 1.0, n_values):

@@ -192,10 +192,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"[cluster] pool must be global or topic, got {pool!r}")
     eval_split = _get(cfg, "cluster", "eval_split", "test")
     if eval_split not in ("test", "validation"):
-        raise ConfigError(f"[cluster] eval_split must be test or validation")
+        raise ConfigError(f"[cluster] eval_split must be test or validation, got {eval_split!r}")
     mode = _get(cfg, "score", "mode", "combined")
     if mode not in ("combined", "within-doc"):
-        raise ConfigError(f"[score] mode must be combined or within-doc")
+        raise ConfigError(f"[score] mode must be combined or within-doc, got {mode!r}")
 
     run = RunConfig(
         corpus=Path(corpus),

@@ -334,6 +334,17 @@ def row_runs(mask: np.ndarray) -> Runs:
     return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
+def _packed_runs(runs: Runs):
+    """(rows, packed rows) slices for each run: the run's rows, and where
+    they sit in a compact array that holds the runs' rows back to back, as
+    loss_and_grad's w1 gradient does. The same slices pick the columns of
+    an input matrix and of its compact copy."""
+    at = 0
+    for lo, hi in runs:
+        yield slice(lo, hi), slice(at, at + hi - lo)
+        at += hi - lo
+
+
 def loss_and_grad(
     params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
     use_cce: bool = True, out: NetParams | None = None, w1_inputs: np.ndarray | None = None,
@@ -407,6 +418,8 @@ def loss_and_grad(
 # Elements per block of the Adam update: the four operand blocks and the two
 # scratch blocks (6 x 256 KiB) stay in cache between the operations on them.
 ADAM_BLOCK = 32768
+# Adam's hyper-parameters, as Kingma & Ba (2015) recommend them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -437,32 +450,18 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _segments(param, grad, m, v, runs: Runs):
-    """(param, grad, m, v) flat views per run of rows: the rows of the run
-    in param, and the rows of grad, m and v that belong to them, which are
-    the runs' rows back to back."""
-    at = 0
-    for lo, hi in runs:
-        rows, packed = slice(lo, hi), slice(at, at + hi - lo)
-        yield _flat(param[rows]), grad[packed].reshape(-1), _flat(m[packed]), _flat(v[packed])
-        at += hi - lo
-
-
 def adam_step(
     params: NetParams,
     state: AdamState,
     grads: NetParams,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     w1_runs: Runs | None = None,
 ) -> None:
     """In-place Adam update with bias correction.
 
     Per element, in exactly this floating-point order:
-    m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g, then
-    param -= (lr*(m/(1-beta1**t))) / (sqrt(v/(1-beta2**t)) + eps).
+    m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g, then
+    param -= (lr*(m/(1-BETA1**t))) / (sqrt(v/(1-BETA2**t)) + EPS).
     m, v and the parameters are updated where they are, ADAM_BLOCK elements
     at a time through two scratch blocks, so a step allocates nothing the
     size of a parameter.
@@ -477,30 +476,33 @@ def adam_step(
             raise ValueError(f"Adam moments of shape {m.shape} for a gradient of shape {grad.shape}")
     state.t += 1
     t = state.t
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
     w1_runs = ((0, params.w1.shape[0]),) if w1_runs is None else w1_runs
     runs = [w1_runs] + [((0, len(a)),) for a in params.arrays()[1:]]
     for param, grad, m, v, rows in zip(params.arrays(), grads.arrays(), state.m, state.v, runs):
-        for param_s, grad_s, m_s, v_s in _segments(param, grad, m, v, rows):
+        for run, packed in _packed_runs(rows):
+            # the run's rows of param, and the rows of grad, m and v that hold them
+            param_s, grad_s = _flat(param[run]), grad[packed].reshape(-1)
+            m_s, v_s = _flat(m[packed]), _flat(v[packed])
             for lo in range(0, param_s.size, ADAM_BLOCK):
                 hi = lo + ADAM_BLOCK
                 p_b, g_b, m_b, v_b = param_s[lo:hi], grad_s[lo:hi], m_s[lo:hi], v_s[lo:hi]
                 a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
-                m_b *= beta1
-                np.multiply(g_b, 1.0 - beta1, out=a)
+                m_b *= BETA1
+                np.multiply(g_b, 1.0 - BETA1, out=a)
                 m_b += a
-                np.multiply(g_b, 1.0 - beta2, out=a)
+                np.multiply(g_b, 1.0 - BETA2, out=a)
                 a *= g_b
-                v_b *= beta2
+                v_b *= BETA2
                 v_b += a
                 np.divide(m_b, c1, out=a)
                 a *= lr
                 np.divide(v_b, c2, out=b)
                 np.sqrt(b, out=b)
-                b += eps
+                b += EPS
                 a /= b
                 p_b -= a
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .network import (
     LossBreakdown,
     NetParams,
     Runs,
+    _packed_runs,
     adam_step,
     forward,
     init_params,
@@ -138,40 +139,13 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    """The best epoch's parameters, and the state after the last step: of
-    the parameters `final` and of Adam `final_adam`, whose w1 arrays hold
-    only the movable rows (`w1_runs`) back to back; `params` and `adam` give
-    them whole."""
+    """The parameters of the best epoch (the last without validation), with
+    its tuned tau and validation B3 (None without validation)."""
 
     best_params: NetParams
     best_tau: float | None
     best_b3: float | None
     best_epoch: int
-    final: NetParams
-    final_adam: AdamState
-    w1_runs: Runs
-    history: list = field(default_factory=list)
-
-    @property
-    def params(self) -> NetParams:
-        """The parameters after the last step, built on each read: the
-        other w1 rows never move, so they are best_params.w1's."""
-        w1 = self.best_params.w1.copy()
-        for rows, packed in _packed_rows(self.w1_runs):
-            w1[rows] = self.final.w1[packed]
-        return NetParams(w1, *self.final.arrays()[1:])
-
-    @property
-    def adam(self) -> AdamState:
-        """Adam's state after the last step, built on each read: the moments
-        of the other w1 rows are still +0."""
-        whole = []
-        for compact in (self.final_adam.m, self.final_adam.v):
-            w1 = np.zeros(self.best_params.w1.shape)
-            for rows, packed in _packed_rows(self.w1_runs):
-                w1[rows] = compact[0][packed]
-            whole.append([w1, *compact[1:]])
-        return AdamState(*whole, t=self.final_adam.t)
 
 
 def movable_w1_rows(features: np.ndarray) -> Runs:
@@ -195,21 +169,10 @@ def movable_w1_rows(features: np.ndarray) -> Runs:
     return row_runs(nonzero)
 
 
-def _packed_rows(w1_runs: Runs):
-    """(rows of w1, rows of a compact buffer) for each run: the compact
-    buffer holds the runs' rows back to back, as loss_and_grad's w1
-    gradient does. The same slices index the columns of the inputs and
-    of the packed train features."""
-    at = 0
-    for lo, hi in w1_runs:
-        yield slice(lo, hi), slice(at, at + hi - lo)
-        at += hi - lo
-
-
 def _snapshot(params: NetParams, best: NetParams, w1_runs: Runs) -> None:
     """Copy the current parameters into the compact best-epoch buffers; of
     w1 only the rows of `w1_runs`, the only ones training moves."""
-    for rows, packed in _packed_rows(w1_runs):
+    for rows, packed in _packed_runs(w1_runs):
         np.copyto(best.w1[packed], params.w1[rows])
     for src, dst in zip(params.arrays()[1:], best.arrays()[1:]):
         np.copyto(dst, src)
@@ -229,7 +192,8 @@ def train(
     """Run the configured number of epochs; an epoch is ceil(n / batch_size)
     sampled batches. Aborts with diagnostics when the loss goes non-finite.
     With a validation split, tracks the epoch whose embeddings give the best
-    tuned-tau B3 and returns those parameters as best_params.
+    tuned-tau B3 and returns those parameters as best_params. Each epoch's
+    EpochLog is passed to `progress`, when given.
 
     Training works in the movable-row space: the m input columns nonzero in
     some train row, and their first-layer rows, packed back to back. It
@@ -242,8 +206,8 @@ def train(
     one forward cache that every step overwrites. The forward input's other
     columns stay +0.0. Each step draws new boolean dropout masks, and its
     backward pass holds one delta at a time (loss_and_grad). At the end the
-    snapshot's rows are swapped into params.w1, which becomes
-    best_params.w1; the final rows move into the idle gradient buffer."""
+    snapshot's rows are copied into params.w1, which becomes
+    best_params.w1."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
     w1_runs = movable_w1_rows(features)
@@ -274,7 +238,6 @@ def train(
     adam = AdamState.for_params(grads)
     _snapshot(params, best, w1_runs)
     batch = inputs = cache = None
-    history: list[EpochLog] = []
     best_tau: float | None = None
     best_b3: float | None = None
     best_epoch = 0
@@ -288,7 +251,7 @@ def train(
             )
             if inputs is None:
                 inputs = np.zeros((len(batch.inputs), width))
-            for cols, packed_cols in _packed_rows(w1_runs):
+            for cols, packed_cols in _packed_runs(w1_runs):
                 inputs[:, cols] = batch.inputs[:, packed_cols]
             cache = forward(
                 params,
@@ -334,22 +297,11 @@ def train(
         else:
             _snapshot(params, best, w1_runs)
             best_epoch = epoch
-        history.append(log)
         if progress is not None:
             progress(log)
 
-    # swap in place, so no second whole w1 is made: the final movable rows
-    # go into the gradient buffer, the best epoch's into params.w1
-    for rows, packed in _packed_rows(w1_runs):
-        np.copyto(grads.w1[packed], params.w1[rows])
+    # params.w1 becomes the best epoch's: no second whole w1 is made
+    for rows, packed in _packed_runs(w1_runs):
         np.copyto(params.w1[rows], best.w1[packed])
-    return TrainResult(
-        best_params=NetParams(params.w1, *best.arrays()[1:]),
-        best_tau=best_tau,
-        best_b3=best_b3,
-        best_epoch=best_epoch,
-        final=NetParams(grads.w1, *params.arrays()[1:]),
-        final_adam=adam,
-        w1_runs=w1_runs,
-        history=history,
-    )
+    best_params = NetParams(params.w1, *best.arrays()[1:])
+    return TrainResult(best_params, best_tau, best_b3, best_epoch)

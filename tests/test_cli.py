@@ -131,6 +131,19 @@ def test_variant_override_goes_through_config_checks(tmp_path, capsys):
     assert run.training.lr == pytest.approx(0.003)  # set in the file, so not scaled
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("cluster", "pool", "everywhere"), ("cluster", "eval_split", "train"), ("score", "mode", "within_doc")],
+)
+def test_a_bad_choice_in_the_config_is_exit_2_naming_the_value(tmp_path, capsys, section, key, value):
+    extra = f"\n[{section}]\n{key} = {value}"
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o", extra=extra)
+    assert main(["features", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key} must be " in err and f"got {value!r}" in err
+    assert "Traceback" not in err
+
+
 def test_readme_configuration_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

@@ -6,6 +6,7 @@ import pytest
 from conftest import corpus_from_docs, toks
 from evcoref import clustering
 from evcoref.clustering import (
+    LemmaPairs,
     UnitRows,
     agglomerate,
     agglomerate_indices,
@@ -14,6 +15,7 @@ from evcoref.clustering import (
     head_lemma,
     lemma_delta_init,
     lemma_partition,
+    search_delta,
     tune_delta,
     tune_tau,
     unit_rows,
@@ -129,6 +131,24 @@ def test_agglomerate_refuses_init_over_other_mentions(chains, fault):
     init = Clustering.from_sets(chains)
     with pytest.raises(IntegrityError, match=fault):
         agglomerate(["m1", "m2", "m3"], 0.5, embeddings=np.eye(3), init=init)
+
+
+@pytest.mark.parametrize("as_unit_rows", [False, True])
+@pytest.mark.parametrize("rows", [3, 5], ids=["fewer", "more"])
+@pytest.mark.parametrize("call", ["agglomerate", "tune_tau", "search_delta"])
+def test_embedding_rows_must_match_the_mentions(call, rows, as_unit_rows):
+    ids = ["a", "b", "c", "d"]
+    gold = Clustering.from_sets([{"a", "b"}, {"c", "d"}])
+    embeddings = np.eye(5)[:rows]
+    if as_unit_rows:
+        embeddings = unit_rows(embeddings)
+    run = {
+        "agglomerate": lambda: agglomerate(ids, 0.5, embeddings),
+        "tune_tau": lambda: tune_tau(embeddings, ids, gold),
+        "search_delta": lambda: search_delta(LemmaPairs(ids, np.zeros((0, 4))), gold, embeddings),
+    }[call]
+    with pytest.raises(IntegrityError, match=f"^{rows} embedding rows for 4 mentions$"):
+        run()
 
 
 def test_init_labels_must_be_one_per_row():

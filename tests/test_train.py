@@ -1,4 +1,6 @@
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from evcoref.corpus import Clustering
 from evcoref.errors import IntegrityError, SamplerError, TrainingDivergedError
 from evcoref import network
+from evcoref import train as train_module
 from evcoref.network import AdamState, NetParams, adam_step, forward, init_params
 from oracles import full_row_train, two_call_step
 from evcoref.train import (
@@ -138,6 +141,56 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
+def train_logged(*args, **kwargs):
+    """train's result and the EpochLog it passed to `progress` each epoch."""
+    log = []
+    return train(*args, progress=log.append, **kwargs), log
+
+
+def copied_state(params, state, grads, w1_runs):
+    """Copies of the parameters and of Adam's compact moments, Adam's step
+    count and the step's w1 runs."""
+    copies = lambda arrays: [a.copy() for a in arrays]
+    return SimpleNamespace(
+        params=copies(params.arrays()), m=copies(state.m), v=copies(state.v),
+        t=state.t, w1_runs=w1_runs,
+    )
+
+
+class AdamSpy:
+    """Stands in for the training loop's Adam update (evcoref.train.adam_step):
+    runs the real one, then appends keep(params, state, grads, w1_runs) to
+    `steps`. train returns only the best epoch's parameters, so this is how
+    a test sees the state after each step."""
+
+    def __init__(self, monkeypatch, keep=copied_state):
+        self.steps = []
+
+        def step(params, state, grads, lr, w1_runs=None):
+            adam_step(params, state, grads, lr, w1_runs=w1_runs)
+            self.steps.append(keep(params, state, grads, w1_runs))
+
+        monkeypatch.setattr(train_module, "adam_step", step)
+
+    @property
+    def last(self):
+        return self.steps[-1]
+
+
+def whole_moments(step):
+    """A copied_state step's moments, each with w1's expanded to all rows:
+    the rows outside its runs hold +0, as they would in a whole-row Adam."""
+    whole = []
+    for compact in (step.m, step.v):
+        w1 = np.zeros(step.params[0].shape)
+        at = 0
+        for lo, hi in step.w1_runs:
+            w1[lo:hi] = compact[0][at : at + hi - lo]
+            at += hi - lo
+        whole.append([w1, *compact[1:]])
+    return whole
+
+
 def test_training_loss_decreases_on_separable_blobs():
     # full batch without dropout: strictly monotone; with the stochastic
     # defaults the loss must still fall over the first 10 epochs
@@ -145,45 +198,47 @@ def test_training_loss_decreases_on_separable_blobs():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         x, labels, chains = blob_data(rng, n_per=20, k=3)
-        smooth = train(
+        _, smooth = train_logged(
             x, labels, chains, n_classes=4,
             config=tiny_config(seed=seed, epochs=10, dropout=0.0),
         )
-        totals = [e.loss.total for e in smooth.history]
+        totals = [e.loss.total for e in smooth]
         strict += all(b < a for a, b in zip(totals, totals[1:]))
-        noisy = train(
+        _, noisy = train_logged(
             x, labels, chains, n_classes=4, config=tiny_config(seed=seed, epochs=10)
         )
-        net += noisy.history[-1].loss.total < noisy.history[0].loss.total
+        net += noisy[-1].loss.total < noisy[0].loss.total
     assert strict >= 19  # 95% of seeds
     assert net >= 19
 
 
-def test_training_is_deterministic_given_seed(rng):
+def test_training_is_deterministic_given_seed(rng, monkeypatch):
     x, labels, chains = blob_data(rng)
     cfg = tiny_config(epochs=3)
-    r1 = train(x, labels, chains, n_classes=4, config=cfg)
-    r2 = train(x, labels, chains, n_classes=4, config=cfg)
-    for a, b in zip(r1.params.arrays(), r2.params.arrays()):
+    spy1 = AdamSpy(monkeypatch)
+    _, log1 = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    spy2 = AdamSpy(monkeypatch)
+    _, log2 = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    for a, b in zip(spy1.last.params, spy2.last.params):
         assert np.array_equal(a, b)
-    assert [e.loss.total for e in r1.history] == [e.loss.total for e in r2.history]
+    assert [e.loss.total for e in log1] == [e.loss.total for e in log2]
 
 
 def test_training_with_core_terms(rng):
     x, labels, chains = blob_data(rng)
     cfg = tiny_config(lambda1=2.0, lambda2=0.5, epochs=5)
-    result = train(x, labels, chains, n_classes=4, config=cfg)
-    for entry in result.history:
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    for entry in log:
         assert 0.0 <= entry.loss.attract <= 1.0
         assert 0.0 <= entry.loss.repulse <= 1.0
-    assert result.history[-1].loss.total < result.history[0].loss.total
+    assert log[-1].loss.total < log[0].loss.total
 
 
 def test_training_tracks_best_validation_b3(rng):
     x, labels, chains = blob_data(rng, n_per=15)
     val_x, val_ids, val_gold = val_split(rng)
     cfg = tiny_config(epochs=6, lambda1=1.0)
-    result = train(
+    result, log = train_logged(
         x,
         labels,
         chains,
@@ -193,7 +248,7 @@ def test_training_tracks_best_validation_b3(rng):
         val_mention_ids=val_ids,
         val_gold=val_gold,
     )
-    val_scores = [e.val_b3 for e in result.history]
+    val_scores = [e.val_b3 for e in log]
     assert result.best_b3 == max(val_scores)
     assert result.best_epoch == val_scores.index(max(val_scores)) + 1
     assert result.best_tau is not None
@@ -205,7 +260,7 @@ def test_training_tracks_best_validation_b3(rng):
     assert score == pytest.approx(result.best_b3)
 
 
-def test_best_epoch_snapshot_equals_a_run_stopped_there():
+def test_best_epoch_snapshot_equals_a_run_stopped_there(monkeypatch):
     # the snapshot buffers are reused across epochs: the retained parameters
     # must be exactly those at the best epoch, untouched by later steps
     rng = np.random.default_rng(2)
@@ -218,12 +273,14 @@ def test_best_epoch_snapshot_equals_a_run_stopped_there():
             val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
         )
 
+    full_steps = AdamSpy(monkeypatch)
     full = run(8)
     assert 1 < full.best_epoch < 8
-    stopped = run(full.best_epoch)
-    for ours, ref in zip(full.best_params.arrays(), stopped.params.arrays()):
+    stopped = AdamSpy(monkeypatch)
+    run(full.best_epoch)
+    for ours, ref in zip(full.best_params.arrays(), stopped.last.params):
         assert ours.tobytes() == ref.tobytes()
-    assert not np.array_equal(full.best_params.w1, full.params.w1)
+    assert not np.array_equal(full.best_params.w1, full_steps.last.params[0])
 
 
 def test_empty_validation_split_is_refused_before_training(rng):
@@ -246,17 +303,21 @@ def test_divergence_aborts_with_diagnostics(rng):
             train(x, labels, chains, n_classes=4, config=cfg)
 
 
-def test_epoch_count_and_batching(rng):
+def test_epoch_count_and_batching(rng, monkeypatch):
     x, labels, chains = blob_data(rng, n_per=10, k=3)  # n=30
     cfg = tiny_config(epochs=4, batch_size=8)
-    result = train(x, labels, chains, n_classes=4, config=cfg)
-    assert len(result.history) == 4
-    assert result.adam.t == 4 * int(np.ceil(30 / 8))
+    spy = AdamSpy(monkeypatch)
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    assert len(log) == 4
+    assert spy.last.t == 4 * int(np.ceil(30 / 8))
 
-def test_training_equals_the_loop_stepped_with_the_two_call_oracle(rng):
+
+def test_training_equals_the_loop_stepped_with_the_two_call_oracle(rng, monkeypatch):
     x, labels, chains = blob_data(rng, n_per=10, k=3)  # n=30: 2 batches an epoch
     cfg = tiny_config(epochs=2, batch_size=16, lambda1=2.0, lambda2=0.5)
-    result = train(x, labels, chains, n_classes=4, config=cfg)
+    spy = AdamSpy(monkeypatch)
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    moments = whole_moments(spy.last)
 
     codes = encode_chains(chains)
     step_rng = np.random.default_rng(cfg.seed)
@@ -274,13 +335,13 @@ def test_training_equals_the_loop_stepped_with_the_two_call_oracle(rng):
         )
         adam_step(params, adam, NetParams(*grads), cfg.lr)
         totals.append(loss[0])
-    assert result.adam.t == adam.t == 4
+    assert spy.last.t == adam.t == 4
     for ours, ref in zip(
-        result.params.arrays() + result.adam.m + result.adam.v,
+        spy.last.params + moments[0] + moments[1],
         params.arrays() + adam.m + adam.v,
     ):
         assert ours.tobytes() == ref.tobytes()
-    assert [e.loss.total for e in result.history] == [
+    assert [e.loss.total for e in log] == [
         float(np.mean(totals[:2])), float(np.mean(totals[2:]))
     ]
 
@@ -291,8 +352,9 @@ def test_a_training_step_builds_the_pair_geometry_once(rng, monkeypatch):
     pairs = network._pairs
     monkeypatch.setattr(network, "_pairs", lambda *a: calls.append(1) or pairs(*a))
     cfg = tiny_config(epochs=1, batch_size=64, lambda1=2.0, lambda2=0.5)  # one step
-    result = train(x, labels, chains, n_classes=4, config=cfg)
-    assert result.adam.t == 1
+    spy = AdamSpy(monkeypatch)
+    train(x, labels, chains, n_classes=4, config=cfg)
+    assert spy.last.t == 1
     assert len(calls) == 1
 
 
@@ -348,35 +410,39 @@ def sparse_columns_case(kind):
     return x, labels, chains, (val_x, val_ids, val_gold)
 
 
-def _train_both(case, **config):
+def _train_both(case, monkeypatch, **config):
+    """train's result, its epoch logs and its last step's state
+    (copied_state), and full_row_train's results."""
     x, labels, chains, val = case
     cfg = tiny_config(batch_size=16, lambda1=2.0, lambda2=0.5, **config)  # 3 steps an epoch
-    ours = train(
+    spy = AdamSpy(monkeypatch)
+    ours, log = train_logged(
         x, labels, chains, n_classes=4, config=cfg,
         val_features=val[0], val_mention_ids=val[1], val_gold=val[2],
     )
-    return ours, full_row_train(x, labels, chains, 4, cfg, val)
+    return ours, log, spy.last, full_row_train(x, labels, chains, 4, cfg, val)
 
 
 @pytest.mark.parametrize(
     "kind", ["val-only", "one-mention", "negative-zero", "all-active", "best-not-last", "one-column"]
 )
-def test_training_equals_the_full_row_loop(kind):
+def test_training_equals_the_full_row_loop(kind, monkeypatch):
     case = sparse_columns_case(kind)
-    ours, ref = _train_both(case, epochs=6)
-    assert ours.adam.t == ref["t"]
+    ours, log, last, ref = _train_both(case, monkeypatch, epochs=6)
+    moments = whole_moments(last)
+    assert last.t == ref["t"]
     assert (ours.best_epoch, ours.best_b3, ours.best_tau) == (
         ref["best_epoch"], ref["best_b3"], ref["best_tau"]
     )
     pairs = zip(
-        ours.params.arrays() + ours.adam.m + ours.adam.v + ours.best_params.arrays(),
+        last.params + moments[0] + moments[1] + ours.best_params.arrays(),
         ref["params"] + ref["m"] + ref["v"] + ref["best_params"],
     )
     for a, b in pairs:
         assert a.tobytes() == b.tobytes()
     rows = [
         (e.epoch, e.loss.total, e.loss.cce, e.loss.attract, e.loss.repulse, e.val_b3, e.tau)
-        for e in ours.history
+        for e in log
     ]
     assert [[np.float64(v).tobytes() for v in row] for row in rows] == [
         [np.float64(v).tobytes() for v in row] for row in ref["history"]
@@ -389,17 +455,19 @@ def test_training_equals_the_full_row_loop(kind):
         assert len(movable_w1_rows(case[0])) > 1
 
 
-def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments():
+def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments(monkeypatch):
     case = sparse_columns_case("best-not-last")
-    ours, _ = _train_both(case, epochs=6)
+    ours, _, last, _ = _train_both(case, monkeypatch, epochs=6)
+    assert last.w1_runs == ((0, 2), (3, 5), (8, 12))  # Adam holds no moment of a still row
+    m, v = (moments[0] for moments in whole_moments(last))
     cfg = tiny_config()
     initial = init_params(np.random.default_rng(cfg.seed), 12, 4, cfg.hidden1, cfg.embed, cfg.hidden3)
     still = [2, 5, 6, 7]
-    for w1 in (ours.params.w1, ours.best_params.w1):
+    for w1 in (last.params[0], ours.best_params.w1):
         assert w1[still].tobytes() == initial.w1[still].tobytes()
-    assert ours.adam.m[0][still].tobytes() == ours.adam.v[0][still].tobytes() == bytes(8 * 4 * 16)
+    assert m[still].tobytes() == v[still].tobytes() == bytes(8 * 4 * 16)
     moved = [0, 1, 3, 4]
-    assert np.all(ours.params.w1[moved] != initial.w1[moved])
+    assert np.all(last.params[0][moved] != initial.w1[moved])
 
 
 def test_training_holds_one_whole_first_layer_matrix():
@@ -429,7 +497,7 @@ def test_training_holds_one_whole_first_layer_matrix():
     assert peak < 3.75 * result.best_params.w1.nbytes
 
 
-def test_training_holds_no_other_first_layer_sized_array():
+def test_training_holds_no_other_first_layer_sized_array(monkeypatch):
     # 30 of 3000 input columns are nonzero: the gradient, Adam's moments,
     # the best-epoch snapshot, the train features and the batch all hold
     # only those 30 columns or rows, so besides w1 itself the peak is the
@@ -445,6 +513,7 @@ def test_training_holds_no_other_first_layer_sized_array():
     cfg = TrainConfig(
         lr=0.002, epochs=3, batch_size=32, hidden1=512, embed=16, hidden3=16, seed=3,
     )
+    spy = AdamSpy(monkeypatch, keep=lambda params, state, grads, w1_runs: (grads.w1.shape, state.m[0].shape))
     tracemalloc.start()
     try:
         result = train(
@@ -454,6 +523,23 @@ def test_training_holds_no_other_first_layer_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.final.w1.shape == result.final_adam.m[0].shape == (30, 512)
+    assert spy.last == ((30, 512), (30, 512))
     assert peak < 1.5 * result.best_params.w1.nbytes
     assert x.tobytes() == given.tobytes()  # train copies the columns it keeps
+
+
+def test_the_training_state_dies_with_train(rng, monkeypatch):
+    # a caller that holds only the result holds no gradient and no moments:
+    # train keeps nothing of them once it has returned
+    x, labels, chains = blob_data(rng)
+    x[:, [2, 5]] = 0.0  # so the gradient and the w1 moments are compact
+    spy = AdamSpy(
+        monkeypatch,
+        keep=lambda params, state, grads, w1_runs: [
+            weakref.ref(a) for a in grads.arrays() + state.m + state.v
+        ],
+    )
+    result = train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2))
+    assert result.best_params.w1.shape == (10, 16)
+    assert len(spy.steps) == 2
+    assert [ref() is None for ref in spy.last] == [True] * 24  # 8 gradients, 8 m, 8 v

@@ -14,7 +14,10 @@ always running first or second), with the benchmark's per-corpus
 ``PYTHONHASHSEED`` and BLAS thread count. Every file a stage writes under
 ``out/``, every stage's standard output and every exit code are compared
 byte for byte; a stage that exits non-zero counts as a difference even when
-both trees fail alike. Exit status: 0 when all match, 1 otherwise.
+both trees fail alike. The summary gives each tree's ``src/evcoref`` line
+count (``wc -l src/evcoref/*.py``) next to the number of corpora that
+differ, so a change's size shows in the run that checks its outputs. Exit
+status: 0 when all match, 1 otherwise.
 
 With ``--threads A,B`` the ``--change`` tree alone runs twice, with the BLAS
 thread count (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -108,6 +111,11 @@ def run_stages(tree: Path, threads: int | None, case, workload) -> tuple[list[tu
     return stages, files
 
 
+def package_lines(tree: Path) -> int:
+    """Lines of the tree's src/evcoref/*.py, as `wc -l` totals them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "evcoref").glob("*.py"))
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
@@ -198,7 +206,8 @@ def main(argv=None) -> int:
                 usage.setdefault(name, []).append((p, c))
             floor = max([floor] + [stage[5] for stage in parent[0] + change[0]])
             failed += bool(diffs)
-    print(f"{failed} of {args.corpora} corpora differ")
+    lines = [package_lines(sides[side][0]) for side in ("parent", "change")]
+    print(f"{failed} of {args.corpora} corpora differ (src/evcoref: {lines[0]} -> {lines[1]} lines)")
     print(f"median over corpora (peak RSS floor, the spawning process's peak: {floor:.1f} MB):")
     median = lambda runs, side, i: statistics.median(run[side][i] for run in runs)
     rows = [
