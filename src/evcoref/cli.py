@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -302,11 +303,9 @@ def cmd_score(
     run: RunConfig,
     gold_path: Path | None = None,
     sys_path: Path | None = None,
-    mode: str | None = None,
 ) -> MetricReport:
     from . import scoring
 
-    mode = mode or run.mode
     out = run.output / "cluster"
     gold_path = gold_path or out / f"{run.eval_split}.gold.chains"
     sys_path = sys_path or out / f"{run.eval_split}.sys.chains"
@@ -317,7 +316,7 @@ def cmd_score(
     if not gold.chains:
         raise IntegrityError(f"gold chains file {gold_path} names no mention")
     sys_clustering = read_chains(sys_path)
-    if mode == "within-doc":
+    if run.mode == "within-doc":
         rows = _read_mentions_tsv(run.output / "features" / f"{run.eval_split}.mentions.tsv")
         doc_of = {mention_id: doc_id for mention_id, _, doc_id, _ in rows}
         gold = scoring.within_doc_projection(gold, doc_of)
@@ -326,9 +325,9 @@ def cmd_score(
     rep = scoring.report(gold, sys_clustering)
     score_dir = run.output / "score"
     score_dir.mkdir(parents=True, exist_ok=True)
-    name = "report_within.tsv" if mode == "within-doc" else "report.tsv"
+    name = "report_within.tsv" if run.mode == "within-doc" else "report.tsv"
     scoring.write_report(rep, score_dir / name)
-    print(f"[{mode}]")
+    print(f"[{run.mode}]")
     print(scoring.format_report(rep), end="")
     return rep
 
@@ -338,8 +337,8 @@ def cmd_pipeline(run: RunConfig) -> None:
     if run.variant in LEARNED_VARIANTS:
         cmd_train(run)
     cmd_cluster(run)
-    cmd_score(run, mode="combined")
-    cmd_score(run, mode="within-doc")
+    cmd_score(replace(run, mode="combined"))
+    cmd_score(replace(run, mode="within-doc"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("score",):
             p.add_argument("--gold", help="gold chains file")
             p.add_argument("--sys", help="system chains file")
-            p.add_argument("--mode", choices=["combined", "within-doc"])
+            p.add_argument("--mode", help="override [score] mode")
     return parser
 
 
@@ -373,6 +372,7 @@ def main(argv=None) -> int:
         run = load_config(args.config, {
             "model": {"seed": args.seed, "variant": args.variant},
             "cluster": {"tau": args.tau, "delta": args.delta},
+            "score": {"mode": getattr(args, "mode", None)},
         })
         if args.command == "features":
             cmd_features(run)
@@ -385,7 +385,6 @@ def main(argv=None) -> int:
                 run,
                 gold_path=Path(args.gold) if args.gold else None,
                 sys_path=Path(args.sys) if args.sys else None,
-                mode=args.mode,
             )
         elif args.command == "pipeline":
             cmd_pipeline(run)

@@ -162,12 +162,17 @@ def build_merge_run(sims: np.ndarray, init: np.ndarray | None = None) -> MergeRu
     return MergeRun(slot_of=slot_of, sims=seq_sims, lefts=lefts, rights=rights)
 
 
-def _merge_run(embeddings: np.ndarray | UnitRows, n_mentions: int, init=None) -> MergeRun:
-    """build_merge_run over the embeddings' cosines, refused unless there
-    is one embedding row per mention."""
+def _require_rows(embeddings: np.ndarray | UnitRows, n_mentions: int) -> None:
+    """Refuse embeddings that do not have one row per mention."""
     rows = len(embeddings.rows if isinstance(embeddings, UnitRows) else embeddings)
     if rows != n_mentions:
         raise IntegrityError(f"{rows} embedding rows for {n_mentions} mentions")
+
+
+def _merge_run(embeddings: np.ndarray | UnitRows, n_mentions: int, init=None) -> MergeRun:
+    """build_merge_run over the embeddings' cosines, refused unless there
+    is one embedding row per mention."""
+    _require_rows(embeddings, n_mentions)
     return build_merge_run(cosine_similarity_matrix(embeddings), init)
 
 
@@ -302,6 +307,7 @@ def tune_delta(
     if embeddings is not None:
         # the lemma rows follow the corpus order: put the embedding rows in it too
         given = pairs.mention_ids if mention_ids is None else mention_ids
+        _require_rows(embeddings, len(given))
         row_of = {m: i for i, m in enumerate(given)}
         if len(row_of) != len(given) or row_of.keys() != set(pairs.mention_ids):
             raise IntegrityError("embedding mention ids differ from the corpus mentions")

@@ -30,6 +30,30 @@ LEARNED_VARIANTS = ("CCE", "CORE", "CORE+CCE", "CORE+CCE+LEMMA")
 
 BATCH_SIZE = 272
 
+# Every checked key, once: (section, key, type, the values it accepts, the
+# requirement an error prints). Its default is its TrainConfig or RunConfig
+# field. Rules across keys (a variant's lambdas, CORE's lr) keep their own code.
+KEYS = (
+    ("model", "lr", float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0"),
+    ("model", "epochs", int, lambda v: v >= 1, ">= 1"),
+    # the sampler seeds every batch with a same-chain pair and one other mention
+    ("model", "batch_size", int, lambda v: v >= 3, ">= 3"),
+    ("model", "lambda1", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    ("model", "lambda2", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    ("model", "dropout", float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    # the checkpoint stores the seed as a u64
+    ("model", "seed", int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"),
+    ("model", "hidden1", int, lambda v: v >= 1, ">= 1"),
+    ("model", "embed", int, lambda v: v >= 1, ">= 1"),
+    ("model", "hidden3", int, lambda v: v >= 1, ">= 1"),
+    ("cluster", "tau", float, math.isfinite, "finite"),
+    ("cluster", "delta", float, math.isfinite, "finite"),
+    ("cluster", "pool", str, lambda v: v in ("global", "topic"), "global or topic"),
+    ("cluster", "eval_split", str, lambda v: v in ("test", "validation"), "test or validation"),
+    ("score", "mode", str, lambda v: v in ("combined", "within-doc"), "combined or within-doc"),
+)
+_TYPE_NAMES = {float: "a number", int: "an integer"}
+
 
 @dataclass
 class TrainConfig:
@@ -68,8 +92,6 @@ def parse_topic_list(text: str) -> set[str]:
 
 def normalize_variant(text: str) -> str:
     v = text.strip().upper().replace("_", "-").replace(" ", "")
-    aliases = {"LEMMA-D": "LEMMA-DELTA", "LEMMADELTA": "LEMMA-DELTA"}
-    v = aliases.get(v, v)
     if v not in VARIANTS:
         raise ConfigError(f"unknown variant {text!r}; choose from {', '.join(VARIANTS)}")
     return v
@@ -150,53 +172,21 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         if not train_topics or not test_topics:
             raise ConfigError("[split] needs train and test topics (or preset = ecbplus)")
 
-    def f(section, key, default):
-        raw = _get(cfg, section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}")
-
-    def i(section, key, default):
-        raw = _get(cfg, section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}")
-
     variant = normalize_variant(_get(cfg, "model", "variant", "CORE+CCE"))
-    base = TrainConfig()
-    lr = f("model", "lr", base.lr)
-    if variant == "CORE" and _get(cfg, "model", "lr") is None:
-        lr = base.lr * 0.1  # CORE-only default runs ten times slower
-    training = TrainConfig(
-        lr=lr,
-        epochs=i("model", "epochs", base.epochs),
-        batch_size=i("model", "batch_size", base.batch_size),
-        lambda1=f("model", "lambda1", 0.0),
-        lambda2=f("model", "lambda2", 0.0),
-        dropout=f("model", "dropout", base.dropout),
-        seed=i("model", "seed", base.seed),
-        hidden1=i("model", "hidden1", base.hidden1),
-        embed=i("model", "embed", base.embed),
-        hidden3=i("model", "hidden3", base.hidden3),
-        use_cce=variant not in ("CORE",),
-    )
-
-    pool = _get(cfg, "cluster", "pool", "global")
-    if pool not in ("global", "topic"):
-        raise ConfigError(f"[cluster] pool must be global or topic, got {pool!r}")
-    eval_split = _get(cfg, "cluster", "eval_split", "test")
-    if eval_split not in ("test", "validation"):
-        raise ConfigError(f"[cluster] eval_split must be test or validation, got {eval_split!r}")
-    mode = _get(cfg, "score", "mode", "combined")
-    if mode not in ("combined", "within-doc"):
-        raise ConfigError(f"[score] mode must be combined or within-doc, got {mode!r}")
-
+    values = {section: {} for section, *_ in KEYS}  # an absent or empty key keeps its field default
+    for section, key, kind, accepts, requirement in KEYS:
+        raw = _get(cfg, section, key)
+        if raw is None:
+            continue
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
+        if not accepts(value):
+            raise ConfigError(f"[{section}] {key} must be {requirement}, got {value!r}")
+        values[section][key] = value
+    if variant == "CORE" and "lr" not in values["model"]:
+        values["model"]["lr"] = TrainConfig.lr * 0.1  # CORE-only default runs ten times slower
     run = RunConfig(
         corpus=Path(corpus),
         output=Path(output),
@@ -205,40 +195,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         val_topics=val_topics,
         test_topics=test_topics,
         variant=variant,
-        training=training,
-        tau=f("cluster", "tau", None),
-        delta=f("cluster", "delta", None),
-        pool=pool,
-        eval_split=eval_split,
-        mode=mode,
+        training=TrainConfig(**values["model"], use_cce=variant not in ("CORE",)),
+        **values["cluster"],
+        **values["score"],
         config_hash=config_text_hash(text),
     )
-    _validate_model(run.training)
     _validate_lambdas(run)
-    for key, value in (("tau", run.tau), ("delta", run.delta)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"[cluster] {key} must be finite, got {value}")
     return run
-
-
-def _validate_model(training: TrainConfig) -> None:
-    """[model] values the network and the batch sampler can run with."""
-    if training.epochs < 1:
-        raise ConfigError(f"[model] epochs must be >= 1, got {training.epochs}")
-    if training.batch_size < 3:
-        raise ConfigError(f"[model] batch_size must be >= 3, got {training.batch_size}")
-    if not 0.0 <= training.dropout < 1.0:
-        raise ConfigError(f"[model] dropout must be in [0, 1), got {training.dropout}")
-    if not (math.isfinite(training.lr) and training.lr > 0.0):
-        raise ConfigError(f"[model] lr must be finite and > 0, got {training.lr}")
-    if not 0 <= training.seed < 2**64:  # the checkpoint stores it as a u64
-        raise ConfigError(f"[model] seed must be in [0, 2**64), got {training.seed}")
-    for key, value in (("lambda1", training.lambda1), ("lambda2", training.lambda2)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"[model] {key} must be finite and >= 0, got {value}")
-    for key in ("hidden1", "embed", "hidden3"):
-        if getattr(training, key) < 1:
-            raise ConfigError(f"[model] {key} must be >= 1, got {getattr(training, key)}")
 
 
 def _validate_lambdas(run: RunConfig) -> None:

@@ -15,7 +15,14 @@ import evcoref
 from evcoref import cli, network
 from evcoref.cli import _read_mentions_tsv, main
 from evcoref.clustering import agglomerate, lemma_delta_init, tune_tau
-from evcoref.config import LEARNED_VARIANTS, VARIANTS, load_config, normalize_variant, parse_topic_list
+from evcoref.config import (
+    KEYS,
+    LEARNED_VARIANTS,
+    VARIANTS,
+    load_config,
+    normalize_variant,
+    parse_topic_list,
+)
 from evcoref.corpus import Clustering, gold_clustering, load_corpus, split_by_topics, write_chains
 from evcoref.errors import ConfigError, ParseError
 from evcoref.features import fit_tfidf
@@ -96,8 +103,9 @@ def test_parse_topic_list_ranges():
 def test_variant_normalization():
     assert normalize_variant("core+cce") == "CORE+CCE"
     assert normalize_variant("lemma_delta") == "LEMMA-DELTA"
-    with pytest.raises(ConfigError):
-        normalize_variant("bogus")
+    for text in ("bogus", "LEMMA-D", "LEMMADELTA"):
+        with pytest.raises(ConfigError, match="unknown variant"):
+            normalize_variant(text)
 
 
 def test_core_variant_gets_scaled_lr(tmp_path):
@@ -151,6 +159,41 @@ def test_readme_configuration_loads(tmp_path):
     path.write_text(block)
     run = load_config(path)
     assert run.variant == "CORE+CCE" and run.training.epochs == 100
+    # the paragraph on checked values states each key's requirement as KEYS does
+    start = readme.index("These keys are checked when the file is read")
+    paragraph = " ".join(readme[start : readme.index("\n\n", start)].split())
+    for section, key, _, _, requirement in KEYS:
+        assert f"`{key}` must be {requirement}" in paragraph, (section, key)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, expected",
+    [
+        ("model", "lr", "5e-324", 5e-324),
+        ("model", "epochs", "1", 1),
+        ("model", "batch_size", "3", 3),
+        ("model", "dropout", "0", 0.0),
+        ("model", "dropout", "0.999", 0.999),
+        ("model", "seed", "0", 0),
+        ("model", "seed", str(2**64 - 1), 2**64 - 1),
+        ("model", "lambda1", "0", 0.0),
+        ("model", "lambda2", "0", 0.0),
+        ("model", "hidden1", "1", 1),
+        ("model", "embed", "1", 1),
+        ("model", "hidden3", "1", 1),
+        ("cluster", "pool", "global", "global"),
+        ("cluster", "pool", "topic", "topic"),
+        ("cluster", "eval_split", "test", "test"),
+        ("cluster", "eval_split", "validation", "validation"),
+        ("score", "mode", "combined", "combined"),
+        ("score", "mode", "within-doc", "within-doc"),
+    ],
+)
+def test_the_bounds_of_each_checked_key_are_accepted(tmp_path, section, key, value, expected):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[paths]\ncorpus = x\n[split]\ntrain = 1\ntest = 2\n[{section}]\n{key} = {value}\n")
+    run = load_config(cfg)
+    assert getattr(run.training if section == "model" else run, key) == expected
 
 
 @pytest.mark.parametrize(
@@ -219,6 +262,7 @@ def test_non_finite_threshold_is_exit_2(tmp_path, capsys, key, value):
         ("cluster", "--tau", "inf", "[cluster] tau must be finite"),
         ("cluster", "--delta", "nan", "[cluster] delta must be finite"),
         ("cluster", "--variant", "100%", "unknown variant '100%'"),
+        ("score", "--mode", "within_doc", "[score] mode must be"),
     ],
 )
 def test_out_of_range_override_is_exit_2(tmp_path, capsys, command, flag, value, message):

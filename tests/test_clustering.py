@@ -482,6 +482,19 @@ def test_tune_delta_refuses_rows_for_other_mentions(rng):
         tune_delta(corpus, tfidf, gold, rng.normal(size=(len(ids) - 1, 6)), ids[1:])
 
 
+@pytest.mark.parametrize("with_ids", [False, True], ids=["corpus_order", "mention_ids"])
+@pytest.mark.parametrize("as_unit_rows", [False, True], ids=["array", "unit_rows"])
+@pytest.mark.parametrize("extra", [-2, 2], ids=["fewer", "more"])
+def test_tune_delta_refuses_a_wrong_embedding_row_count(rng, extra, as_unit_rows, with_ids):
+    tfidf, corpus = synthetic_lemma_split()
+    ids = [m.id for m in corpus.mentions()]
+    embeddings = rng.normal(size=(len(ids) + extra, 6))
+    if as_unit_rows:
+        embeddings = unit_rows(embeddings)
+    with pytest.raises(IntegrityError, match=f"^{len(ids) + extra} embedding rows for {len(ids)} mentions$"):
+        tune_delta(corpus, tfidf, gold_clustering(corpus), embeddings, ids if with_ids else None)
+
+
 @pytest.mark.parametrize("with_embeddings", [False, True])
 def test_tune_delta_tie_over_one_partition_takes_largest_delta(rng, with_embeddings):
     corpus = lemma_corpus()
