@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -218,13 +217,11 @@ def cmd_cluster(run: RunConfig) -> None:
     for LEMMA-DELTA and CORE+CCE+LEMMA; singletons otherwise) over vectors
     (the raw features for UNSUPERVISED, the checkpoint's embeddings for
     learned variants); with no vectors the seed is the clustering. An unset
-    delta, or else an unset tau, is tuned on the validation split."""
+    delta, or else an unset tau, is tuned on the validation split, which is
+    read only then, and before the eval split."""
     from . import clustering as clus
 
     eval_name = run.eval_split
-    eval_x, eval_rows = _load_split(run, eval_name)
-    if not eval_rows:
-        raise IntegrityError(f"the {eval_name} split has no mentions to cluster")
     delta, tau = run.delta, run.tau
     delta_seeded = run.variant in ("LEMMA-DELTA", "CORE+CCE+LEMMA")
     lemma_seeded = delta_seeded or run.variant == "LEMMA"
@@ -246,25 +243,22 @@ def cmd_cluster(run: RunConfig) -> None:
         if not ckpt.exists():
             raise ConfigError(f"missing {ckpt}; run the train stage first")
         params, _ = net.load_checkpoint(ckpt)
-        if params.dims[0] != eval_x.shape[1]:
-            raise ModelMismatchError(
-                f"checkpoint input width {params.dims[0]} != features {eval_x.shape[1]}"
-            )
-        embed = lambda x: clus.unit_rows(net.embed(params, x))
+        embed = lambda x: clus.unit_rows(net.embed(params, x))  # refuses another width
 
-    @cache
     def split(name: str):
         """(mention ids, gold chains, vectors or None, lemma pairs or None) of a
-        split, read and embedded once; the stage owns the vectors, so they are
-        scaled to unit rows in place and the similarity makes no copy of them."""
-        x, rows = (eval_x, eval_rows) if name == eval_name else _load_split(run, name)
+        split; the stage owns the vectors, so they are scaled to unit rows in
+        place and the similarity makes no copy of them."""
+        x, rows = _load_split(run, name)
         ids = [r[0] for r in rows]
         pairs = clus.LemmaPairs(ids, _read_pairs(run, name, len(ids))) if lemma_seeded else None
         return ids, _gold(rows), None if embed is None else embed(x), pairs
 
+    # one split's vectors at a time: validation only to tune, then the eval split
+    val = None
     delta_unset = delta_seeded and delta is None
     if delta_unset or (embed is not None and tau is None):
-        val_ids, val_gold, val_vectors, val_pairs = split("validation")
+        val_ids, val_gold, val_vectors, val_pairs = val = split("validation")
         if delta_unset:  # with vectors, tau is searched on each delta's seed
             delta, tuned_tau, score = clus.search_delta(val_pairs, val_gold, val_vectors)
             tuned = {"delta": delta, "tau": tuned_tau}
@@ -274,15 +268,16 @@ def cmd_cluster(run: RunConfig) -> None:
         tau = tuned_tau if tau is None else tau
         chosen = " ".join(f"{k} {v:.4f}" for k, v in tuned.items() if v is not None)
         print(f"tuned {chosen} (validation B3 {score:.4f})")
-        # nothing reads the validation vectors again unless they are the eval split's
         del val_vectors
         if eval_name != "validation":
-            split.cache_clear()
+            val = None  # the validation vectors die before the eval split is read
+    eval_ids, gold, eval_vectors, eval_pairs = val or split(eval_name)
+    if not eval_ids:
+        raise IntegrityError(f"the {eval_name} split has no mentions to cluster")
 
     meta: dict = {"variant": run.variant, "split": eval_name}
     if delta_seeded:
         meta["delta"] = delta
-    eval_ids, gold, eval_vectors, eval_pairs = split(eval_name)
     sys_clustering = init = seed(eval_pairs)
     if embed is not None:
         meta["tau"] = tau

@@ -59,9 +59,9 @@ def init_params(
     rng: np.random.Generator,
     n_inputs: int,
     n_classes: int,
-    hidden1: int = 1000,
-    embed: int = 250,
-    hidden3: int = 1000,
+    hidden1: int,
+    embed: int,
+    hidden3: int,
 ) -> NetParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
 

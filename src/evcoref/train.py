@@ -18,7 +18,7 @@ import numpy as np
 from .clustering import tune_tau
 from .config import BATCH_SIZE, TrainConfig
 from .corpus import Clustering
-from .errors import IntegrityError, SamplerError, TrainingDivergedError
+from .errors import IntegrityError, ModelMismatchError, SamplerError, TrainingDivergedError
 from .network import (
     AdamState,
     LossBreakdown,
@@ -26,6 +26,7 @@ from .network import (
     Runs,
     _packed_runs,
     adam_step,
+    embed,
     forward,
     init_params,
     loss_and_grad,
@@ -210,21 +211,28 @@ def train(
     best_params.w1."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
+    has_val = val_features is not None
+    if has_val:  # refused before the first step, not at the first epoch's end
+        if val_mention_ids is None or val_gold is None:
+            raise ValueError("validation needs features, mention ids, and gold chains")
+        if len(val_mention_ids) == 0:
+            raise IntegrityError("the validation split has no mentions to select an epoch on")
+        if val_features.ndim != 2 or val_features.shape[1] != width:
+            raise ModelMismatchError(
+                f"validation input width {val_features.shape[-1]} != train input width {width}"
+            )
+        if len(val_features) != len(val_mention_ids):
+            raise IntegrityError(
+                f"{len(val_features)} validation rows for {len(val_mention_ids)} mentions"
+            )
     w1_runs = movable_w1_rows(features)
     packed_features = np.concatenate([features[:, lo:hi] for lo, hi in w1_runs], axis=1)
     del features
     chain_codes = encode_chains(chain_ids)
     rng = np.random.default_rng(config.seed)
-    params = init_params(
-        rng, width, n_classes, config.hidden1, config.embed, config.hidden3
-    )
+    params = init_params(rng, width, n_classes, config.hidden1, config.embed, config.hidden3)
     dims = params.dims
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
-    has_val = val_features is not None
-    if has_val and (val_mention_ids is None or val_gold is None):
-        raise ValueError("validation needs features, mention ids, and gold chains")
-    if has_val and len(val_mention_ids) == 0:
-        raise IntegrityError("the validation split has no mentions to select an epoch on")
 
     # allocated once: every step writes its gradients into `grads` and each
     # new best epoch is copied into `best` (at first the initial parameters),
@@ -288,8 +296,7 @@ def train(
             ),
         )
         if has_val:
-            val_emb = forward(params, val_features, mode="infer").embeddings
-            tau, b3 = tune_tau(val_emb, val_mention_ids, val_gold)
+            tau, b3 = tune_tau(embed(params, val_features), val_mention_ids, val_gold)
             log.val_b3, log.tau = b3, tau
             if best_b3 is None or b3 > best_b3:
                 _snapshot(params, best, w1_runs)

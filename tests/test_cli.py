@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import evcoref
-from evcoref import cli, network
+from evcoref import cli, clustering, network
 from evcoref.cli import _read_mentions_tsv, main
 from evcoref.clustering import agglomerate, lemma_delta_init, tune_tau
 from evcoref.config import (
@@ -713,17 +713,43 @@ def test_cluster_and_score_all_variants(pipeline_dir, variant):
     assert (out / "score" / "report_within.tsv").exists()
 
 
-def test_learned_cluster_reads_each_matrix_once(pipeline_dir, monkeypatch):
-    _, cfg, _ = pipeline_dir
-    reads = []
+def record_reads_and_tuning(monkeypatch) -> list[str]:
+    """The names of the matrices the cluster stage reads, in order, with
+    "tuned" where tune_tau returns."""
+    events = []
 
     def counted(path):
-        reads.append(path.name)
+        events.append(path.name)
         return read_matrix(path)
 
+    def tuned(*args, **kwargs):
+        result = tune_tau(*args, **kwargs)
+        events.append("tuned")
+        return result
+
     monkeypatch.setattr(cli, "read_matrix", counted)
+    monkeypatch.setattr(clustering, "tune_tau", tuned)
+    return events
+
+
+def test_learned_cluster_reads_each_matrix_once(pipeline_dir, monkeypatch):
+    _, cfg, _ = pipeline_dir
+    events = record_reads_and_tuning(monkeypatch)
     assert main(["cluster", "--config", str(cfg)]) == 0
-    assert sorted(reads) == ["test.mat", "validation.mat"]
+    assert events == ["validation.mat", "tuned", "test.mat"]
+
+
+def test_unsupervised_cluster_reads_the_eval_split_after_tuning(pipeline_dir, tmp_path, monkeypatch):
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(
+        tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant="UNSUPERVISED"
+    )
+    events = record_reads_and_tuning(monkeypatch)
+    assert main(["cluster", "--config", str(cfg)]) == 0
+    assert events == ["validation.mat", "tuned", "test.mat"]
+    assert _thresholds(out / "cluster" / "test.sys.chains").keys() == {"tau"}
 
 
 @pytest.mark.parametrize("variant", ["CORE+CCE", "CORE+CCE+LEMMA", "LEMMA-DELTA", "UNSUPERVISED"])
@@ -902,7 +928,9 @@ def test_dimension_mismatch_is_exit_4(pipeline_dir, tmp_path):
     shapes = [(7, 4), (4,), (4, 3), (3,), (3, 4), (4,), (4, 2), (2,)]
     params = NetParams(*[np.zeros(s) for s in shapes])
     save_checkpoint(bad_out / "train" / "checkpoint.ckpt", params, epoch=1, seed=0)
-    assert main(["cluster", "--config", str(cfg)]) == 4
+    assert main(["cluster", "--config", str(cfg)]) == 4  # at the validation embed
+    assert main(["cluster", "--config", str(cfg), "--tau", "0.5"]) == 4  # at the eval embed
+    assert not (bad_out / "cluster").exists()
 
 
 def test_cluster_before_features_is_exit_2(tmp_path):

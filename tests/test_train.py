@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evcoref.corpus import Clustering
-from evcoref.errors import IntegrityError, SamplerError, TrainingDivergedError
+from evcoref.errors import IntegrityError, ModelMismatchError, SamplerError, TrainingDivergedError
 from evcoref import network
 from evcoref import train as train_module
 from evcoref.network import AdamState, NetParams, adam_step, forward, init_params
@@ -293,6 +293,23 @@ def test_empty_validation_split_is_refused_before_training(rng):
             val_gold=Clustering.from_sets([]), progress=seen.append,
         )
     assert seen == []
+
+
+@pytest.mark.parametrize(
+    "cut, error",
+    [(np.s_[:, :-1], ModelMismatchError), (np.s_[:-1], IntegrityError)],
+    ids=["narrower", "fewer-rows"],
+)
+def test_unusable_validation_inputs_are_refused_before_the_first_step(rng, monkeypatch, cut, error):
+    x, labels, chains = blob_data(rng)
+    val_x, val_ids, val_gold = val_split(rng)
+    steps = AdamSpy(monkeypatch, keep=lambda *_: None).steps
+    with pytest.raises(error):
+        train(
+            x, labels, chains, n_classes=4, config=tiny_config(epochs=2),
+            val_features=val_x[cut], val_mention_ids=val_ids, val_gold=val_gold,
+        )
+    assert len(steps) == 0
 
 
 def test_divergence_aborts_with_diagnostics(rng):
