@@ -24,7 +24,7 @@ from .config import LEARNED_VARIANTS, RunConfig, load_config
 from .corpus import (
     Clustering,
     Corpus,
-    lemma_pairs,
+    LemmaPairs,
     load_corpus,
     read_chains,
     split_by_topics,
@@ -107,7 +107,7 @@ def cmd_features(run: RunConfig) -> None:
         del matrix  # the stage holds one split's matrix at a time
         _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
         if name != "train":  # the lemma seeds of the cluster stage, in mention-row order
-            write_matrix(out / f"{name}.lemma_pairs.mat", lemma_pairs(corpora[name], models.tfidf))
+            write_matrix(out / f"{name}.lemma_pairs.mat", LemmaPairs.of(corpora[name], models.tfidf).pairs)
     print(f"features written to {out}")
 
 
@@ -196,21 +196,6 @@ def cmd_train(run: RunConfig) -> None:
     )
 
 
-def _read_pairs(run: RunConfig, name: str, n: int) -> np.ndarray:
-    """The split's lemma-pair file, refused unless each row is finite and
-    names two of its n mention rows, 0 <= left < right < n."""
-    path = run.output / "features" / f"{name}.lemma_pairs.mat"
-    pairs = read_matrix(path)
-    if pairs.shape[1] != 4:
-        raise ParseError(path, 1, f"{pairs.shape[1]} columns, not 4 (left, right, same doc, cosine)")
-    rows = pairs[:, :2]
-    bad = ~np.isfinite(pairs).all(axis=1) | (rows != np.floor(rows)).any(axis=1)
-    bad = np.flatnonzero(bad | ~((0 <= rows[:, 0]) & (rows[:, 0] < rows[:, 1]) & (rows[:, 1] < n)))
-    if len(bad):
-        raise ParseError(path, 1, f"pair {bad[0]} is not finite with rows 0 <= left < right < {n}")
-    return pairs
-
-
 def cmd_cluster(run: RunConfig) -> None:
     """Chains for the eval split. Every variant is single linkage from a seed
     partition (from the split's lemma pairs, at -inf for LEMMA and at delta
@@ -227,11 +212,8 @@ def cmd_cluster(run: RunConfig) -> None:
     lemma_seeded = delta_seeded or run.variant == "LEMMA"
 
     def seed(pairs) -> Clustering | None:
-        """The partition single linkage starts from (None: singletons)."""
-        if pairs is None:
-            return None
-        at = delta if delta_seeded else -np.inf  # LEMMA keeps every pair
-        return Clustering.from_labels(pairs.mention_ids, pairs.labels_at(at))
+        """The partition single linkage starts from (None: singletons; LEMMA keeps every pair)."""
+        return None if pairs is None else pairs.clustering_at(delta if delta_seeded else -np.inf)
 
     embed = None  # feature matrix -> the vectors that single linkage runs on
     if run.variant == "UNSUPERVISED":
@@ -251,7 +233,8 @@ def cmd_cluster(run: RunConfig) -> None:
         place and the similarity makes no copy of them."""
         x, rows = _load_split(run, name)
         ids = [r[0] for r in rows]
-        pairs = clus.LemmaPairs(ids, _read_pairs(run, name, len(ids))) if lemma_seeded else None
+        path = run.output / "features" / f"{name}.lemma_pairs.mat"
+        pairs = LemmaPairs.read(path, ids) if lemma_seeded else None
         return ids, _gold(rows), None if embed is None else embed(x), pairs
 
     # one split's vectors at a time: validation only to tune, then the eval split

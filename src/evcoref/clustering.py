@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Clustering, Corpus, head_lemma, lemma_pairs
+from .corpus import Clustering, Corpus, LemmaPairs, head_lemma
 from .errors import IntegrityError
 from .kernels import _find, components, merge_sequence
 from .scoring import Contingency
@@ -210,36 +210,11 @@ def lemma_partition(corpus: Corpus) -> Clustering:
     return Clustering.from_labels([m for m, _ in heads], [lemma for _, lemma in heads])
 
 
-@dataclass(frozen=True)
-class LemmaPairs:
-    """The mention pairs of one split that share a head lemma, each with its
-    documents' TF-IDF cosine, as `corpus.lemma_pairs` rows (left row, right
-    row, same document, cosine) over the split's mentions in row order;
-    computed once, thresholded per delta."""
-
-    mention_ids: list[str]
-    pairs: np.ndarray
-
-    @classmethod
-    def of(cls, corpus: Corpus, tfidf) -> "LemmaPairs":
-        return cls([m.id for m in corpus.mentions()], lemma_pairs(corpus, tfidf))
-
-    def labels_at(self, delta: float) -> np.ndarray:
-        """Each mention's smallest component member at this delta (-inf
-        keeps every pair: the lemma partition): equal partitions give equal
-        label vectors."""
-        _, _, same_doc, cosines = self.pairs.T
-        keep = (same_doc != 0.0) | (cosines > delta)
-        rows = self.pairs[keep, :2].astype(np.int64)
-        return components(len(self.mention_ids), rows[:, 0], rows[:, 1])
-
-
 def lemma_delta_init(corpus: Corpus, tfidf, delta: float) -> Clustering:
     """Transitive closure of: same head lemma AND document TF-IDF cosine
     strictly above delta. Same-document mentions with one head lemma always
     merge (a document's self-similarity is 1 > delta for delta < 1)."""
-    pairs = LemmaPairs.of(corpus, tfidf)
-    return Clustering.from_labels(pairs.mention_ids, pairs.labels_at(delta))
+    return LemmaPairs.of(corpus, tfidf).clustering_at(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +278,8 @@ def tune_delta(
     n_values: int = DELTA_GRID_SIZE,
 ) -> tuple[float, float | None, float]:
     """`search_delta` on the lemma pairs of `corpus`; embedding rows follow `mention_ids`."""
+    if n_values < 1:
+        raise ValueError(f"the delta grid needs at least one value, got n_values={n_values}")
     pairs = LemmaPairs.of(corpus, tfidf)
     if embeddings is not None:
         # the lemma rows follow the corpus order: put the embedding rows in it too
@@ -329,6 +306,8 @@ def search_delta(
     The seed does not change the merge sequence, so one merge run serves
     every delta, and each distinct partition (nearby deltas often give the
     same one) is tuned once."""
+    if n_values < 1:
+        raise ValueError(f"the delta grid needs at least one value, got n_values={n_values}")
     if len(pairs.mention_ids) == 0:
         raise IntegrityError("cannot tune delta on a split with no mentions")
     gold_labels = gold.labels(pairs.mention_ids)

@@ -22,6 +22,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, ParseError
+from .kernels import components
+from .matio import read_matrix
 
 
 @dataclass(frozen=True)
@@ -331,23 +333,58 @@ def head_lemma(mention: Mention, doc: Document) -> str:
     return doc.tokens[mention.last_index].lemma
 
 
-def lemma_pairs(corpus: Corpus, tfidf) -> np.ndarray:
-    """The mention pairs that share a head lemma, one (left row, right row,
-    same document, cosine) row each, as float64: rows number the mentions in
-    corpus order, left < right, and the cosine is that of the two documents'
-    unit `tfidf.doc_vector`s, 0 for same-document pairs, which always merge."""
-    doc_vecs = {}
-    for doc in corpus.documents:
-        vec = tfidf.doc_vector(doc)
-        norm = np.linalg.norm(vec)
-        doc_vecs[doc.doc_id] = vec / norm if norm > 0 else vec
-    by_lemma: dict[str, list[tuple[int, str]]] = {}
-    for row, (m, doc) in enumerate((m, doc) for doc in corpus.documents for m in doc.mentions):
-        by_lemma.setdefault(head_lemma(m, doc), []).append((row, m.doc_id))
-    pairs = [
-        (i, j, di == dj, 0.0 if di == dj else float(doc_vecs[di] @ doc_vecs[dj]))
-        for group in by_lemma.values()
-        for a, (i, di) in enumerate(group)
-        for j, dj in group[a + 1 :]
-    ]
-    return np.array(pairs, dtype=np.float64).reshape(-1, 4)
+@dataclass(frozen=True)
+class LemmaPairs:
+    """The mention pairs of one split that share a head lemma, one float64
+    row each (left row, right row, same document, cosine), as in the file
+    `<split>.lemma_pairs.mat`: rows number the mentions in corpus order, left
+    < right, and the cosine is that of the two documents' unit
+    `tfidf.doc_vector`s, 0 for same-document pairs, which always merge."""
+
+    mention_ids: list[str]
+    pairs: np.ndarray
+
+    @classmethod
+    def of(cls, corpus: Corpus, tfidf) -> "LemmaPairs":
+        doc_vecs = {}
+        for doc in corpus.documents:
+            vec = tfidf.doc_vector(doc)
+            norm = np.linalg.norm(vec)
+            doc_vecs[doc.doc_id] = vec / norm if norm > 0 else vec
+        by_lemma: dict[str, list[tuple[int, str]]] = {}
+        for row, (m, doc) in enumerate((m, doc) for doc in corpus.documents for m in doc.mentions):
+            by_lemma.setdefault(head_lemma(m, doc), []).append((row, m.doc_id))
+        pairs = [
+            (i, j, di == dj, 0.0 if di == dj else float(doc_vecs[di] @ doc_vecs[dj]))
+            for group in by_lemma.values()
+            for a, (i, di) in enumerate(group)
+            for j, dj in group[a + 1 :]
+        ]
+        return cls([m.id for m in corpus.mentions()], np.array(pairs, dtype=np.float64).reshape(-1, 4))
+
+    @classmethod
+    def read(cls, path, mention_ids: list[str]) -> "LemmaPairs":
+        """The pair file at `path` over these mentions, refused unless each
+        row is finite and names two of their n rows, 0 <= left < right < n."""
+        pairs, n = read_matrix(path), len(mention_ids)
+        if pairs.shape[1] != 4:
+            raise ParseError(path, 1, f"{pairs.shape[1]} columns, not 4 (left, right, same doc, cosine)")
+        rows = pairs[:, :2]
+        bad = ~np.isfinite(pairs).all(axis=1) | (rows != np.floor(rows)).any(axis=1)
+        bad = np.flatnonzero(bad | ~((0 <= rows[:, 0]) & (rows[:, 0] < rows[:, 1]) & (rows[:, 1] < n)))
+        if len(bad):
+            raise ParseError(path, 1, f"pair {bad[0]} is not finite with rows 0 <= left < right < {n}")
+        return cls(mention_ids, pairs)
+
+    def labels_at(self, delta: float) -> np.ndarray:
+        """Each mention's smallest component member at this delta (-inf
+        keeps every pair: the lemma partition): equal partitions give equal
+        label vectors."""
+        _, _, same_doc, cosines = self.pairs.T
+        keep = (same_doc != 0.0) | (cosines > delta)
+        rows = self.pairs[keep, :2].astype(np.int64)
+        return components(len(self.mention_ids), rows[:, 0], rows[:, 1])
+
+    def clustering_at(self, delta: float) -> Clustering:
+        """The lemma-delta seed partition at this delta, as a Clustering."""
+        return Clustering.from_labels(self.mention_ids, self.labels_at(delta))

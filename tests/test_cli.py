@@ -607,6 +607,81 @@ def test_corpus_path_naming_a_directory_is_exit_2(tmp_path, capsys):
     assert "Is a directory" in err and "Traceback" not in err
 
 
+def _first_line(pattern, replacement):
+    """An edit that rewrites the first line matching `pattern`."""
+    return lambda text: re.sub(pattern, replacement, text, count=1, flags=re.M)
+
+
+_REFUSALS = {
+    # case: (command and flags, edited input, its edit, message, the stage's output directory)
+    "missing-feature-matrix": (["train"], None, None, "train.mat; run the features stage first", "train"),
+    "variant-without-training": (
+        ["train", "--variant", "LEMMA"], None, None, "variant LEMMA has no training stage", "train"
+    ),
+    "missing-chains-file": (["score"], None, None, "missing chains file", "score"),
+    "non-integer-topic-range": (
+        ["features"], "config", _first_line(r"^train = 1-4$", "train = 1-x"),
+        "bad topic range '1-x'", "features",
+    ),
+    "no-word-vectors": (
+        ["features"], "config", _first_line(r"^word_vectors = .*\n", ""),
+        "this command needs paths.word_vectors", "features",
+    ),
+    "unknown-split-preset": (
+        ["features"], "config", _first_line(r"^\[split\]$", "[split]\npreset = ecb"),
+        "unknown split preset 'ecb'", "features",
+    ),
+    "no-train-topics": (
+        ["features"], "config", _first_line(r"^train = 1-4$", "train ="),
+        "[split] needs train and test topics", "features",
+    ),
+    "core-with-both-lambdas-0": (
+        ["features", "--variant", "CORE"], "config", _first_line(r"^lambda1 = 2.0$", "lambda1 = 0.0"),
+        "CORE variant needs a nonzero lambda1 or lambda2", "features",
+    ),
+    "duplicate-document-id": (
+        ["features"], "corpus", lambda text: text + re.search(r"^DOC\t.*\n", text, re.M).group(),
+        "duplicate document id", "features",
+    ),
+    "doc-field-count": (
+        ["features"], "corpus", _first_line(r"^(DOC\t.*)$", r"\1\textra"),
+        "DOC record needs doc_id and topic_id", "features",
+    ),
+    "men-field-count": (
+        ["features"], "corpus", _first_line(r"^(MEN\t.*)$", r"\1\textra"),
+        "MEN record needs mention_id, chain_id, indices", "features",
+    ),
+    "empty-doc-id": (
+        ["features"], "corpus", _first_line(r"^DOC\t[^\t]*\t", "DOC\t\t"), "empty doc_id or topic_id", "features"
+    ),
+    "empty-lemma": (
+        ["features"], "corpus", _first_line(r"^(TOK\t.*\t)[^\t]*$", r"\1"), "empty lemma", "features"
+    ),
+    "vector-without-components": (
+        ["features"], "vectors", lambda text: text + "lonely\n", "entry has no vector components", "features"
+    ),
+    "empty-vector-file": (["features"], "vectors", lambda text: "", "empty word-vector file", "features"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refused_input_is_exit_2_with_its_message_and_no_stage_output(pipeline_dir, tmp_path, capsys, case):
+    argv, edited, edit, message, stage = _REFUSALS[case]
+    src_tmp, _, _ = pipeline_dir
+    inputs = {"corpus": tmp_path / "corpus.tsv", "vectors": tmp_path / "vectors.txt"}
+    shutil.copy(src_tmp / "corpus.tsv", inputs["corpus"])
+    shutil.copy(src_tmp / "vectors.txt", inputs["vectors"])
+    out = tmp_path / "o"
+    inputs["config"] = write_config(tmp_path, inputs["corpus"], inputs["vectors"], out)
+    if edited is not None:
+        inputs[edited].write_text(edit(inputs[edited].read_text()))
+    capsys.readouterr()
+    assert main([argv[0], "--config", str(inputs["config"]), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / stage).exists()
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -769,6 +844,7 @@ def test_validation_eval_split_is_read_and_embedded_once(pipeline_dir, tmp_path,
         return read_matrix(path)
 
     monkeypatch.setattr(cli, "read_matrix", counted)
+    monkeypatch.setattr(evcoref.corpus, "read_matrix", counted)  # the lemma-pair files
     monkeypatch.setattr(network, "embed", lambda *a: embeds.append(1) or embed(*a))
     assert main(["cluster", "--config", str(cfg)]) == 0
     assert reads.count("validation.mat") == 1
@@ -990,11 +1066,13 @@ def test_stages_after_features_do_not_read_the_corpus(pipeline_dir, tmp_path, ca
     assert _stage_runs(cfg, out, capsys, *argvs) == in_place
 
 
-def test_full_pipeline_command(tmp_path):
+@pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])
+def test_full_pipeline_command(tmp_path, variant):
     corpus_path, vec_path, _ = small_corpus(tmp_path)
     out = tmp_path / "pipe_out"
-    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant="UNSUPERVISED")
+    cfg = write_config(tmp_path, corpus_path, vec_path, out, variant=variant)
     assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert (out / "train" / "checkpoint.ckpt").exists() == (variant in LEARNED_VARIANTS)
     assert (out / "score" / "report.tsv").exists()
     assert (out / "score" / "report_within.tsv").exists()
 

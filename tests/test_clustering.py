@@ -133,6 +133,11 @@ def test_agglomerate_refuses_init_over_other_mentions(chains, fault):
         agglomerate(["m1", "m2", "m3"], 0.5, embeddings=np.eye(3), init=init)
 
 
+def test_agglomerate_refuses_duplicate_mention_ids():
+    with pytest.raises(IntegrityError, match="duplicate mention ids"):
+        agglomerate(["m1", "m2", "m1"], 0.5, embeddings=np.eye(3))
+
+
 @pytest.mark.parametrize("as_unit_rows", [False, True])
 @pytest.mark.parametrize("rows", [3, 5], ids=["fewer", "more"])
 @pytest.mark.parametrize("call", ["agglomerate", "tune_tau", "search_delta"])
@@ -283,6 +288,21 @@ def test_tune_delta_selects_unit_rows(rng):
     emb = rng.normal(size=(len(ids), 6))
     expected = tune_delta(corpus, tfidf, gold, emb, ids, n_values=20)
     assert tune_delta(corpus, tfidf, gold, unit_rows(emb.copy()), ids, n_values=20) == expected
+
+
+@pytest.mark.parametrize("n_values", [0, -3])
+@pytest.mark.parametrize("call", ["search_delta", "tune_delta"])
+def test_a_delta_grid_without_values_is_refused(rng, call, n_values):
+    tfidf, corpus = synthetic_lemma_split()
+    gold = gold_clustering(corpus)
+    emb = rng.normal(size=(len(gold.mention_ids()), 6))
+    run = {
+        "search_delta": lambda: search_delta(LemmaPairs.of(corpus, tfidf), gold, emb, n_values),
+        # no corpus and no tf-idf model: the grid is refused before they are read
+        "tune_delta": lambda: tune_delta(None, None, gold, emb, n_values=n_values),
+    }[call]
+    with pytest.raises(ValueError, match=f"got n_values={n_values}$"):
+        run()
 
 
 # ---------------------------------------------------------------------------

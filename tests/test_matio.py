@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evcoref.errors import ParseError
-from evcoref.matio import read_matrix, write_matrix
+from evcoref.matio import MATRIX_MAGIC, read_matrix, write_matrix
 
 
 def test_matrix_roundtrip(tmp_path, rng):
@@ -31,6 +31,14 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"garbage here")
     with pytest.raises(ParseError, match="magic"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("keep", [0, 8, 15], ids=["no-header", "rows-only", "one-byte-short"])
+def test_truncated_header_rejected(tmp_path, keep):
+    path = tmp_path / "t.mat"
+    path.write_bytes(MATRIX_MAGIC + bytes(keep))
+    with pytest.raises(ParseError, match="truncated matrix header"):
         read_matrix(path)
 
 

@@ -100,6 +100,12 @@ def test_ceaf_perfect_both_variants():
     assert score_ceaf(gold, gold, "entity") == MetricScore(1.0, 1.0, 1.0)
 
 
+def test_ceaf_refuses_an_unknown_variant():
+    gold = C({"a", "b"}, {"c"})
+    with pytest.raises(ValueError, match="unknown CEAF variant 'chain'"):
+        score_ceaf(gold, gold, "chain")
+
+
 def test_ceaf_mention_precision_equals_recall(rng):
     for _ in range(25):
         n = int(rng.integers(2, 9))
