@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except ScoringMismatchError as exc:
         print(f"scoring mismatch: {exc}", file=sys.stderr)
         return 5
-    except (EvcorefError, OSError) as exc:
+    except (EvcorefError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -2,8 +2,8 @@
 
 Topic lists accept comma-separated ids and inclusive numeric ranges
 ("1-35,40"); `preset = ecbplus` in [split] selects the standard topic
-assignment. Model variants cover the three deterministic baselines and the
-four learned configurations.
+assignment, and no list may be given with it. Model variants cover the three
+deterministic baselines and the four learned configurations.
 """
 
 from __future__ import annotations
@@ -164,6 +164,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if preset is not None:
         if preset != "ecbplus":
             raise ConfigError(f"unknown split preset {preset!r}")
+        if any(_get(cfg, "split", key) for key in ("train", "validation", "test")):
+            raise ConfigError("[split] preset = ecbplus takes no train, validation or test list")
         train_topics, val_topics, test_topics = ecbplus_default_split()
     else:
         train_topics = parse_topic_list(_get(cfg, "split", "train", "") or "")

@@ -190,8 +190,6 @@ class LossBreakdown:
     cce: float
     attract: float
     repulse: float
-    lambda1: float
-    lambda2: float
 
 
 def loss_cce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -268,7 +266,7 @@ def _breakdown(probs, labels, pairs, lambda1, lambda2, use_cce) -> LossBreakdown
     attract = _attract(pairs) if lambda1 != 0.0 else 0.0
     repulse = _repulse(pairs) if lambda2 != 0.0 else 0.0
     total = cce + lambda1 * attract + lambda2 * repulse
-    return LossBreakdown(float(total), cce, attract, repulse, lambda1, lambda2)
+    return LossBreakdown(float(total), cce, attract, repulse)
 
 
 def loss_total(

@@ -131,20 +131,21 @@ def sample_batch(
 
 @dataclass
 class EpochLog:
+    """An epoch's mean losses, and the validation B3 at the tau tuned after it."""
+
     epoch: int
     loss: LossBreakdown
-    val_b3: float | None = None
-    tau: float | None = None
+    val_b3: float
+    tau: float
 
 
 @dataclass
 class TrainResult:
-    """The parameters of the best epoch (the last without validation), with
-    its tuned tau and validation B3 (None without validation)."""
+    """The parameters of the best epoch, with its tuned tau and validation B3."""
 
     best_params: NetParams
-    best_tau: float | None
-    best_b3: float | None
+    best_tau: float
+    best_b3: float
     best_epoch: int
 
 
@@ -184,15 +185,16 @@ def train(
     chain_ids,
     n_classes: int,
     config: TrainConfig,
-    val_features: np.ndarray | None = None,
-    val_mention_ids: list[str] | None = None,
-    val_gold: Clustering | None = None,
+    *,
+    val_features: np.ndarray,
+    val_mention_ids: list[str],
+    val_gold: Clustering,
     progress=None,
 ) -> TrainResult:
     """Run the configured number of epochs; an epoch is ceil(n / batch_size)
     sampled batches. Aborts with diagnostics when the loss goes non-finite.
-    With a validation split, tracks the epoch whose embeddings give the best
-    tuned-tau B3 and returns those parameters as best_params. Each epoch's
+    After each epoch tau is tuned on the validation split; the epoch whose
+    embeddings give the best B3 is returned as best_params. Each epoch's
     EpochLog is passed to `progress`, when given.
 
     Training works in the movable-row space: the m input columns nonzero in
@@ -210,20 +212,17 @@ def train(
     best_params.w1."""
     features = np.asarray(features, dtype=np.float64)
     n, width = features.shape
-    has_val = val_features is not None
-    if has_val:  # refused before the first step, not at the first epoch's end
-        if val_mention_ids is None or val_gold is None:
-            raise ValueError("validation needs features, mention ids, and gold chains")
-        if len(val_mention_ids) == 0:
-            raise IntegrityError("the validation split has no mentions to select an epoch on")
-        if val_features.ndim != 2 or val_features.shape[1] != width:
-            raise ModelMismatchError(
-                f"validation input width {val_features.shape[-1]} != train input width {width}"
-            )
-        if len(val_features) != len(val_mention_ids):
-            raise IntegrityError(
-                f"{len(val_features)} validation rows for {len(val_mention_ids)} mentions"
-            )
+    # the validation split is refused before the first step, not at the first epoch's end
+    if len(val_mention_ids) == 0:
+        raise IntegrityError("the validation split has no mentions to select an epoch on")
+    if val_features.ndim != 2 or val_features.shape[1] != width:
+        raise ModelMismatchError(
+            f"validation input width {val_features.shape[-1]} != train input width {width}"
+        )
+    if len(val_features) != len(val_mention_ids):
+        raise IntegrityError(
+            f"{len(val_features)} validation rows for {len(val_mention_ids)} mentions"
+        )
     w1_runs = movable_w1_rows(features)
     packed_features = np.concatenate([features[:, lo:hi] for lo, hi in w1_runs], axis=1)
     del features
@@ -245,8 +244,7 @@ def train(
     adam = AdamState.for_params(grads)
     _snapshot(params, best, w1_runs)
     batch = inputs = cache = None
-    best_tau: float | None = None
-    best_b3: float | None = None
+    best_tau = best_b3 = -math.inf  # B3 is in [0, 1]: the first epoch is always kept
     best_epoch = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -282,29 +280,23 @@ def train(
             adam_step(params, adam, grads, config.lr, w1_runs=w1_runs)
             sums += (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
 
-        mean = sums / batches_per_epoch
-        log = EpochLog(
-            epoch=epoch,
-            loss=LossBreakdown(
-                total=mean[0],
-                cce=mean[1],
-                attract=mean[2],
-                repulse=mean[3],
-                lambda1=config.lambda1,
-                lambda2=config.lambda2,
-            ),
-        )
-        if has_val:
-            tau, b3 = tune_tau(embed(params, val_features), val_mention_ids, val_gold)
-            log.val_b3, log.tau = b3, tau
-            if best_b3 is None or b3 > best_b3:
-                _snapshot(params, best, w1_runs)
-                best_tau, best_b3, best_epoch = tau, b3, epoch
-        else:
+        tau, b3 = tune_tau(embed(params, val_features), val_mention_ids, val_gold)
+        if b3 > best_b3:
             _snapshot(params, best, w1_runs)
-            best_epoch = epoch
+            best_tau, best_b3, best_epoch = tau, b3, epoch
         if progress is not None:
-            progress(log)
+            mean = sums / batches_per_epoch
+            progress(EpochLog(
+                epoch=epoch,
+                loss=LossBreakdown(
+                    total=mean[0],
+                    cce=mean[1],
+                    attract=mean[2],
+                    repulse=mean[3],
+                ),
+                val_b3=b3,
+                tau=tau,
+            ))
 
     # params.w1 becomes the best epoch's: no second whole w1 is made
     for rows, packed in _packed_runs(w1_runs):

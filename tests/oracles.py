@@ -465,7 +465,7 @@ def adam_step_expression(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps
     return new_params, new_m, new_v
 
 
-def full_row_train(features, class_labels, chain_ids, n_classes, config, val=None):
+def full_row_train(features, class_labels, chain_ids, n_classes, config, val):
     """The training loop as it was before any first-layer row was skipped:
     every step computes the whole first-layer gradient (two_call_step), runs
     the whole-array Adam update on every parameter (adam_step_expression)
@@ -474,7 +474,7 @@ def full_row_train(features, class_labels, chain_ids, n_classes, config, val=Non
     (train.sample_batch, network.forward, clustering.tune_tau), drawn from
     one generator in the same order as train.train, so its results are the
     reference for the row-restricted loop bit for bit. `val` is (features,
-    mention ids, gold clustering) or None. Returns a dict of the final parameters and moments
+    mention ids, gold clustering). Returns a dict of the final parameters and moments
     (lists of arrays), the Adam step count, the best epoch's parameters and
     one (epoch, total, cce, attract, repulse, val_b3, tau) row per epoch."""
     from evcoref.clustering import tune_tau
@@ -511,12 +511,10 @@ def full_row_train(features, class_labels, chain_ids, n_classes, config, val=Non
             params, m, v = adam_step_expression(params, m, v, grads, t, config.lr)
             sums += loss
         mean = sums / steps
-        val_b3 = tau = None
-        if val is not None:
-            val_x, val_ids, val_gold = val
-            emb = forward(NetParams(*params), val_x, mode="infer").embeddings
-            tau, val_b3 = tune_tau(emb, val_ids, val_gold)
-        if val is None or best is None or val_b3 > best["best_b3"]:
+        val_x, val_ids, val_gold = val
+        emb = forward(NetParams(*params), val_x, mode="infer").embeddings
+        tau, val_b3 = tune_tau(emb, val_ids, val_gold)
+        if best is None or val_b3 > best["best_b3"]:
             best = {
                 "best_params": [a.copy() for a in params], "best_epoch": epoch,
                 "best_b3": val_b3, "best_tau": tau,

@@ -631,6 +631,10 @@ _REFUSALS = {
         ["features"], "config", _first_line(r"^\[split\]$", "[split]\npreset = ecb"),
         "unknown split preset 'ecb'", "features",
     ),
+    "split-preset-with-topic-lists": (
+        ["features"], "config", _first_line(r"^\[split\]$", "[split]\npreset = ecbplus"),
+        "[split] preset = ecbplus takes no train, validation or test list", "features",
+    ),
     "no-train-topics": (
         ["features"], "config", _first_line(r"^train = 1-4$", "train ="),
         "[split] needs train and test topics", "features",
@@ -1152,7 +1156,8 @@ def test_a_stage_process_imports_only_what_it_runs(
 # Robustness campaign: line edits of every stage input
 # ---------------------------------------------------------------------------
 
-_LINE_EDITS = ("delete", "duplicate", "swap", "truncate", "", "nan", "1e400", "-1", "x")
+# "\udcff" is written as the byte 0xff (surrogateescape), which is not UTF-8
+_LINE_EDITS = ("delete", "duplicate", "swap", "truncate", "", "nan", "1e400", "-1", "x", "\udcff")
 _BYTE_EDITS = ("truncate", "append", "magic")
 _STAGE_INPUTS = {
     "features": ("corpus.tsv", "vectors.txt", "run.ini"),
@@ -1224,7 +1229,8 @@ def test_line_edits_of_any_stage_input_end_in_a_documented_exit_code(tmp_path, m
                     path.write_bytes(_edit_bytes(path.read_bytes(), edit, rng))
                 else:
                     sep = {".ini": "=", ".txt": " "}.get(path.suffix, "\t")
-                    path.write_text(_edit_lines(path.read_text(), edit, rng, sep))
+                    text = _edit_lines(path.read_text(), edit, rng, sep)
+                    path.write_text(text, encoding="utf-8", errors="surrogateescape")
                 for argv in argvs:
                     try:
                         codes.append(main([*argv, "--config", "run.ini"]))

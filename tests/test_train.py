@@ -41,6 +41,11 @@ def val_split(rng, n_per=5, noise=0.3, d=10):
     return val_x, val_ids, val_gold
 
 
+def validation(rng, **kw):
+    """A val_split as train's validation keywords."""
+    return dict(zip(("val_features", "val_mention_ids", "val_gold"), val_split(rng, **kw)))
+
+
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
@@ -198,14 +203,15 @@ def test_training_loss_decreases_on_separable_blobs():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         x, labels, chains = blob_data(rng, n_per=20, k=3)
+        val = validation(rng)
         _, smooth = train_logged(
             x, labels, chains, n_classes=4,
-            config=tiny_config(seed=seed, epochs=10, dropout=0.0),
+            config=tiny_config(seed=seed, epochs=10, dropout=0.0), **val,
         )
         totals = [e.loss.total for e in smooth]
         strict += all(b < a for a, b in zip(totals, totals[1:]))
         _, noisy = train_logged(
-            x, labels, chains, n_classes=4, config=tiny_config(seed=seed, epochs=10)
+            x, labels, chains, n_classes=4, config=tiny_config(seed=seed, epochs=10), **val
         )
         net += noisy[-1].loss.total < noisy[0].loss.total
     assert strict >= 19  # 95% of seeds
@@ -214,11 +220,12 @@ def test_training_loss_decreases_on_separable_blobs():
 
 def test_training_is_deterministic_given_seed(rng, monkeypatch):
     x, labels, chains = blob_data(rng)
+    val = validation(rng)
     cfg = tiny_config(epochs=3)
     spy1 = AdamSpy(monkeypatch)
-    _, log1 = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    _, log1 = train_logged(x, labels, chains, n_classes=4, config=cfg, **val)
     spy2 = AdamSpy(monkeypatch)
-    _, log2 = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    _, log2 = train_logged(x, labels, chains, n_classes=4, config=cfg, **val)
     for a, b in zip(spy1.last.params, spy2.last.params):
         assert np.array_equal(a, b)
     assert [e.loss.total for e in log1] == [e.loss.total for e in log2]
@@ -227,7 +234,7 @@ def test_training_is_deterministic_given_seed(rng, monkeypatch):
 def test_training_with_core_terms(rng):
     x, labels, chains = blob_data(rng)
     cfg = tiny_config(lambda1=2.0, lambda2=0.5, epochs=5)
-    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg, **validation(rng))
     for entry in log:
         assert 0.0 <= entry.loss.attract <= 1.0
         assert 0.0 <= entry.loss.repulse <= 1.0
@@ -251,7 +258,7 @@ def test_training_tracks_best_validation_b3(rng):
     val_scores = [e.val_b3 for e in log]
     assert result.best_b3 == max(val_scores)
     assert result.best_epoch == val_scores.index(max(val_scores)) + 1
-    assert result.best_tau is not None
+    assert result.best_tau == log[result.best_epoch - 1].tau
     # the retained parameters really are the snapshot from the best epoch
     emb = forward(result.best_params, val_x).embeddings
     from evcoref.clustering import tune_tau
@@ -312,19 +319,31 @@ def test_unusable_validation_inputs_are_refused_before_the_first_step(rng, monke
     assert len(steps) == 0
 
 
+def test_train_without_the_validation_keywords_is_refused_before_the_first_step(rng, monkeypatch):
+    # the epoch is always selected on validation: there is no path without it
+    x, labels, chains = blob_data(rng)
+    val = val_split(rng)
+    steps = AdamSpy(monkeypatch, keep=lambda *_: None).steps
+    with pytest.raises(TypeError, match="val_features"):
+        train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2))
+    with pytest.raises(TypeError):  # keyword-only
+        train(x, labels, chains, 4, tiny_config(epochs=2), *val)
+    assert steps == []
+
+
 def test_divergence_aborts_with_diagnostics(rng):
     x, labels, chains = blob_data(rng)
     cfg = tiny_config(lr=1e80, epochs=5)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDivergedError, match="non-finite"):
-            train(x, labels, chains, n_classes=4, config=cfg)
+            train(x, labels, chains, n_classes=4, config=cfg, **validation(rng))
 
 
 def test_epoch_count_and_batching(rng, monkeypatch):
     x, labels, chains = blob_data(rng, n_per=10, k=3)  # n=30
     cfg = tiny_config(epochs=4, batch_size=8)
     spy = AdamSpy(monkeypatch)
-    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg, **validation(rng))
     assert len(log) == 4
     assert spy.last.t == 4 * int(np.ceil(30 / 8))
 
@@ -333,7 +352,7 @@ def test_training_equals_the_loop_stepped_with_the_two_call_oracle(rng, monkeypa
     x, labels, chains = blob_data(rng, n_per=10, k=3)  # n=30: 2 batches an epoch
     cfg = tiny_config(epochs=2, batch_size=16, lambda1=2.0, lambda2=0.5)
     spy = AdamSpy(monkeypatch)
-    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg)
+    _, log = train_logged(x, labels, chains, n_classes=4, config=cfg, **validation(rng))
     moments = whole_moments(spy.last)
 
     codes = encode_chains(chains)
@@ -370,7 +389,7 @@ def test_a_training_step_builds_the_pair_geometry_once(rng, monkeypatch):
     monkeypatch.setattr(network, "_pairs", lambda *a: calls.append(1) or pairs(*a))
     cfg = tiny_config(epochs=1, batch_size=64, lambda1=2.0, lambda2=0.5)  # one step
     spy = AdamSpy(monkeypatch)
-    train(x, labels, chains, n_classes=4, config=cfg)
+    train(x, labels, chains, n_classes=4, config=cfg, **validation(rng))
     assert spy.last.t == 1
     assert len(calls) == 1
 
@@ -398,11 +417,12 @@ def test_movable_w1_rows_are_the_runs_of_columns_nonzero_in_train():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_train_feature_is_refused_naming_its_row(rng, bad):
     x, labels, chains = blob_data(rng)
+    val = validation(rng)
     x[7, 3] = bad
     x[9, 0] = bad
     seen = []
     with pytest.raises(IntegrityError, match=r"train feature row 7 .* column 3"):
-        train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2), progress=seen.append)
+        train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2), progress=seen.append, **val)
     assert seen == []
 
 
@@ -549,6 +569,7 @@ def test_the_training_state_dies_with_train(rng, monkeypatch):
     # a caller that holds only the result holds no gradient and no moments:
     # train keeps nothing of them once it has returned
     x, labels, chains = blob_data(rng)
+    val = validation(rng)
     x[:, [2, 5]] = 0.0  # so the gradient and the w1 moments are compact
     spy = AdamSpy(
         monkeypatch,
@@ -556,7 +577,7 @@ def test_the_training_state_dies_with_train(rng, monkeypatch):
             weakref.ref(a) for a in grads.arrays() + state.m + state.v
         ],
     )
-    result = train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2))
+    result = train(x, labels, chains, n_classes=4, config=tiny_config(epochs=2), **val)
     assert result.best_params.w1.shape == (10, 16)
     assert len(spy.steps) == 2
     assert [ref() is None for ref in spy.last] == [True] * 24  # 8 gradients, 8 m, 8 v
