@@ -5,9 +5,9 @@ directory, so stages are independently re-runnable and cacheable. Only
 `features` reads the corpus: `train` reads the train and validation feature
 files, `cluster` the eval and validation feature files, their lemma-pair
 files for the lemma seeds, and the checkpoint, and `score` the two chain files
-and, within documents, the eval split's mention table. Exit codes: 0 success, 2
-input/configuration error (an unreadable path too), 3 training failure, 4
-model/feature mismatch, 5 scoring mismatch.
+and, within documents, the eval split's mention table. Exit codes: 0 success,
+otherwise the code that the raised error's class in `errors.py` carries (2
+for input/configuration errors), and 2 for a path that cannot be read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,29 +24,18 @@ from .corpus import (
     Clustering,
     Corpus,
     LemmaPairs,
+    _text_lines,
     load_corpus,
     read_chains,
     split_by_topics,
     write_chains,
 )
-from .errors import (
-    ConfigError,
-    EvcorefError,
-    IntegrityError,
-    ModelMismatchError,
-    ParseError,
-    SamplerError,
-    ScoringMismatchError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, EvcorefError, IntegrityError, ParseError
 from .matio import read_matrix, write_matrix
 
 # A stage process loads only what it runs: each command imports the stage
 # modules it calls (features, train, network, clustering, scoring), so
 # `score` starts without the training code.
-if TYPE_CHECKING:
-    from .scoring import MetricReport
-
 SPLITS = ("train", "validation", "test")
 
 
@@ -67,15 +55,14 @@ def _write_mentions_tsv(path: Path, corpus: Corpus, mentions, run: RunConfig) ->
 
 def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"bad mention row {line!r}")
-            rows.append(tuple(parts))
+    for line_no, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(path, line_no, f"bad mention row {line!r}")
+        rows.append(tuple(parts))
     return rows
 
 
@@ -147,28 +134,26 @@ def cmd_train(run: RunConfig) -> None:
 
     out = run.output / "train"
     out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "train_log.tsv"
-    log_file = open(log_path, "w", encoding="utf-8")
-    log_file.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
-    log_file.write("epoch\ttotal\tcce\tattract\trepulse\tval_b3\ttau\n")
-
-    def progress(entry):
-        loss = entry.loss
-        log_file.write(
-            f"{entry.epoch}\t{loss.total:.6f}\t{loss.cce:.6f}\t{loss.attract:.6f}"
-            f"\t{loss.repulse:.6f}\t{entry.val_b3:.6f}\t{entry.tau:.6f}\n"
-        )
-        print(
-            f"epoch {entry.epoch:3d} loss {loss.total:.4f} "
-            f"val B3 {entry.val_b3:.4f} tau {entry.tau:.3f}"
-        )
-
     # handed over, not kept: `train` keeps only the movable columns, so with
     # no reference left here the full-width matrix is freed before the
     # network is allocated
     handover = [train_x]
     del train_x
-    try:
+    with open(out / "train_log.tsv", "w", encoding="utf-8") as log_file:
+        log_file.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
+        log_file.write("epoch\ttotal\tcce\tattract\trepulse\tval_b3\ttau\n")
+
+        def progress(entry):
+            loss = entry.loss
+            log_file.write(
+                f"{entry.epoch}\t{loss.total:.6f}\t{loss.cce:.6f}\t{loss.attract:.6f}"
+                f"\t{loss.repulse:.6f}\t{entry.val_b3:.6f}\t{entry.tau:.6f}\n"
+            )
+            print(
+                f"epoch {entry.epoch:3d} loss {loss.total:.4f} "
+                f"val B3 {entry.val_b3:.4f} tau {entry.tau:.3f}"
+            )
+
         result = train(
             handover.pop(),
             labels,
@@ -180,8 +165,6 @@ def cmd_train(run: RunConfig) -> None:
             val_gold=val_gold,
             progress=progress,
         )
-    finally:
-        log_file.close()
 
     save_checkpoint(
         out / "checkpoint.ckpt",
@@ -279,9 +262,9 @@ def cmd_cluster(run: RunConfig) -> None:
 
 def cmd_score(
     run: RunConfig,
-    gold_path: Path | None = None,
-    sys_path: Path | None = None,
-) -> MetricReport:
+    gold_path: str | None = None,
+    sys_path: str | None = None,
+):
     from . import scoring
 
     out = run.output / "cluster"
@@ -307,7 +290,6 @@ def cmd_score(
     scoring.write_report(rep, score_dir / name)
     print(f"[{run.mode}]")
     print(scoring.format_report(rep), end="")
-    return rep
 
 
 def cmd_pipeline(run: RunConfig) -> None:
@@ -333,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("features", "train", "cluster", "score", "pipeline"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration (INI)")
-        p.add_argument("--seed", type=int, help="override [model] seed")
+        p.add_argument("--seed", help="override [model] seed")
         p.add_argument("--variant", help="override [model] variant")
-        p.add_argument("--tau", type=float, help="override clustering threshold")
-        p.add_argument("--delta", type=float, help="override lemma-delta threshold")
-        if name in ("score",):
+        p.add_argument("--tau", help="override clustering threshold")
+        p.add_argument("--delta", help="override lemma-delta threshold")
+        if name == "score":
             p.add_argument("--gold", help="gold chains file")
             p.add_argument("--sys", help="system chains file")
             p.add_argument("--mode", help="override [score] mode")
@@ -347,35 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in vars(args).items():
+            if value == "":  # not an unset key: the file's value would be dropped
+                raise ConfigError(f"--{flag} is given an empty value")
         run = load_config(args.config, {
             "model": {"seed": args.seed, "variant": args.variant},
             "cluster": {"tau": args.tau, "delta": args.delta},
             "score": {"mode": getattr(args, "mode", None)},
         })
-        if args.command == "features":
-            cmd_features(run)
-        elif args.command == "train":
-            cmd_train(run)
-        elif args.command == "cluster":
-            cmd_cluster(run)
-        elif args.command == "score":
-            cmd_score(
-                run,
-                gold_path=Path(args.gold) if args.gold else None,
-                sys_path=Path(args.sys) if args.sys else None,
-            )
-        elif args.command == "pipeline":
-            cmd_pipeline(run)
-    except (TrainingDivergedError, SamplerError) as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 3
-    except ModelMismatchError as exc:
-        print(f"model/feature mismatch: {exc}", file=sys.stderr)
-        return 4
-    except ScoringMismatchError as exc:
-        print(f"scoring mismatch: {exc}", file=sys.stderr)
-        return 5
-    except (EvcorefError, OSError, UnicodeDecodeError) as exc:
+        if args.command == "score":
+            cmd_score(run, args.gold, args.sys)
+        else:  # built per call, so a command rebound on the module is the one run
+            {
+                "features": cmd_features,
+                "train": cmd_train,
+                "cluster": cmd_cluster,
+                "pipeline": cmd_pipeline,
+            }[args.command](run)
+    except EvcorefError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

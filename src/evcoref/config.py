@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import ecbplus_default_split
+from .corpus import _text_lines, ecbplus_default_split
 from .errors import ConfigError
 
 VARIANTS = (
@@ -143,7 +143,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = "".join(line for _, line in _text_lines(path))
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cfg.read_string(text)

@@ -159,6 +159,19 @@ class Clustering:
         return sorted((sorted(c) for c in self.chains), key=lambda c: c[0])
 
 
+def _text_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) of a UTF-8 text file. Bytes that are not
+    UTF-8 are a ParseError naming their line, found by a second read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, 1)
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no, line in enumerate(handle, 1):
+                if any("\udc80" <= ch <= "\udcff" for ch in line):
+                    raise ParseError(path, line_no, "not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # Chain file IO: one line per chain, tab-separated mention ids
 # ---------------------------------------------------------------------------
@@ -176,17 +189,16 @@ def write_chains(clustering: Clustering, path, meta: dict | None = None) -> None
 
 def read_chains(path) -> Clustering:
     chains = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            members = line.split("\t")
-            chain = set(members)
-            if len(chain) != len(members):
-                repeated = sorted(m for m in chain if members.count(m) > 1)
-                raise ParseError(path, line_no, f"chain repeats mention(s) {repeated[:3]}")
-            chains.append(chain)
+    for line_no, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        members = line.split("\t")
+        chain = set(members)
+        if len(chain) != len(members):
+            repeated = sorted(m for m in chain if members.count(m) > 1)
+            raise ParseError(path, line_no, f"chain repeats mention(s) {repeated[:3]}")
+        chains.append(chain)
     return Clustering.from_sets(chains)
 
 
@@ -218,20 +230,19 @@ class _DocBuilder:
 def load_corpus(path) -> Corpus:
     """Parse a corpus file. Deterministic; raises ParseError with the line
     number for malformed records and IntegrityError for invariant breaks."""
-    with open(path, encoding="utf-8") as handle:
-        return _parse(handle, path)
+    return _parse(_text_lines(path), path)
 
 
 def loads_corpus(text: str, name: str = "<string>") -> Corpus:
-    return _parse(io.StringIO(text), name)
+    return _parse(enumerate(io.StringIO(text), 1), name)
 
 
-def _parse(handle, path) -> Corpus:
+def _parse(lines: Iterable[tuple[int, str]], path) -> Corpus:
     docs: list[Document] = []
     builder: _DocBuilder | None = None
     mention_ids: set[str] = set()
 
-    for line_no, raw in enumerate(handle, start=1):
+    for line_no, raw in lines:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document, Mention
+from .corpus import Corpus, Document, Mention, _text_lines
 from .errors import IntegrityError, ParseError
 
 LEMMA_VOCAB_SIZE = 500
@@ -52,35 +52,34 @@ def load_word_vectors(path) -> WordVectors:
     duplicate words. A nan or inf component is refused with its line."""
     table: dict = {}
     dim = None
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            parts = raw.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if line_no == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            word = parts[0]
+    for line_no, raw in _text_lines(path):
+        parts = raw.rstrip("\n").split(" ")
+        parts = [p for p in parts if p]
+        if not parts:
+            continue
+        if line_no == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                int(parts[0]), int(parts[1])
+                continue  # header line
             except ValueError:
-                raise ParseError(path, line_no, "non-numeric vector component")
-            if vec.size == 0:
-                raise ParseError(path, line_no, "entry has no vector components")
-            if not np.isfinite(vec).all():
-                raise ParseError(path, line_no, "non-finite vector component")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(
-                    path, line_no, f"vector length {vec.size} != {dim} from first entry"
-                )
-            if word not in table:
-                table[word] = vec
+                pass
+        word = parts[0]
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(path, line_no, "non-numeric vector component")
+        if vec.size == 0:
+            raise ParseError(path, line_no, "entry has no vector components")
+        if not np.isfinite(vec).all():
+            raise ParseError(path, line_no, "non-finite vector component")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(
+                path, line_no, f"vector length {vec.size} != {dim} from first entry"
+            )
+        if word not in table:
+            table[word] = vec
     if dim is None:
         raise ParseError(path, 1, "empty word-vector file")
     return WordVectors(dimension=int(dim), table=table)

@@ -24,7 +24,16 @@ from evcoref.config import (
     parse_topic_list,
 )
 from evcoref.corpus import Clustering, gold_clustering, load_corpus, split_by_topics, write_chains
-from evcoref.errors import ConfigError, ParseError
+from evcoref.errors import (
+    ConfigError,
+    EvcorefError,
+    IntegrityError,
+    ModelMismatchError,
+    ParseError,
+    SamplerError,
+    ScoringMismatchError,
+    TrainingDivergedError,
+)
 from evcoref.features import fit_tfidf
 from evcoref.matio import read_matrix, write_matrix
 from evcoref.network import NetParams, embed, load_checkpoint, save_checkpoint
@@ -263,6 +272,10 @@ def test_non_finite_threshold_is_exit_2(tmp_path, capsys, key, value):
         ("cluster", "--delta", "nan", "[cluster] delta must be finite"),
         ("cluster", "--variant", "100%", "unknown variant '100%'"),
         ("score", "--mode", "within_doc", "[score] mode must be"),
+        ("train", "--seed", "abc", "[model] seed must be an integer, got 'abc'"),
+        ("train", "--seed", "1.5", "[model] seed must be an integer, got '1.5'"),
+        ("cluster", "--tau", "abc", "[cluster] tau must be a number, got 'abc'"),
+        ("cluster", "--delta", "abc", "[cluster] delta must be a number, got 'abc'"),
     ],
 )
 def test_out_of_range_override_is_exit_2(tmp_path, capsys, command, flag, value, message):
@@ -684,6 +697,87 @@ def test_refused_input_is_exit_2_with_its_message_and_no_stage_output(pipeline_d
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (out / stage).exists()
+
+
+def _run_dir(pipeline_dir, run_dir, monkeypatch, variant="CORE+CCE"):
+    """`run_dir` made a run of its own with relative paths and the current
+    directory: the shared corpus, vectors and features, and the test split's
+    gold chains as both chain files."""
+    src_tmp, _, src_out = pipeline_dir
+    for name in ("corpus.tsv", "vectors.txt"):
+        shutil.copy(src_tmp / name, run_dir / name)
+    shutil.copytree(src_out / "features", run_dir / "out" / "features")
+    (run_dir / "out" / "cluster").mkdir()
+    gold = cli._gold(_read_mentions_tsv(run_dir / "out" / "features" / "test.mentions.tsv"))
+    for kind in ("gold", "sys"):
+        write_chains(gold, run_dir / "out" / "cluster" / f"test.{kind}.chains", {"split": "test"})
+    write_config(run_dir, "corpus.tsv", "vectors.txt", "out", variant=variant).rename(run_dir / "run.ini")
+    monkeypatch.chdir(run_dir)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--variant"), ("score", "--mode"), ("score", "--gold"), ("train", "--seed"), ("cluster", "--tau")],
+)
+def test_an_empty_flag_value_is_exit_2_naming_the_flag(pipeline_dir, tmp_path, monkeypatch, capsys, command, flag):
+    # an empty value is not an unset key: `--variant ""` would train a LEMMA run
+    # as CORE+CCE, and `--mode ""` or `--gold ""` would score with the defaults
+    _run_dir(pipeline_dir, tmp_path, monkeypatch, variant="LEMMA")
+    before = sorted(Path("out").rglob("*"))
+    assert main([command, "--config", "run.ini", flag, ""]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} is given an empty value" in err and "Traceback" not in err
+    assert sorted(Path("out").rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("features", "corpus.tsv"),
+        ("features", "vectors.txt"),
+        ("features", "run.ini"),
+        ("train", "out/features/train.mentions.tsv"),
+        ("score", "out/cluster/test.gold.chains"),
+    ],
+)
+def test_text_that_is_not_utf8_is_exit_2_naming_its_file_and_line(
+    pipeline_dir, tmp_path, monkeypatch, capsys, command, name
+):
+    _run_dir(pipeline_dir, tmp_path, monkeypatch)
+    path = Path(name)
+    lines = path.read_bytes().splitlines(keepends=True)
+    line_no = len(lines) // 2 + 1  # in the corpus, past the first block the reader decodes
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    path.write_bytes(b"".join(lines))
+    assert main([command, "--config", "run.ini"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line_no}: not UTF-8 text" in err and "Traceback" not in err
+
+
+_ERRORS = [
+    # (raised error, exit code, stderr)
+    (ParseError("corpus.tsv", 7, "bad record"), 2, "error: corpus.tsv:7: bad record"),
+    (IntegrityError("broken invariant"), 2, "error: broken invariant"),
+    (ConfigError("bad setting"), 2, "error: bad setting"),
+    (ModelMismatchError("widths differ"), 4, "model/feature mismatch: widths differ"),
+    (ScoringMismatchError("mentions differ"), 5, "scoring mismatch: mentions differ"),
+    (TrainingDivergedError("loss is nan"), 3, "training failed: loss is nan"),
+    (SamplerError("no pairs"), 3, "training failed: no pairs"),
+    (OSError("unreadable"), 2, "error: unreadable"),
+]
+
+
+@pytest.mark.parametrize("error, code, stderr", _ERRORS, ids=[type(e).__name__ for e, _, _ in _ERRORS])
+def test_each_error_class_exits_with_its_code_and_label(tmp_path, monkeypatch, capsys, error, code, stderr):
+    assert set(EvcorefError.__subclasses__()) <= {type(e) for e, _, _ in _ERRORS}
+
+    def fail(run):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_features", fail)
+    cfg = write_config(tmp_path, "corpus.tsv", "vectors.txt", tmp_path / "o")
+    assert main(["features", "--config", str(cfg)]) == code
+    assert capsys.readouterr().err == stderr + "\n"
 
 
 # ---------------------------------------------------------------------------
