@@ -4,9 +4,11 @@ Similarity is the raw cosine; clusters merge greedily while the best
 cluster-pair similarity stays at or above the threshold tau. Because single
 linkage makes merge similarities non-increasing, the mention-level merge
 sequence is computed once per similarity matrix, and every partition, seeded
-or not, is the connected components of the merges at or above tau plus the
-seed's links. That makes the tau grid search and the delta search cheap:
-a tau search scores each distinct partition of its grid once.
+or not, is the connected components of the merges at or above tau taken
+over the seed's clusters. That makes the tau grid search and the delta
+search cheap: a tau search scores each distinct partition of its grid once.
+Seeds and partitions alike are label vectors numbered 0.. by each cluster's
+first mention, the form `Contingency.from_labels` reads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Clustering, Corpus, LemmaPairs, head_lemma
+from .corpus import Clustering, Corpus, LemmaPairs, dense_labels, head_lemma
 from .errors import IntegrityError
 from .kernels import _find, components, merge_sequence
 from .scoring import Contingency
@@ -63,8 +65,6 @@ def cosine_similarity_matrix(vectors: np.ndarray | UnitRows) -> np.ndarray:
     sims += sims.T
     sims /= 2.0
     np.clip(sims, -1.0, 1.0, out=sims)
-    if not np.all(np.isfinite(sims)):
-        raise IntegrityError("non-finite similarity entries")
     return sims
 
 
@@ -80,56 +80,49 @@ def _groups(labels: np.ndarray) -> list[set[int]]:
     return [set(part.tolist()) for part in np.split(order, bounds)] if len(order) else []
 
 
-def _number_by_smallest(first: np.ndarray) -> np.ndarray:
-    """Dense labels 0.. from each mention's smallest cluster member (a
-    component labelling), numbered in order of those members."""
-    n = len(first)
-    return (np.cumsum(first == np.arange(n)) - 1)[first]
-
-
 @dataclass(frozen=True)
 class MergeRun:
-    """Full single-linkage merge sequence over the mentions, and the initial
-    partition that seeds every cut. A merge (sim, i, j) joins the clusters of
-    mentions i and j. The merges are the edges of a maximum spanning tree of
-    the similarities in non-increasing order, a level of tied edges replayed
-    so that (i, j) name the pair the lowest-pair tie rule merges
-    (`kernels.merge_sequence`: O(k^2), and it reads the matrix without
-    copying it). Single linkage from a seed is the closure of the seed and
-    the pairs at or above tau (Gower & Ross 1969), so the seed does not
-    change the merge sequence."""
+    """Full single-linkage merge sequence over the mentions, and the seed
+    partition that every cut starts from. A merge (sim, i, j) joins the
+    clusters of mentions i and j. The merges are the edges of a maximum
+    spanning tree of the similarities in non-increasing order, a level of
+    tied edges replayed so that (i, j) name the pair the lowest-pair tie
+    rule merges (`kernels.merge_sequence`: O(k^2), and it reads the matrix
+    without copying it). Single linkage from a seed is the closure of the
+    seed and the pairs at or above tau (Gower & Ross 1969), so the seed does
+    not change the merge sequence, and a cut joins the seed's clusters that
+    the merges at or above tau connect."""
 
-    slot_of: np.ndarray  # init label of each mention: its init cluster's smallest member
+    seed: np.ndarray  # seed cluster of each mention, numbered 0.. by first mention
     sims: np.ndarray  # merge similarities, non-increasing
     lefts: np.ndarray
     rights: np.ndarray
 
     @property
     def init_sets(self) -> list[set[int]]:
-        """The initial partition: the mention indices of each init label."""
-        return _groups(self.slot_of)
+        """The seed partition: the mention indices of each seed cluster."""
+        return _groups(self.seed)
 
     def labels_at(self, tau: float) -> np.ndarray:
         """Cluster label of each mention, numbered 0.. by each cluster's
-        smallest mention: the components of the merges with similarity >=
-        tau and of one edge from each mention to its init label."""
-        n_merges = int(np.searchsorted(-self.sims, -tau, side="right"))
-        n = len(self.slot_of)
-        seeded = np.flatnonzero(self.slot_of != np.arange(n))
-        return _number_by_smallest(components(
-            n,
-            np.concatenate([self.lefts[:n_merges], seeded]),
-            np.concatenate([self.rights[:n_merges], self.slot_of[seeded]]),
-        ))
+        first mention: the components, over the seed's clusters, of the
+        merges with similarity >= tau. A NaN tau compares with no
+        similarity and is refused."""
+        if np.isnan(tau):
+            raise ValueError("tau is NaN: no similarity is at or above it")
+        m = int(np.searchsorted(-self.sims, -tau, side="right"))
+        seed = self.seed
+        n_seeds = int(seed.max(initial=-1)) + 1
+        return components(n_seeds, seed[self.lefts[:m]], seed[self.rights[:m]])[seed]
 
     def joined(self) -> np.ndarray:
         """For m = 0 .. len(sims), how many of the first m merges join two
         clusters of the seed and the earlier merges (the rest fall inside
         one). The cuts are nested, so two cuts give one partition exactly
         when they join the same number."""
-        parent = self.slot_of.tolist()  # each seed cluster's smallest member is its root
+        parent = list(range(len(self.seed)))  # union-find over the seed labels, all below n
         counts = [0]
-        for i, j in zip(self.lefts.tolist(), self.rights.tolist()):
+        for i, j in zip(self.seed[self.lefts].tolist(), self.seed[self.rights].tolist()):
             i, j = _find(parent, i), _find(parent, j)
             if i != j:
                 parent[max(i, j)] = min(i, j)
@@ -141,25 +134,26 @@ class MergeRun:
         return _groups(self.labels_at(tau))
 
 
-def _init_slots(n: int, init: np.ndarray | None) -> np.ndarray:
-    """Each mention's init label: the smallest row with its seed label."""
-    if init is None:
-        return np.arange(n)
-    init = np.asarray(init)
-    if init.shape != (n,):
-        raise IntegrityError(f"seed labels have shape {init.shape}, expected ({n},)")
-    _, first, inverse = np.unique(init, return_index=True, return_inverse=True)
-    return first[inverse]
-
-
 def build_merge_run(sims: np.ndarray, init: np.ndarray | None = None) -> MergeRun:
     """Run the merge kernel on the mention similarities down to one cluster,
     and keep `init` (one label per row, equal labels forming one seed
-    cluster; default: all singletons) as the seed of every cut."""
+    cluster; default: all singletons) as the seed of every cut. A matrix
+    that is not square, or holds a non-finite entry, is refused."""
     sims = np.asarray(sims, dtype=np.float64)
-    slot_of = _init_slots(sims.shape[0], init)
+    if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
+        raise IntegrityError(f"similarity matrix has shape {sims.shape}, expected a square one")
+    if not np.isfinite(sims).all():
+        raise IntegrityError("non-finite similarity entries")
+    n = len(sims)
+    if init is None:
+        seed = np.arange(n)
+    else:
+        init = np.asarray(init)
+        if init.shape != (n,):
+            raise IntegrityError(f"seed labels have shape {init.shape}, expected ({n},)")
+        seed = dense_labels(init.tolist())
     seq_sims, lefts, rights = merge_sequence(sims)
-    return MergeRun(slot_of=slot_of, sims=seq_sims, lefts=lefts, rights=rights)
+    return MergeRun(seed=seed, sims=seq_sims, lefts=lefts, rights=rights)
 
 
 def _require_rows(embeddings: np.ndarray | UnitRows, n_mentions: int) -> None:
@@ -320,10 +314,9 @@ def search_delta(
         key = labels.tobytes()
         if key not in tuned:
             if embeddings is not None:
-                tuned[key] = _search_tau(replace(run, slot_of=labels), gold_labels)
+                tuned[key] = _search_tau(replace(run, seed=labels), gold_labels)
             else:
-                table = Contingency.from_labels(gold_labels, _number_by_smallest(labels))
-                tuned[key] = (None, table.b3().f1)
+                tuned[key] = (None, Contingency.from_labels(gold_labels, labels).b3().f1)
         tau, score = tuned[key]
         if score >= best[2]:
             best = (float(delta), tau, float(score))

@@ -97,6 +97,13 @@ class Corpus:
         }
 
 
+def dense_labels(keys: Iterable[Hashable]) -> np.ndarray:
+    """The one label form of a partition: equal keys get one label, and the
+    labels are 0.. numbered in order of each key's first appearance."""
+    seen: dict[Hashable, int] = {}
+    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class Clustering:
     """A partition of a mention set into chains (mention-id sets)."""
@@ -137,11 +144,7 @@ class Clustering:
                 f"clustering does not partition the given mentions: missing {missing[:3]}, not "
                 f"given {not_given[:3]} ({len(mention_ids)} ids given, {len(chain_of)} clustered)"
             )
-        label_of: dict[int, int] = {}
-        return np.array(
-            [label_of.setdefault(chain_of[m], len(label_of)) for m in mention_ids],
-            dtype=np.int64,
-        )
+        return dense_labels(chain_of[m] for m in mention_ids)
 
     @classmethod
     def from_labels(cls, mention_ids: Sequence[str], labels: Iterable[Hashable]) -> "Clustering":
@@ -388,9 +391,9 @@ class LemmaPairs:
         return cls(mention_ids, pairs)
 
     def labels_at(self, delta: float) -> np.ndarray:
-        """Each mention's smallest component member at this delta (-inf
-        keeps every pair: the lemma partition): equal partitions give equal
-        label vectors."""
+        """The partition at this delta (-inf keeps every pair: the lemma
+        partition) as labels 0.. numbered by each cluster's first mention,
+        so equal partitions give equal label vectors."""
         _, _, same_doc, cosines = self.pairs.T
         keep = (same_doc != 0.0) | (cosines > delta)
         rows = self.pairs[keep, :2].astype(np.int64)

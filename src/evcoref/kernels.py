@@ -180,7 +180,7 @@ def merge_sequence(S: np.ndarray):
 
 def components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Connected components of the graph on n nodes with the given edges, as
-    each node's smallest component member.
+    labels 0.. numbered in order of each component's smallest node.
 
     Labels only fall (each edge takes the lower of its ends' labels) and stay
     inside the component, and a label's own label is no larger (shortcut), so
@@ -194,7 +194,7 @@ def components(n: int, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         np.minimum.at(nxt, rights, low)
         nxt = nxt[nxt]
         if np.array_equal(nxt, labels):
-            return labels
+            return (np.cumsum(labels == np.arange(n)) - 1)[labels]
         labels = nxt
 
 

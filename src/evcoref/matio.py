@@ -26,8 +26,10 @@ def write_matrix(path, arr: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file; a payload shorter or longer than the header's
-    row and column counts imply is a ParseError, found before allocating."""
+    """Read a matrix file; a header dimension numpy cannot allocate (2^60
+    or more, whose float64 bytes pass 2^63 - 1) or a payload shorter or
+    longer than the header's row and column counts imply is a ParseError,
+    found before allocating."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
@@ -36,6 +38,8 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 16:
             raise ParseError(path, 1, "truncated matrix header")
         rows, cols = struct.unpack("<QQ", header)
+        if max(rows, cols) >= 1 << 60:
+            raise ParseError(path, 1, f"header dimension {max(rows, cols)} is not below 2^60")
         payload = os.fstat(handle.fileno()).st_size - handle.tell()
         if payload != 8 * rows * cols:
             expected = f"expected {rows * cols} values ({8 * rows * cols} bytes)"

@@ -86,9 +86,8 @@ class Contingency:
     @classmethod
     def from_labels(cls, gold: np.ndarray, sys: np.ndarray) -> "Contingency":
         """From two label vectors over the same mention order, each using
-        every label in 0..k-1 (as `Clustering.labels` and
-        `MergeRun.labels_at` give them, numbering chains by their smallest
-        mention)."""
+        every label in 0..k-1: the package's one partition form, which
+        numbers chains by their first mention (`corpus.dense_labels`)."""
         gold_sizes, sys_sizes = np.bincount(gold), np.bincount(sys)
         cells, counts = np.unique(gold * len(sys_sizes) + sys, return_counts=True)
         rows, cols = np.divmod(cells, len(sys_sizes))

@@ -18,6 +18,7 @@ import numpy as np
 from .clustering import tune_tau
 from .config import BATCH_SIZE, TrainConfig
 from .corpus import Clustering
+from .corpus import dense_labels as encode_chains  # chain ids to dense chain codes
 from .errors import IntegrityError, ModelMismatchError, SamplerError, TrainingDivergedError
 from .network import (
     AdamState,
@@ -43,12 +44,6 @@ class Batch:
     class_labels: np.ndarray
     chain_codes: np.ndarray
     dropout_masks: tuple
-
-
-def encode_chains(chain_ids) -> np.ndarray:
-    """Map chain id strings to dense integer codes (equality-preserving)."""
-    seen: dict[str, int] = {}
-    return np.array([seen.setdefault(c, len(seen)) for c in chain_ids], dtype=np.int64)
 
 
 def class_labels(chain_ids) -> tuple[np.ndarray, int]:

@@ -35,7 +35,7 @@ from evcoref.errors import (
     TrainingDivergedError,
 )
 from evcoref.features import fit_tfidf
-from evcoref.matio import read_matrix, write_matrix
+from evcoref.matio import MATRIX_MAGIC, read_matrix, write_matrix
 from evcoref.network import NetParams, embed, load_checkpoint, save_checkpoint
 from synthcorpus import write_corpus
 
@@ -579,6 +579,32 @@ def test_checkpoint_in_the_old_layout_with_adam_moments_is_exit_2(pipeline_dir, 
     assert "checkpoint.ckpt" in err and "bad magic" in err and "CKPT.1" in err
     assert "Traceback" not in err
     assert not (ckpt.parents[1] / "cluster" / "test.sys.chains").exists()
+
+
+def test_a_nan_checkpoint_weight_is_exit_2_at_the_similarities(pipeline_dir, tmp_path, capsys):
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    params, meta = network.load_checkpoint(ckpt)
+    params.b2[0] = np.nan  # every embedding, so every similarity, is NaN
+    save_checkpoint(ckpt, params, epoch=meta["epoch"], seed=meta["seed"], config_hash=meta["config_hash"])
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: non-finite similarity entries" in err and "Traceback" not in err
+    assert not (ckpt.parents[1] / "cluster").exists()
+
+
+def test_a_matrix_header_numpy_cannot_allocate_is_exit_2(pipeline_dir, tmp_path, capsys):
+    # 2^63 rows of 0 columns: an empty payload passes the size check
+    src_tmp, _, src_out = pipeline_dir
+    out = tmp_path / "o"
+    shutil.copytree(src_out / "features", out / "features")
+    cfg = write_config(tmp_path, src_tmp / "corpus.tsv", src_tmp / "vectors.txt", out, variant="UNSUPERVISED")
+    (out / "features" / "validation.mat").write_bytes(MATRIX_MAGIC + struct.pack("<QQ", 1 << 63, 0))
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "validation.mat:1: header dimension" in err and "Traceback" not in err
+    assert not (out / "cluster").exists()
 
 
 def test_learned_cluster_reads_only_the_parameter_arrays(pipeline_dir, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from evcoref.clustering import (
 from evcoref.corpus import (
     Clustering,
     Corpus,
+    dense_labels,
     gold_clustering,
     loads_corpus,
     read_chains,
@@ -31,7 +32,9 @@ from evcoref.corpus import (
 )
 from evcoref.errors import IntegrityError, ParseError
 from evcoref.features import fit_tfidf
+from evcoref.kernels import components
 from evcoref.scoring import score_b3
+from evcoref.train import encode_chains
 from oracles import lemma_delta_chains, naive_single_linkage
 from synthcorpus import band_topic_sets, generate
 
@@ -218,6 +221,74 @@ def test_tau_above_max_similarity_returns_init(rng):
     init = np.array([7, 1, 4, 7, 4, 4])  # seed clusters {0, 3}, {1} and {2, 4, 5}
     parts = agglomerate_indices(sims, 0.999, init=init)
     assert sorted(map(sorted, parts)) == [[0, 3], [1], [2, 4, 5]]
+
+
+def eye_with(value):
+    sims = np.eye(3)
+    sims[0, 2] = sims[2, 0] = value
+    return sims
+
+
+@pytest.mark.parametrize(
+    "sims, fault",
+    [
+        (np.ones((3, 4)), r"similarity matrix has shape \(3, 4\)"),
+        (np.ones(3), r"similarity matrix has shape \(3,\)"),
+        (eye_with(np.nan), "non-finite similarity entries"),
+        (eye_with(np.inf), "non-finite similarity entries"),
+        (eye_with(-np.inf), "non-finite similarity entries"),
+    ],
+    ids=["3x4", "1-d", "nan", "inf", "-inf"],
+)
+def test_a_similarity_matrix_not_square_or_not_finite_is_refused(sims, fault):
+    with pytest.raises(IntegrityError, match=fault):
+        build_merge_run(sims)
+    with pytest.raises(IntegrityError, match=fault):
+        agglomerate_indices(sims, 0.5)
+
+
+def test_a_nan_tau_is_refused(rng):
+    # "merge while sim >= tau" merges nothing for NaN; a cut past every
+    # merge would instead join all mentions into one chain
+    e = rng.normal(size=(4, 3))
+    sims = cosine_similarity_matrix(e)
+    nan = float("nan")
+    for call in (
+        lambda: agglomerate(["a", "b", "c", "d"], nan, e),
+        lambda: agglomerate_indices(sims, nan),
+        lambda: build_merge_run(sims).partition_at(nan),
+        lambda: build_merge_run(sims, np.array([1, 1, 0, 2])).labels_at(np.float64(nan)),
+    ):
+        with pytest.raises(ValueError, match="tau is NaN"):
+            call()
+
+
+def test_every_label_vector_numbers_its_clusters_by_first_member():
+    # clusters {0, 3, 5}, {1}, {2, 6}, {4}: one vector from every producer
+    expected = [0, 1, 2, 0, 3, 0, 2]
+    ids = [f"m{i}" for i in range(7)]
+    sims = np.full((7, 7), 0.1)
+    np.fill_diagonal(sims, 1.0)
+    linked = sims.copy()
+    for i, j in [(5, 3), (3, 0), (6, 2)]:
+        linked[i, j] = linked[j, i] = 0.9
+    seeded = sims.copy()
+    seeded[3, 5] = seeded[5, 3] = seeded[2, 6] = seeded[6, 2] = 0.9
+    pairs = np.array([[0, 5, 1.0, 0.0], [3, 5, 0.0, 0.8], [2, 6, 0.0, 0.9], [1, 4, 0.0, 0.2]])
+    chain_ids = ["c", "b", "a", "c", "d", "c", "a"]
+    got = {
+        "components": components(7, np.array([5, 3, 6]), np.array([3, 0, 2])),
+        "unseeded cut": build_merge_run(linked).labels_at(0.5),
+        "seed alone": build_merge_run(sims, np.array(chain_ids)).labels_at(0.5),
+        "seed {0, 5} and merges": build_merge_run(seeded, np.array([7, 4, 1, 3, 9, 7, 8])).labels_at(0.5),
+        "lemma pairs": LemmaPairs(ids, pairs).labels_at(0.5),
+        "clustering": Clustering.from_labels(ids, chain_ids).labels(ids),
+        "encode_chains": encode_chains(chain_ids),
+        "dense_labels": dense_labels(chain_ids),
+    }
+    for name, labels in got.items():
+        assert labels.dtype == np.int64, name
+        assert labels.tolist() == expected, name
 
 
 def test_cosine_similarity_matrix_properties(rng):

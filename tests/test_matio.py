@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,25 @@ def test_corrupt_dims_rejected_before_allocating(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ParseError, match="expected"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1 << 63, 0), (0, 1 << 63), (1 << 60, 0), (0, 1 << 60), ((1 << 64) - 1, 0)],
+    ids=["2^63-rows", "2^63-cols", "2^60-rows", "2^60-cols", "u64-max-rows"],
+)
+def test_header_dimension_numpy_cannot_allocate_rejected(tmp_path, rows, cols):
+    # an empty payload matches any header with a zero dimension, so the size
+    # check alone lets these through to numpy
+    path = tmp_path / "huge.mat"
+    path.write_bytes(MATRIX_MAGIC + struct.pack("<QQ", rows, cols))
+    with pytest.raises(ParseError, match=r"header dimension \d+ is not below 2\^60"):
+        read_matrix(path)
+
+
+def test_largest_header_dimension_numpy_allocates_is_read(tmp_path):
+    path = tmp_path / "wide.mat"
+    path.write_bytes(MATRIX_MAGIC + struct.pack("<QQ", 0, (1 << 60) - 1))
+    assert read_matrix(path).shape == (0, (1 << 60) - 1)
 
 
 def test_file_bytes_are_the_header_and_the_c_order_buffer(tmp_path, rng):
