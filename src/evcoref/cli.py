@@ -31,7 +31,7 @@ from .corpus import (
     write_chains,
 )
 from .errors import ConfigError, EvcorefError, IntegrityError, ParseError
-from .matio import read_matrix, write_matrix
+from .matio import MatrixReader, MatrixWriter, read_matrix, write_matrix
 
 # A stage process loads only what it runs: each command imports the stage
 # modules it calls (features, train, network, clustering, scoring), so
@@ -89,34 +89,77 @@ def cmd_features(run: RunConfig) -> None:
     out = run.output / "features"
     out.mkdir(parents=True, exist_ok=True)
     for name in SPLITS:
-        matrix, mentions = feat.extract_split(corpora[name], models, pool=run.pool)
-        write_matrix(out / f"{name}.mat", matrix)
-        del matrix  # the stage holds one split's matrix at a time
+        # the rows go to the file a document at a time: no split's whole matrix is held
+        n = sum(len(doc.mentions) for doc in corpora[name].documents)
+        with MatrixWriter(out / f"{name}.mat", n, models.dim) as writer:
+            _, mentions = feat.extract_split(corpora[name], models, pool=run.pool, out=writer)
         _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
         if name != "train":  # the lemma seeds of the cluster stage, in mention-row order
             write_matrix(out / f"{name}.lemma_pairs.mat", LemmaPairs.of(corpora[name], models.tfidf).pairs)
     print(f"features written to {out}")
 
 
-def _load_split(run: RunConfig, name: str):
-    out = run.output / "features"
-    matrix_path = out / f"{name}.mat"
-    if not matrix_path.exists():
-        raise ConfigError(f"missing {matrix_path}; run the features stage first")
-    matrix = read_matrix(matrix_path)
-    rows = _read_mentions_tsv(out / f"{name}.mentions.tsv")
-    if len(matrix) != len(rows):
-        counts = f"{len(matrix)} rows for the {len(rows)} mentions of {name}.mentions.tsv"
+def _matrix_path(run: RunConfig, name: str) -> Path:
+    path = run.output / "features" / f"{name}.mat"
+    if not path.exists():
+        raise ConfigError(f"missing {path}; run the features stage first")
+    return path
+
+
+def _mention_rows(matrix_path: Path, name: str, n_rows: int):
+    """The split's mention table, refused unless it has a row per matrix row."""
+    rows = _read_mentions_tsv(matrix_path.with_name(f"{name}.mentions.tsv"))
+    if n_rows != len(rows):
+        counts = f"{n_rows} rows for the {len(rows)} mentions of {name}.mentions.tsv"
         raise ParseError(matrix_path, 1, counts)
-    finite = np.isfinite(matrix)
+    return rows
+
+
+def _refuse_non_finite(block: np.ndarray, first_row: int, matrix_path: Path, name: str) -> None:
+    """A ParseError naming the first non-finite entry of `block`, rows
+    `first_row`.. of the split's matrix."""
+    finite = np.isfinite(block)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ParseError(
             matrix_path, 1,
-            f"{name} feature row {row} (0-based, in {name}.mentions.tsv order) has the "
-            f"non-finite value {float(matrix[row, col])!r} in column {col}",
+            f"{name} feature row {first_row + row} (0-based, in {name}.mentions.tsv order) has the "
+            f"non-finite value {float(block[row, col])!r} in column {col}",
         )
+
+
+def _load_split(run: RunConfig, name: str):
+    matrix_path = _matrix_path(run, name)
+    matrix = read_matrix(matrix_path)
+    rows = _mention_rows(matrix_path, name, len(matrix))
+    _refuse_non_finite(matrix, 0, matrix_path, name)
     return matrix, rows
+
+
+def _load_train_split(run: RunConfig):
+    """The train split as `train` works on it, its movable columns packed
+    (MovableInputs), and its mention rows. `train.mat` is read in row blocks
+    twice, so no n x width matrix is held: movable_w1_rows finds the runs
+    on the first pass, whose blocks are refused here first if non-finite,
+    and MovableInputs.pack copies them on the second."""
+    from .train import MovableInputs, movable_w1_rows
+
+    matrix_path = _matrix_path(run, "train")
+    with MatrixReader(matrix_path) as reader:
+        rows = _mention_rows(matrix_path, "train", reader.rows)
+        runs = movable_w1_rows(_finite_blocks(reader, "train"), reader.cols)
+        inputs = MovableInputs.pack(reader.blocks(), reader.rows, reader.cols, runs)
+    return inputs, rows
+
+
+def _finite_blocks(reader: MatrixReader, name: str):
+    """The reader's row blocks, each refused (_refuse_non_finite) before it
+    is passed on."""
+    first = 0
+    for block in reader.blocks():
+        _refuse_non_finite(block, first, reader.path, name)
+        first += len(block)
+        yield block
 
 
 def cmd_train(run: RunConfig) -> None:
@@ -125,7 +168,7 @@ def cmd_train(run: RunConfig) -> None:
 
     if run.variant not in LEARNED_VARIANTS:
         raise ConfigError(f"variant {run.variant} has no training stage")
-    train_x, train_rows = _load_split(run, "train")
+    train_inputs, train_rows = _load_train_split(run)
     val_x, val_rows = _load_split(run, "validation")
     chain_ids = [chain_id for _, chain_id, _, _ in train_rows]
     labels, n_classes = class_labels(chain_ids)
@@ -134,11 +177,6 @@ def cmd_train(run: RunConfig) -> None:
 
     out = run.output / "train"
     out.mkdir(parents=True, exist_ok=True)
-    # handed over, not kept: `train` keeps only the movable columns, so with
-    # no reference left here the full-width matrix is freed before the
-    # network is allocated
-    handover = [train_x]
-    del train_x
     with open(out / "train_log.tsv", "w", encoding="utf-8") as log_file:
         log_file.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
         log_file.write("epoch\ttotal\tcce\tattract\trepulse\tval_b3\ttau\n")
@@ -155,7 +193,7 @@ def cmd_train(run: RunConfig) -> None:
             )
 
         result = train(
-            handover.pop(),
+            train_inputs,
             labels,
             chain_ids,
             n_classes,

@@ -49,9 +49,13 @@ class WordVectors:
 def load_word_vectors(path) -> WordVectors:
     """Read a text vector file: one `word v1 ... vE` entry per line, with an
     optional `count dim` header (auto-detected). First entry wins on
-    duplicate words. A nan or inf component is refused with its line."""
+    duplicate words. A nan or inf component is refused with its line. An
+    entry whose length is not the header's dim, or else not the first
+    entry's, is refused with its line, and a header whose count is not the
+    number of entries with line 1."""
     table: dict = {}
-    dim = None
+    header = dim = None
+    entries = 0
     for line_no, raw in _text_lines(path):
         parts = raw.rstrip("\n").split(" ")
         parts = [p for p in parts if p]
@@ -59,8 +63,9 @@ def load_word_vectors(path) -> WordVectors:
             continue
         if line_no == 1 and len(parts) == 2:
             try:
-                int(parts[0]), int(parts[1])
-                continue  # header line
+                header = int(parts[0]), int(parts[1])
+                dim = header[1]
+                continue
             except ValueError:
                 pass
         word = parts[0]
@@ -75,13 +80,15 @@ def load_word_vectors(path) -> WordVectors:
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise ParseError(
-                path, line_no, f"vector length {vec.size} != {dim} from first entry"
-            )
+            source = "the header" if header else "first entry"
+            raise ParseError(path, line_no, f"vector length {vec.size} != {dim} from {source}")
+        entries += 1
         if word not in table:
             table[word] = vec
-    if dim is None:
+    if not entries:
         raise ParseError(path, 1, "empty word-vector file")
+    if header and header[0] != entries:
+        raise ParseError(path, 1, f"header count {header[0]} != the file's {entries} entries")
     return WordVectors(dimension=int(dim), table=table)
 
 
@@ -367,28 +374,41 @@ def fit_feature_models(train: Corpus, word_vectors: WordVectors) -> FeatureModel
 
 
 def extract_split(
-    corpus: Corpus, models: FeatureModels, pool: str = "global"
-) -> tuple[np.ndarray, list[Mention]]:
-    """Feature matrix for every mention of one split, in corpus order.
+    corpus: Corpus, models: FeatureModels, pool: str = "global", out=None
+) -> tuple:
+    """Feature matrix for every mention of one split, in corpus order, and
+    the mentions in that order: `(out, mentions)`.
 
     `pool` selects the comparison scope for the pool-overlap entries:
     "global" compares against all mentions of the split, "topic" against
     mentions sharing the document's topic.
+
+    The comparative block, which needs the whole split, is made first; then
+    each document's rows are made and handed to `out`, a new n x dim array
+    when None, or else a `matio.MatrixWriter` of n rows, which takes them
+    one document at a time from one buffer, so no whole matrix is held.
     """
-    matrix = np.empty((sum(len(doc.mentions) for doc in corpus.documents), models.dim))
+    views = [
+        MentionView.of(mention, doc, rank)
+        for doc in corpus.documents
+        for rank, mention in enumerate(doc.mentions, start=1)
+    ]
+    compare = comparative_features(views, pool)
+    if out is None:
+        out = np.empty((len(views), models.dim))
+    in_place = isinstance(out, np.ndarray)
+    if not in_place:  # every document's rows are made in this one buffer
+        buffer = np.empty((max((len(doc.mentions) for doc in corpus.documents), default=0), models.dim))
     width = 8 * (models.word_vectors.dimension + LEMMA_VOCAB_SIZE)
     mentions: list[Mention] = []
-    views: list[MentionView] = []
     for doc in corpus.documents:
-        first = len(mentions)
-        matrix[first : first + len(doc.mentions), width : width + PCA_DIM] = doc_features(
-            doc, models.tfidf, models.pca
-        )
-        for rank, mention in enumerate(doc.mentions, start=1):
-            matrix[len(mentions), :width] = contextual_features(
-                mention, doc, models.word_vectors, models.lemma_vocab
-            )
-            mentions.append(mention)
-            views.append(MentionView.of(mention, doc, rank))
-    matrix[:, width + PCA_DIM :] = comparative_features(views, pool)
-    return matrix, mentions
+        first, stop = len(mentions), len(mentions) + len(doc.mentions)
+        rows = out[first:stop] if in_place else buffer[: stop - first]
+        rows[:, width : width + PCA_DIM] = doc_features(doc, models.tfidf, models.pca)
+        for row, mention in zip(rows, doc.mentions):
+            row[:width] = contextual_features(mention, doc, models.word_vectors, models.lemma_vocab)
+        rows[:, width + PCA_DIM :] = compare[first:stop]
+        if not in_place:
+            out.write(rows)
+        mentions.extend(doc.mentions)
+    return out, mentions

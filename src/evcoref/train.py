@@ -144,22 +144,62 @@ class TrainResult:
     best_epoch: int
 
 
-def movable_w1_rows(features: np.ndarray) -> Runs:
-    """The runs of first-layer weight rows that training on `features` can
-    move: those of the input columns nonzero in some row (-0.0 counts as
+@dataclass(frozen=True)
+class MovableInputs:
+    """Train features in the movable-row space: `packed` holds the input
+    columns of `runs` (movable_w1_rows) back to back, out of `width` input
+    columns. Runs that are not increasing, disjoint and inside the width,
+    or whose total length is not packed's column count, are refused."""
+
+    packed: np.ndarray
+    runs: Runs
+    width: int
+
+    def __post_init__(self):
+        at = 0
+        for lo, hi in self.runs:
+            if not at <= lo < hi <= self.width:
+                raise ValueError(f"run [{lo}, {hi}) after column {at} of {self.width} input columns")
+            at = hi
+        m = sum(hi - lo for lo, hi in self.runs)
+        if self.packed.ndim != 2 or self.packed.shape[1] != m:
+            raise ValueError(f"packed inputs of shape {self.packed.shape} for runs of {m} columns")
+
+    @classmethod
+    def pack(cls, blocks, n: int, width: int, runs: Runs) -> "MovableInputs":
+        """Copy the columns of `runs` out of `blocks`, the row blocks of an
+        n x width matrix, into one n x m matrix."""
+        columns = np.array([c for lo, hi in runs for c in range(lo, hi)], dtype=np.intp)
+        packed = np.empty((n, len(columns)))
+        start = 0
+        for block in blocks:
+            stop = start + len(block)
+            np.take(block, columns, axis=1, out=packed[start:stop])
+            start = stop
+        return cls(packed, runs, width)
+
+
+def movable_w1_rows(blocks, width: int) -> Runs:
+    """The runs of first-layer weight rows that training can move, read
+    from `blocks`, the row blocks of the n x width train matrix in row
+    order: those of the input columns nonzero in some row (-0.0 counts as
     zero). Any other row gets a gradient of +-0 on every step, so Adam
     leaves it and its moments exactly as initialised. When fewer than two
     columns are nonzero every row is taken, because numpy computes a
     one-row product on another path that sums in another order. A NaN or
     inf entry is refused, naming the first row that holds one."""
-    finite = np.isfinite(features)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise IntegrityError(
-            f"train feature row {row} (0-based, in mentions.tsv order) has the "
-            f"non-finite value {float(features[row, col])!r} in column {col}"
-        )
-    nonzero = (features != 0.0).any(axis=0)
+    nonzero = np.zeros(width, dtype=bool)
+    first = 0
+    for block in blocks:
+        finite = np.isfinite(block)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise IntegrityError(
+                f"train feature row {first + row} (0-based, in mentions.tsv order) has the "
+                f"non-finite value {float(block[row, col])!r} in column {col}"
+            )
+        nonzero |= (block != 0.0).any(axis=0)
+        first += len(block)
     if np.count_nonzero(nonzero) < 2:
         nonzero[:] = True
     return row_runs(nonzero)
@@ -175,7 +215,7 @@ def _snapshot(params: NetParams, best: NetParams, w1_runs: Runs) -> None:
 
 
 def train(
-    features: np.ndarray,
+    features: np.ndarray | MovableInputs,
     class_labels: np.ndarray,
     chain_ids,
     n_classes: int,
@@ -193,20 +233,27 @@ def train(
     EpochLog is passed to `progress`, when given.
 
     Training works in the movable-row space: the m input columns nonzero in
-    some train row, and their first-layer rows, packed back to back. It
-    copies those columns of `features` once into an n x m matrix and drops
-    its reference to `features`, which it never writes; a caller that keeps
-    no reference of its own frees the full-width matrix here. Besides the
-    parameters, the loop holds the compact gradient, Adam's moments and the
-    compact best-epoch snapshot (of w1, each only the movable rows), all
+    some train row, and their first-layer rows, packed back to back.
+    `features` is either the n x width train matrix, whose movable columns
+    are copied once into an n x m matrix (it is never written, and a caller
+    that keeps no reference of its own frees it here), or that packed
+    matrix as MovableInputs, built from row blocks by movable_w1_rows (which
+    refuses a non-finite value) and MovableInputs.pack. Besides
+    the parameters, the loop holds the compact gradient, Adam's moments and
+    the compact best-epoch snapshot (of w1, each only the movable rows), all
     allocated once, and one compact batch, one full-width forward input and
     one forward cache that every step overwrites. The forward input's other
     columns stay +0.0. Each step draws new boolean dropout masks, and its
     backward pass holds one delta at a time (loss_and_grad). At the end the
     snapshot's rows are copied into params.w1, which becomes
     best_params.w1."""
-    features = np.asarray(features, dtype=np.float64)
-    n, width = features.shape
+    if not isinstance(features, MovableInputs):
+        features = np.asarray(features, dtype=np.float64)
+        n, width = features.shape
+        features = MovableInputs.pack([features], n, width, movable_w1_rows([features], width))
+    packed_features, w1_runs, width = features.packed, features.runs, features.width
+    n = len(packed_features)
+    del features
     # the validation split is refused before the first step, not at the first epoch's end
     if len(val_mention_ids) == 0:
         raise IntegrityError("the validation split has no mentions to select an epoch on")
@@ -218,9 +265,6 @@ def train(
         raise IntegrityError(
             f"{len(val_features)} validation rows for {len(val_mention_ids)} mentions"
         )
-    w1_runs = movable_w1_rows(features)
-    packed_features = np.concatenate([features[:, lo:hi] for lo, hi in w1_runs], axis=1)
-    del features
     chain_codes = encode_chains(chain_ids)
     rng = np.random.default_rng(config.seed)
     params = init_params(rng, width, n_classes, config.hidden1, config.embed, config.hidden3)

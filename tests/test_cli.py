@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from evcoref.errors import (
     TrainingDivergedError,
 )
 from evcoref.features import fit_tfidf
-from evcoref.matio import MATRIX_MAGIC, read_matrix, write_matrix
+from evcoref.matio import HEADER_BYTES, MATRIX_MAGIC, read_matrix, write_matrix
 from evcoref.network import NetParams, embed, load_checkpoint, save_checkpoint
 from synthcorpus import write_corpus
 
@@ -848,6 +849,101 @@ def test_vector_dimension_propagates_to_feature_width(pipeline_dir):
     matrix = read_matrix(out / "features" / "train.mat")
     # generator vectors are 8-dimensional
     assert matrix.shape[1] == feature_dim(8)
+
+
+def test_features_stage_holds_no_whole_split_matrix(tmp_path, monkeypatch):
+    # each split's rows go to its file a document at a time: over what the
+    # stage holds before a split is extracted, its traced peak grows by less
+    # than that split's matrix (the parent held the whole matrix until written)
+    from evcoref import features
+
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    cfg = write_config(tmp_path, corpus_path, vec_path, tmp_path / "o")
+    grown = {}
+
+    def extract_split(corpus, models, **kwargs):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = real(corpus, models, **kwargs)
+        n = sum(len(doc.mentions) for doc in corpus.documents)
+        grown[n] = (tracemalloc.get_traced_memory()[1] - held, 8 * n * models.dim)
+        return result
+
+    real = features.extract_split
+    monkeypatch.setattr(features, "extract_split", extract_split)
+    tracemalloc.start()
+    try:
+        assert main(["features", "--config", str(cfg)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert sorted(grown) == [24, 48]  # train has 48 mentions, validation and test 24 each
+    for growth, matrix_bytes in grown.values():
+        assert growth < matrix_bytes / 2
+
+
+def test_train_stage_reaches_training_without_a_whole_train_matrix(pipeline_dir, tmp_path, monkeypatch):
+    # train.mat is read in row blocks, twice: what the stage has held when
+    # training starts is the validation matrix, the packed movable columns
+    # and a block, never the n x width train matrix (nor its n x width mask)
+    from evcoref import matio, train as train_module
+
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    features = ckpt.parents[1] / "features"
+    n, width = read_matrix(features / "train.mat").shape
+    val_bytes = read_matrix(features / "validation.mat").nbytes
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 8 * 8 * width)  # 8 of the 48 rows a block
+    peaks = []
+
+    def train(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real(*args, **kwargs)
+
+    real = train_module.train
+    monkeypatch.setattr(train_module, "train", train)
+    tracemalloc.start()
+    try:
+        assert main(["train", "--config", str(cfg)]) == 0
+    finally:
+        tracemalloc.stop()
+    [peak] = peaks
+    assert peak - val_bytes < n * width * 8 / 2
+
+
+@pytest.mark.parametrize("rows_kept", [0, 20, 47.5], ids=["header-only", "whole-rows", "mid-row"])
+def test_a_train_matrix_cut_short_mid_write_is_exit_2(pipeline_dir, tmp_path, capsys, rows_kept):
+    # what a features process stopped while streaming train.mat leaves: the
+    # header declares every row, the payload holds only the first ones
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    ckpt.unlink()
+    path = ckpt.parents[1] / "features" / "train.mat"
+    width = read_matrix(path).shape[1]
+    path.write_bytes(path.read_bytes()[: HEADER_BYTES + int(rows_kept * width) * 8])
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "train.mat:1: expected" in captured.err and "Traceback" not in captured.err
+    assert "epoch" not in captured.out and not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0].split()[0] + " 9", *lines[1:]],
+         "vectors.txt:2: vector length 8 != 9 from the header"),
+        (lambda lines: lines[:-1], "vectors.txt:1: header count"),
+    ],
+    ids=["header-dim", "entry-missing"],
+)
+def test_word_vectors_disagreeing_with_their_header_are_exit_2_at_features(tmp_path, capsys, edit, message):
+    corpus_path, vec_path, _ = small_corpus(tmp_path)
+    vec_path.write_text("\n".join(edit(vec_path.read_text().splitlines())) + "\n")
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, corpus_path, vec_path, out)
+    capsys.readouterr()
+    assert main(["features", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / "features").exists()
 
 
 def test_training_divergence_is_exit_3(pipeline_dir, tmp_path):

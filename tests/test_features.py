@@ -7,6 +7,7 @@ import pytest
 from conftest import corpus_from_docs, toks
 from evcoref.corpus import loads_corpus, split_by_topics
 from evcoref.errors import IntegrityError, ParseError
+from evcoref.matio import MatrixWriter, write_matrix
 from evcoref.features import (
     LEMMA_OOV_SLOT,
     LEMMA_VOCAB_SIZE,
@@ -49,6 +50,24 @@ def test_load_vectors_without_header(tmp_path):
     path.write_text("cat 1 2 3\ndog 4 5 6\n")
     wv = load_word_vectors(path)
     assert wv.dimension == 3 and len(wv.table) == 2
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("5 4\ncat 1 2 3\ndog 4 5 6\n", 2, "vector length 3 != 4 from the header"),
+        ("2 3\ncat 1 2 3\ndog 4 5\n", 3, "vector length 2 != 3 from the header"),
+        ("5 3\ncat 1 2 3\ndog 4 5 6\n", 1, "header count 5 != the file's 2 entries"),
+        ("1 3\ncat 1 2 3\ncat 4 5 6\n", 1, "header count 1 != the file's 2 entries"),
+    ],
+    ids=["dim", "dim-of-a-later-entry", "count", "count-with-a-repeated-word"],
+)
+def test_load_vectors_refuses_entries_disagreeing_with_the_header(tmp_path, text, line, message):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        load_word_vectors(path)
+    assert err.value.line_no == line
 
 
 def test_load_vectors_dimension_mismatch(tmp_path):
@@ -466,6 +485,18 @@ def test_topic_pool_changes_pool_entries_only():
     # positions + same-doc entries identical, pool entries may differ
     assert np.array_equal(x_global[:, :-2], x_topic[:, :-2])
     assert not np.array_equal(x_global[:, -2:], x_topic[:, -2:])
+
+
+@pytest.mark.parametrize("pool", ["global", "topic"])
+def test_extract_split_writes_the_rows_it_returns(tmp_path, pool):
+    corpus = tiny_split(n_docs=3)
+    models = make_models(corpus)
+    x, mentions = extract_split(corpus, models, pool=pool)
+    with MatrixWriter(tmp_path / "x.mat", len(x), models.dim) as writer:
+        out, streamed = extract_split(corpus, models, pool=pool, out=writer)
+    assert out is writer and len(out) == len(x) and streamed == mentions
+    write_matrix(tmp_path / "whole.mat", x)
+    assert (tmp_path / "x.mat").read_bytes() == (tmp_path / "whole.mat").read_bytes()
 
 
 def test_extract_split_peak_is_the_matrix_plus_pairwise_temporaries():

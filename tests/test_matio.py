@@ -1,11 +1,16 @@
+import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from evcoref import matio
 from evcoref.errors import ParseError
-from evcoref.matio import MATRIX_MAGIC, read_matrix, write_matrix
+from evcoref.matio import HEADER_BYTES, MATRIX_MAGIC, MatrixReader, MatrixWriter, read_matrix, write_matrix
 
 
 def test_matrix_roundtrip(tmp_path, rng):
@@ -135,3 +140,75 @@ def test_writes_are_deterministic(tmp_path, rng):
     write_matrix(a, x)
     write_matrix(b, x)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: the same bytes as the one-block case
+# ---------------------------------------------------------------------------
+
+matrices = st.tuples(st.integers(0, 12), st.integers(0, 5)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(width=64))
+)
+in_tmp = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def row_blocks(x, cuts):
+    bounds = [0, *sorted(c % (len(x) + 1) for c in cuts), len(x)]
+    return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@in_tmp
+@given(matrices, st.lists(st.integers(0, 12), max_size=5))
+def test_row_block_writer_writes_the_bytes_of_write_matrix(tmp_path, x, cuts):
+    write_matrix(tmp_path / "whole.mat", x)
+    with MatrixWriter(tmp_path / "blocks.mat", *x.shape) as writer:
+        for block in row_blocks(x, cuts):
+            writer.write(block)
+    assert len(writer) == len(x)
+    assert (tmp_path / "blocks.mat").read_bytes() == (tmp_path / "whole.mat").read_bytes()
+
+
+@in_tmp
+@given(matrices, st.integers(1, 200))
+def test_row_block_reader_blocks_concatenate_to_read_matrix(tmp_path, x, block_bytes):
+    path = tmp_path / "x.mat"
+    write_matrix(path, x)
+    with mock.patch.object(matio, "BLOCK_BYTES", block_bytes), MatrixReader(path) as reader:
+        assert (reader.rows, reader.cols) == x.shape
+        for _ in range(2):  # each pass starts again at the first row
+            blocks = list(reader.blocks())
+            if x.shape[1]:  # every block but the last is BLOCK_BYTES of rows, or one row
+                step = max(1, block_bytes // (8 * x.shape[1]))
+                assert [len(b) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+            whole = np.concatenate(blocks) if blocks else np.empty((0, x.shape[1]))
+            assert whole.shape == x.shape and whole.tobytes() == read_matrix(path).tobytes()
+
+
+@pytest.mark.parametrize("cols", [2, 4])
+def test_row_block_writer_refuses_a_block_of_another_width_and_leaves_no_file(tmp_path, rng, cols):
+    path = tmp_path / "x.mat"
+    with pytest.raises(ValueError, match="3 columns"):
+        with MatrixWriter(path, 4, 3) as writer:
+            writer.write(rng.normal(size=(2, 3)))
+            writer.write(rng.normal(size=(2, cols)))
+    assert writer.written == 2 and not path.exists()
+
+
+@pytest.mark.parametrize("rows", [[2, 1], [2, 3], [6], [0]], ids=["short", "long", "long-at-once", "none"])
+def test_row_block_writer_refuses_a_row_count_other_than_declared_and_leaves_no_file(tmp_path, rng, rows):
+    path = tmp_path / "x.mat"
+    with pytest.raises(ValueError, match="rows"):
+        with MatrixWriter(path, 4, 3) as writer:
+            for k in rows:
+                writer.write(rng.normal(size=(k, 3)))
+    assert writer.written <= 4 and not path.exists()
+
+
+def test_a_file_cut_between_the_row_block_passes_is_refused(tmp_path, rng):
+    path = tmp_path / "x.mat"
+    write_matrix(path, rng.normal(size=(6, 4)))
+    with mock.patch.object(matio, "BLOCK_BYTES", 2 * 4 * 8), MatrixReader(path) as reader:
+        assert len(list(reader.blocks())) == 3
+        os.truncate(path, HEADER_BYTES + 3 * 4 * 8)
+        with pytest.raises(ParseError, match="changed while being read"):
+            list(reader.blocks())

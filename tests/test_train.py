@@ -12,6 +12,7 @@ from evcoref import train as train_module
 from evcoref.network import AdamState, NetParams, adam_step, forward, init_params
 from oracles import full_row_train, two_call_step
 from evcoref.train import (
+    MovableInputs,
     TrainConfig,
     encode_chains,
     movable_w1_rows,
@@ -405,13 +406,15 @@ def test_movable_w1_rows_are_the_runs_of_columns_nonzero_in_train():
     x[3, 8] = -2.0
     x[:, 6] = -0.0  # a zero
     x[2, 3] = 5e-324  # the smallest subnormal is not
-    assert movable_w1_rows(x) == ((1, 4), (5, 6), (8, 9))
-    assert movable_w1_rows(np.ones((2, 3))) == ((0, 3),)
+    assert movable_w1_rows([x], 9) == ((1, 4), (5, 6), (8, 9))
+    assert movable_w1_rows([x[:1], x[1:3], x[3:]], 9) == ((1, 4), (5, 6), (8, 9))
+    assert movable_w1_rows([np.ones((2, 3))], 3) == ((0, 3),)
     # fewer than two movable rows: every row, so no product has one row
     one = np.zeros((3, 5))
     one[1, 2] = 1.0
-    assert movable_w1_rows(one) == ((0, 5),)
-    assert movable_w1_rows(np.zeros((3, 5))) == ((0, 5),)
+    assert movable_w1_rows([one], 5) == ((0, 5),)
+    assert movable_w1_rows([np.zeros((3, 5))], 5) == ((0, 5),)
+    assert movable_w1_rows([], 5) == ((0, 5),)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -487,9 +490,44 @@ def test_training_equals_the_full_row_loop(kind, monkeypatch):
     if kind == "best-not-last":
         assert 1 < ours.best_epoch < 6
     if kind in ("all-active", "one-column"):
-        assert movable_w1_rows(case[0]) == ((0, 12),)
+        assert movable_w1_rows([case[0]], 12) == ((0, 12),)
     else:
-        assert len(movable_w1_rows(case[0])) > 1
+        assert len(movable_w1_rows([case[0]], 12)) > 1
+
+
+@pytest.mark.parametrize("kind", ["best-not-last", "one-column"])
+@pytest.mark.parametrize("block", [1, 7, 45])
+def test_training_on_inputs_packed_from_row_blocks_equals_training_on_the_array(kind, block):
+    x, labels, chains, (val_x, val_ids, val_gold) = sparse_columns_case(kind)
+    blocks = [x[i : i + block] for i in range(0, len(x), block)]
+    packed = MovableInputs.pack(blocks, *x.shape, movable_w1_rows(blocks, x.shape[1]))
+    assert packed.runs == movable_w1_rows([x], x.shape[1]) and packed.width == x.shape[1]
+    val = dict(val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold)
+    cfg = tiny_config(batch_size=16, epochs=3)
+    (ours, ours_log), (ref, ref_log) = (
+        train_logged(features, labels, chains, n_classes=4, config=cfg, **val) for features in (packed, x)
+    )
+    assert (ours.best_epoch, ours.best_b3, ours.best_tau) == (ref.best_epoch, ref.best_b3, ref.best_tau)
+    for a, b in zip(ours.best_params.arrays(), ref.best_params.arrays()):
+        assert a.tobytes() == b.tobytes()
+    assert [e.loss for e in ours_log] == [e.loss for e in ref_log]
+
+
+def test_a_non_finite_entry_in_a_later_row_block_is_refused_naming_its_whole_matrix_row():
+    x = np.ones((6, 4))
+    x[4, 2] = np.inf
+    with pytest.raises(IntegrityError, match=r"train feature row 4 .* value inf in column 2"):
+        movable_w1_rows([x[:3], x[3:]], 4)
+
+
+@pytest.mark.parametrize(
+    "runs, width, m",
+    [(((0, 2), (1, 3)), 5, 4), (((3, 2),), 5, 1), (((4, 6),), 5, 2), (((-1, 1),), 5, 2), (((0, 2),), 5, 3)],
+)
+def test_movable_inputs_whose_runs_do_not_fit_the_width_or_the_packed_columns_are_refused(runs, width, m):
+    with pytest.raises(ValueError):
+        MovableInputs(np.zeros((3, m)), runs, width)
+    MovableInputs(np.zeros((3, 3)), ((0, 2), (4, 5)), 5)  # increasing, disjoint, inside, 3 columns
 
 
 def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments(monkeypatch):
