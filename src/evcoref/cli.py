@@ -2,12 +2,14 @@
 
 Each stage reads its predecessors' files from the configured output
 directory, so stages are independently re-runnable and cacheable. Only
-`features` reads the corpus: `train` reads the train and validation feature
-files, `cluster` the eval and validation feature files, their lemma-pair
-files for the lemma seeds, and the checkpoint, and `score` the two chain files
-and, within documents, the eval split's mention table. Exit codes: 0 success,
-otherwise the code that the raised error's class in `errors.py` carries (2
-for input/configuration errors), and 2 for a path that cannot be read.
+`features` reads the corpus. A split's files (its feature matrix, mention
+table and lemma pairs) are written and read through one type, SplitFiles:
+`train` reads the train and validation feature files, `cluster` the eval and
+validation feature files, their lemma-pair files for the lemma seeds, and
+the checkpoint, and `score` the two chain files and, within documents, the
+eval split's mention table. Exit codes: 0 success, otherwise the code that
+the raised error's class in `errors.py` carries (2 for input/configuration
+errors, a missing input among them), and 2 for a path that cannot be read.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .corpus import (
     write_chains,
 )
 from .errors import ConfigError, EvcorefError, IntegrityError, ParseError
-from .matio import MatrixReader, MatrixWriter, read_matrix, write_matrix
+from .matio import MatrixReader, MatrixWriter, read_matrix, refuse_non_finite, write_matrix
 
 # A stage process loads only what it runs: each command imports the stage
 # modules it calls (features, train, network, clustering, scoring), so
@@ -40,17 +42,8 @@ SPLITS = ("train", "validation", "test")
 
 
 # ---------------------------------------------------------------------------
-# Small text artifacts
+# A split's files
 # ---------------------------------------------------------------------------
-
-
-def _write_mentions_tsv(path: Path, corpus: Corpus, mentions, run: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
-        out.write("# mention_id\tchain_id\tdoc_id\ttopic_id\n")
-        topic_of = {d.doc_id: d.topic_id for d in corpus.documents}
-        for m in mentions:
-            out.write(f"{m.id}\t{m.gold_chain}\t{m.doc_id}\t{topic_of[m.doc_id]}\n")
 
 
 def _read_mentions_tsv(path: Path) -> list[tuple[str, str, str, str]]:
@@ -70,6 +63,68 @@ def _gold(rows) -> Clustering:
     return Clustering.from_labels([r[0] for r in rows], [r[1] for r in rows])
 
 
+def _existing(path: Path, stage: str = "features") -> Path:
+    if not path.exists():
+        raise ConfigError(f"missing {path}; run the {stage} stage first")
+    return path
+
+
+class SplitFiles:
+    """The files of split `name` under `<output>/features`, which `features`
+    writes and later stages read only through this type: the feature matrix
+    `<name>.mat`, the mention table `<name>.mentions.tsv` (mention id, chain
+    id, doc id, topic id), one row per matrix row, and the lemma pairs
+    `<name>.lemma_pairs.mat` (corpus.LemmaPairs; train has none). Reading a
+    missing one is a ConfigError."""
+
+    def __init__(self, output: Path, name: str):
+        self.name, self.folder = name, output / "features"
+        self.matrix_path = self.folder / f"{name}.mat"
+        self.mentions_path = self.folder / f"{name}.mentions.tsv"
+        self.lemma_pairs_path = self.folder / f"{name}.lemma_pairs.mat"
+
+    def write_mentions(self, corpus: Corpus, mentions, run: RunConfig) -> None:
+        topic_of = {d.doc_id: d.topic_id for d in corpus.documents}
+        with open(self.mentions_path, "w", encoding="utf-8") as out:
+            out.write(f"# config_hash={run.config_hash} seed={run.training.seed}\n")
+            out.write("# mention_id\tchain_id\tdoc_id\ttopic_id\n")
+            for m in mentions:
+                out.write(f"{m.id}\t{m.gold_chain}\t{m.doc_id}\t{topic_of[m.doc_id]}\n")
+
+    def mention_rows(self, n_rows: int | None = None) -> list[tuple[str, str, str, str]]:
+        """The mention table, refused unless it has `n_rows` rows (the
+        matrix's row count) when that is given."""
+        rows = _read_mentions_tsv(_existing(self.mentions_path))
+        if n_rows is not None and n_rows != len(rows):
+            counts = f"{n_rows} rows for the {len(rows)} mentions of {self.mentions_path.name}"
+            raise ParseError(self.matrix_path, 1, counts)
+        return rows
+
+    def reader(self) -> MatrixReader:
+        """The feature matrix, opened for row-block passes (`blocks`)."""
+        return MatrixReader(_existing(self.matrix_path))
+
+    def blocks(self, reader: MatrixReader):
+        """One pass of `reader`'s row blocks (MatrixReader.blocks, so each
+        is valid only until the next), each refused if non-finite, naming
+        its row of the whole matrix."""
+        first = 0
+        for block in reader.blocks():
+            refuse_non_finite(block, first, self.name, self.matrix_path)
+            first += len(block)
+            yield block
+
+    def matrix(self):
+        """The whole feature matrix, refused as one block, and its mention rows."""
+        matrix = read_matrix(_existing(self.matrix_path))
+        rows = self.mention_rows(len(matrix))
+        refuse_non_finite(matrix, 0, self.name, self.matrix_path)
+        return matrix, rows
+
+    def lemma_pairs(self, mention_ids: list[str]) -> LemmaPairs:
+        return LemmaPairs.read(_existing(self.lemma_pairs_path), mention_ids)
+
+
 # ---------------------------------------------------------------------------
 # Stage commands
 # ---------------------------------------------------------------------------
@@ -81,95 +136,37 @@ def cmd_features(run: RunConfig) -> None:
     wv = feat.load_word_vectors(run.require_word_vectors())
     topics = (run.train_topics, run.val_topics, run.test_topics)
     corpora = dict(zip(SPLITS, split_by_topics(load_corpus(run.corpus), *topics)))
-    for name in SPLITS:
-        summary = corpora[name].summary()
+    summaries = {name: corpora[name].summary() for name in SPLITS}
+    for name, summary in summaries.items():
         print(f"{name}: " + " ".join(f"{k}={v}" for k, v in summary.items()))
     models = feat.fit_feature_models(corpora["train"], wv)
 
-    out = run.output / "features"
-    out.mkdir(parents=True, exist_ok=True)
     for name in SPLITS:
+        files = SplitFiles(run.output, name)
+        files.folder.mkdir(parents=True, exist_ok=True)
         # the rows go to the file a document at a time: no split's whole matrix is held
-        n = sum(len(doc.mentions) for doc in corpora[name].documents)
-        with MatrixWriter(out / f"{name}.mat", n, models.dim) as writer:
+        with MatrixWriter(files.matrix_path, summaries[name]["mentions"], models.dim) as writer:
             _, mentions = feat.extract_split(corpora[name], models, pool=run.pool, out=writer)
-        _write_mentions_tsv(out / f"{name}.mentions.tsv", corpora[name], mentions, run)
+        files.write_mentions(corpora[name], mentions, run)
         if name != "train":  # the lemma seeds of the cluster stage, in mention-row order
-            write_matrix(out / f"{name}.lemma_pairs.mat", LemmaPairs.of(corpora[name], models.tfidf).pairs)
-    print(f"features written to {out}")
-
-
-def _matrix_path(run: RunConfig, name: str) -> Path:
-    path = run.output / "features" / f"{name}.mat"
-    if not path.exists():
-        raise ConfigError(f"missing {path}; run the features stage first")
-    return path
-
-
-def _mention_rows(matrix_path: Path, name: str, n_rows: int):
-    """The split's mention table, refused unless it has a row per matrix row."""
-    rows = _read_mentions_tsv(matrix_path.with_name(f"{name}.mentions.tsv"))
-    if n_rows != len(rows):
-        counts = f"{n_rows} rows for the {len(rows)} mentions of {name}.mentions.tsv"
-        raise ParseError(matrix_path, 1, counts)
-    return rows
-
-
-def _refuse_non_finite(block: np.ndarray, first_row: int, matrix_path: Path, name: str) -> None:
-    """A ParseError naming the first non-finite entry of `block`, rows
-    `first_row`.. of the split's matrix."""
-    finite = np.isfinite(block)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ParseError(
-            matrix_path, 1,
-            f"{name} feature row {first_row + row} (0-based, in {name}.mentions.tsv order) has the "
-            f"non-finite value {float(block[row, col])!r} in column {col}",
-        )
-
-
-def _load_split(run: RunConfig, name: str):
-    matrix_path = _matrix_path(run, name)
-    matrix = read_matrix(matrix_path)
-    rows = _mention_rows(matrix_path, name, len(matrix))
-    _refuse_non_finite(matrix, 0, matrix_path, name)
-    return matrix, rows
-
-
-def _load_train_split(run: RunConfig):
-    """The train split as `train` works on it, its movable columns packed
-    (MovableInputs), and its mention rows. `train.mat` is read in row blocks
-    twice, so no n x width matrix is held: movable_w1_rows finds the runs
-    on the first pass, whose blocks are refused here first if non-finite,
-    and MovableInputs.pack copies them on the second."""
-    from .train import MovableInputs, movable_w1_rows
-
-    matrix_path = _matrix_path(run, "train")
-    with MatrixReader(matrix_path) as reader:
-        rows = _mention_rows(matrix_path, "train", reader.rows)
-        runs = movable_w1_rows(_finite_blocks(reader, "train"), reader.cols)
-        inputs = MovableInputs.pack(reader.blocks(), reader.rows, reader.cols, runs)
-    return inputs, rows
-
-
-def _finite_blocks(reader: MatrixReader, name: str):
-    """The reader's row blocks, each refused (_refuse_non_finite) before it
-    is passed on."""
-    first = 0
-    for block in reader.blocks():
-        _refuse_non_finite(block, first, reader.path, name)
-        first += len(block)
-        yield block
+            write_matrix(files.lemma_pairs_path, LemmaPairs.of(corpora[name], models.tfidf).pairs)
+    print(f"features written to {files.folder}")
 
 
 def cmd_train(run: RunConfig) -> None:
     from .network import save_checkpoint
-    from .train import class_labels, train
+    from .train import MovableInputs, class_labels, movable_w1_rows, train
 
     if run.variant not in LEARNED_VARIANTS:
         raise ConfigError(f"variant {run.variant} has no training stage")
-    train_inputs, train_rows = _load_train_split(run)
-    val_x, val_rows = _load_split(run, "validation")
+    # two row-block passes, so no n x width matrix is held: the first refuses
+    # and finds the movable runs, the second copies them into the packed matrix
+    files = SplitFiles(run.output, "train")
+    with files.reader() as reader:
+        train_rows = files.mention_rows(reader.rows)
+        runs = movable_w1_rows(files.blocks(reader), reader.cols)
+        train_inputs = MovableInputs.pack(reader.blocks(), reader.rows, reader.cols, runs)
+    val_x, val_rows = SplitFiles(run.output, "validation").matrix()
     chain_ids = [chain_id for _, chain_id, _, _ in train_rows]
     labels, n_classes = class_labels(chain_ids)
     val_gold = _gold(val_rows)
@@ -193,28 +190,14 @@ def cmd_train(run: RunConfig) -> None:
             )
 
         result = train(
-            train_inputs,
-            labels,
-            chain_ids,
-            n_classes,
-            run.training,
-            val_features=val_x,
-            val_mention_ids=val_ids,
-            val_gold=val_gold,
-            progress=progress,
+            train_inputs, labels, chain_ids, n_classes, run.training,
+            val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold, progress=progress,
         )
 
-    save_checkpoint(
-        out / "checkpoint.ckpt",
-        result.best_params,
-        result.best_epoch,
-        run.training.seed,
-        run.config_hash,
-    )
-    print(
-        f"best epoch {result.best_epoch}: val B3 {result.best_b3:.4f} "
-        f"tau {result.best_tau:.4f} -> {out / 'checkpoint.ckpt'}"
-    )
+    ckpt = out / "checkpoint.ckpt"
+    save_checkpoint(ckpt, result.best_params, result.best_epoch, run.training.seed, run.config_hash)
+    best = f"best epoch {result.best_epoch}: val B3 {result.best_b3:.4f} tau {result.best_tau:.4f}"
+    print(f"{best} -> {ckpt}")
 
 
 def cmd_cluster(run: RunConfig) -> None:
@@ -242,20 +225,17 @@ def cmd_cluster(run: RunConfig) -> None:
     elif run.variant in LEARNED_VARIANTS:
         from . import network as net
 
-        ckpt = run.output / "train" / "checkpoint.ckpt"
-        if not ckpt.exists():
-            raise ConfigError(f"missing {ckpt}; run the train stage first")
-        params, _ = net.load_checkpoint(ckpt)
+        params, _ = net.load_checkpoint(_existing(run.output / "train" / "checkpoint.ckpt", "train"))
         embed = lambda x: clus.unit_rows(net.embed(params, x))  # refuses another width
 
     def split(name: str):
         """(mention ids, gold chains, vectors or None, lemma pairs or None) of a
         split; the stage owns the vectors, so they are scaled to unit rows in
         place and the similarity makes no copy of them."""
-        x, rows = _load_split(run, name)
+        files = SplitFiles(run.output, name)
+        x, rows = files.matrix()
         ids = [r[0] for r in rows]
-        path = run.output / "features" / f"{name}.lemma_pairs.mat"
-        pairs = LemmaPairs.read(path, ids) if lemma_seeded else None
+        pairs = files.lemma_pairs(ids) if lemma_seeded else None
         return ids, _gold(rows), None if embed is None else embed(x), pairs
 
     # one split's vectors at a time: validation only to tune, then the eval split
@@ -316,7 +296,7 @@ def cmd_score(
         raise IntegrityError(f"gold chains file {gold_path} names no mention")
     sys_clustering = read_chains(sys_path)
     if run.mode == "within-doc":
-        rows = _read_mentions_tsv(run.output / "features" / f"{run.eval_split}.mentions.tsv")
+        rows = SplitFiles(run.output, run.eval_split).mention_rows()
         doc_of = {mention_id: doc_id for mention_id, _, doc_id, _ in rows}
         gold = scoring.within_doc_projection(gold, doc_of)
         sys_clustering = scoring.within_doc_projection(sys_clustering, doc_of)

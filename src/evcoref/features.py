@@ -373,6 +373,17 @@ def fit_feature_models(train: Corpus, word_vectors: WordVectors) -> FeatureModel
     )
 
 
+class _RowArray:
+    """extract_split's default row sink: the rows written fill a new array."""
+
+    def __init__(self, rows: int, cols: int):
+        self.array, self.written = np.empty((rows, cols)), 0
+
+    def write(self, block: np.ndarray) -> None:
+        self.array[self.written : self.written + len(block)] = block
+        self.written += len(block)
+
+
 def extract_split(
     corpus: Corpus, models: FeatureModels, pool: str = "global", out=None
 ) -> tuple:
@@ -384,9 +395,10 @@ def extract_split(
     mentions sharing the document's topic.
 
     The comparative block, which needs the whole split, is made first; then
-    each document's rows are made and handed to `out`, a new n x dim array
-    when None, or else a `matio.MatrixWriter` of n rows, which takes them
-    one document at a time from one buffer, so no whole matrix is held.
+    each document's rows are made in one buffer and written to `out`, a row
+    sink of n rows such as a `matio.MatrixWriter`, so no whole matrix is
+    held. When `out` is None the rows fill a new n x dim array, which is
+    returned in its place.
     """
     views = [
         MentionView.of(mention, doc, rank)
@@ -394,21 +406,17 @@ def extract_split(
         for rank, mention in enumerate(doc.mentions, start=1)
     ]
     compare = comparative_features(views, pool)
-    if out is None:
-        out = np.empty((len(views), models.dim))
-    in_place = isinstance(out, np.ndarray)
-    if not in_place:  # every document's rows are made in this one buffer
-        buffer = np.empty((max((len(doc.mentions) for doc in corpus.documents), default=0), models.dim))
+    sink = _RowArray(len(views), models.dim) if out is None else out
+    buffer = np.empty((max((len(doc.mentions) for doc in corpus.documents), default=0), models.dim))
     width = 8 * (models.word_vectors.dimension + LEMMA_VOCAB_SIZE)
     mentions: list[Mention] = []
     for doc in corpus.documents:
         first, stop = len(mentions), len(mentions) + len(doc.mentions)
-        rows = out[first:stop] if in_place else buffer[: stop - first]
+        rows = buffer[: stop - first]
         rows[:, width : width + PCA_DIM] = doc_features(doc, models.tfidf, models.pca)
         for row, mention in zip(rows, doc.mentions):
             row[:width] = contextual_features(mention, doc, models.word_vectors, models.lemma_vocab)
         rows[:, width + PCA_DIM :] = compare[first:stop]
-        if not in_place:
-            out.write(rows)
+        sink.write(rows)
         mentions.extend(doc.mentions)
-    return out, mentions
+    return (sink.array if out is None else out), mentions

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import IntegrityError, ParseError
 
 MATRIX_MAGIC = b"EVCOREF.MAT.1\n"
 HEADER_BYTES = len(MATRIX_MAGIC) + 16
@@ -91,20 +91,21 @@ class MatrixReader:
             raise ParseError(self.path, 1, f"{expected}, found {payload} bytes")
         return rows, cols
 
-    def read(self, rows: int) -> np.ndarray:
-        """The next `rows` rows, as one new array."""
-        data = np.empty((rows, self.cols), dtype="<f8")
-        if self._file.readinto(data) != data.nbytes:
+    def read_into(self, block: np.ndarray) -> np.ndarray:
+        """The next len(block) rows, read into `block`, which is returned."""
+        if self._file.readinto(block) != block.nbytes:
             raise ParseError(self.path, 1, "matrix file changed while being read")
-        return data
+        return block
 
     def blocks(self):
-        """Every row from the first, BLOCK_BYTES at a time, each block a new
-        array; each call starts again at the first row."""
+        """Every row from the first, BLOCK_BYTES at a time, each read into
+        one buffer that the pass reuses: a block is valid only until the
+        next one is read. Each call starts again at the first row."""
         self._file.seek(HEADER_BYTES)
         step = max(1, BLOCK_BYTES // (8 * self.cols) if self.cols else self.rows)
+        buffer = np.empty((min(step, self.rows), self.cols), dtype="<f8")
         for start in range(0, self.rows, step):
-            yield self.read(min(step, self.rows - start))
+            yield self.read_into(buffer[: min(step, self.rows - start)])
 
     def __enter__(self) -> "MatrixReader":
         return self
@@ -126,4 +127,16 @@ def write_matrix(path, arr: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     """The whole matrix of a file, allocated once; MatrixReader's refusals."""
     with MatrixReader(path) as reader:
-        return reader.read(reader.rows)
+        return reader.read_into(np.empty((reader.rows, reader.cols), dtype="<f8"))
+
+
+def refuse_non_finite(block: np.ndarray, first_row: int, name: str, path=None) -> None:
+    """Refuse `block`, rows `first_row`.. of split `name`'s feature matrix,
+    if an entry is NaN or inf, naming the first one: as a ParseError of the
+    file at `path`, or as an IntegrityError when the rows come from no file."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        message = (f"{name} feature row {first_row + row} (0-based, in the split's mention order) "
+                   f"has the non-finite value {float(block[row, col])!r} in column {col}")
+        raise IntegrityError(message) if path is None else ParseError(path, 1, message)

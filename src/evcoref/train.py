@@ -20,6 +20,7 @@ from .config import BATCH_SIZE, TrainConfig
 from .corpus import Clustering
 from .corpus import dense_labels as encode_chains  # chain ids to dense chain codes
 from .errors import IntegrityError, ModelMismatchError, SamplerError, TrainingDivergedError
+from .matio import refuse_non_finite
 from .network import (
     AdamState,
     LossBreakdown,
@@ -181,25 +182,16 @@ class MovableInputs:
 
 def movable_w1_rows(blocks, width: int) -> Runs:
     """The runs of first-layer weight rows that training can move, read
-    from `blocks`, the row blocks of the n x width train matrix in row
-    order: those of the input columns nonzero in some row (-0.0 counts as
-    zero). Any other row gets a gradient of +-0 on every step, so Adam
-    leaves it and its moments exactly as initialised. When fewer than two
-    columns are nonzero every row is taken, because numpy computes a
-    one-row product on another path that sums in another order. A NaN or
-    inf entry is refused, naming the first row that holds one."""
+    from `blocks`, the row blocks of the n x width train matrix, which the
+    caller has refused if non-finite: those of the input columns nonzero in
+    some row (-0.0 counts as zero). Any other row gets a gradient of +-0 on
+    every step, so Adam leaves it and its moments exactly as initialised.
+    When fewer than two columns are nonzero every row is taken, because
+    numpy computes a one-row product on another path that sums in another
+    order."""
     nonzero = np.zeros(width, dtype=bool)
-    first = 0
     for block in blocks:
-        finite = np.isfinite(block)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise IntegrityError(
-                f"train feature row {first + row} (0-based, in mentions.tsv order) has the "
-                f"non-finite value {float(block[row, col])!r} in column {col}"
-            )
         nonzero |= (block != 0.0).any(axis=0)
-        first += len(block)
     if np.count_nonzero(nonzero) < 2:
         nonzero[:] = True
     return row_runs(nonzero)
@@ -234,11 +226,11 @@ def train(
 
     Training works in the movable-row space: the m input columns nonzero in
     some train row, and their first-layer rows, packed back to back.
-    `features` is either the n x width train matrix, whose movable columns
-    are copied once into an n x m matrix (it is never written, and a caller
-    that keeps no reference of its own frees it here), or that packed
-    matrix as MovableInputs, built from row blocks by movable_w1_rows (which
-    refuses a non-finite value) and MovableInputs.pack. Besides
+    `features` is either the n x width train matrix, refused if an entry
+    is non-finite, whose movable columns are copied once into an n x m
+    matrix (it is never written, and a caller that keeps no reference of
+    its own frees it here), or that packed matrix as MovableInputs, packed
+    from row blocks that the caller has refused (cli.SplitFiles). Besides
     the parameters, the loop holds the compact gradient, Adam's moments and
     the compact best-epoch snapshot (of w1, each only the movable rows), all
     allocated once, and one compact batch, one full-width forward input and
@@ -250,6 +242,7 @@ def train(
     if not isinstance(features, MovableInputs):
         features = np.asarray(features, dtype=np.float64)
         n, width = features.shape
+        refuse_non_finite(features, 0, "train")
         features = MovableInputs.pack([features], n, width, movable_w1_rows([features], width))
     packed_features, w1_runs, width = features.packed, features.runs, features.width
     n = len(packed_features)

@@ -451,6 +451,26 @@ def test_non_finite_train_feature_is_exit_2_before_the_first_step(pipeline_dir, 
     assert not (out / "train" / "checkpoint.ckpt").exists()
 
 
+def test_non_finite_train_feature_in_a_later_row_block_is_exit_2_naming_its_row(
+    pipeline_dir, tmp_path, monkeypatch, capsys
+):
+    from evcoref import matio
+
+    cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
+    ckpt.unlink()
+    path = ckpt.parents[1] / "features" / "train.mat"
+    matrix = read_matrix(path)
+    matrix[37, 11] = np.nan
+    write_matrix(path, matrix)
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 8 * 8 * matrix.shape[1])  # row 37 is in the fifth block
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "train.mat:1: train feature row 37 " in captured.err and "column 11" in captured.err
+    assert "Traceback" not in captured.err and "epoch" not in captured.out
+    assert not ckpt.exists()
+
+
 def test_non_finite_validation_feature_is_exit_2_before_training(pipeline_dir, tmp_path, capsys):
     cfg, ckpt = _learned_copy(pipeline_dir, tmp_path)
     ckpt.unlink()
@@ -1457,6 +1477,39 @@ def test_line_edits_of_any_stage_input_end_in_a_documented_exit_code(tmp_path, m
                 shutil.rmtree(work)
                 capsys.readouterr()
     assert {0, 2, 5} <= set(codes)
+
+
+@pytest.fixture(scope="module")
+def relative_lemma_run(tmp_path_factory):
+    """A CORE+CCE+LEMMA run through `cluster` whose run.ini names relative
+    paths, so a copy of the directory is a whole run of its own."""
+    run_dir = tmp_path_factory.mktemp("relative_lemma_run")
+    small_corpus(run_dir)
+    write_config(run_dir, "corpus.tsv", "vectors.txt", "out", variant="CORE+CCE+LEMMA").rename(run_dir / "run.ini")
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        for stage in ("features", "train", "cluster"):
+            assert main([stage, "--config", "run.ini"]) == 0
+    finally:
+        os.chdir(cwd)
+    return run_dir
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [(stage, name) for stage in ("train", "cluster", "score") for name in _STAGE_INPUTS[stage]
+     if name.startswith("out/features/")],
+)
+def test_a_missing_split_file_is_exit_2_naming_it(relative_lemma_run, tmp_path, monkeypatch, capsys, stage, name):
+    shutil.copytree(relative_lemma_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    Path(name).unlink()
+    argv = ["score", "--mode", "within-doc"] if stage == "score" else [stage]
+    capsys.readouterr()
+    assert main([*argv, "--config", "run.ini"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: missing {name}; run the features stage first" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("variant", ["UNSUPERVISED", "CORE+CCE"])

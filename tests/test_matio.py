@@ -176,12 +176,24 @@ def test_row_block_reader_blocks_concatenate_to_read_matrix(tmp_path, x, block_b
     with mock.patch.object(matio, "BLOCK_BYTES", block_bytes), MatrixReader(path) as reader:
         assert (reader.rows, reader.cols) == x.shape
         for _ in range(2):  # each pass starts again at the first row
-            blocks = list(reader.blocks())
+            blocks = [b.copy() for b in reader.blocks()]  # each block is valid until the next
             if x.shape[1]:  # every block but the last is BLOCK_BYTES of rows, or one row
                 step = max(1, block_bytes // (8 * x.shape[1]))
                 assert [len(b) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
             whole = np.concatenate(blocks) if blocks else np.empty((0, x.shape[1]))
             assert whole.shape == x.shape and whole.tobytes() == read_matrix(path).tobytes()
+
+
+def test_every_row_block_of_a_pass_is_read_into_one_buffer(tmp_path, rng):
+    path = tmp_path / "x.mat"
+    x = rng.normal(size=(7, 4))
+    write_matrix(path, x)
+    with mock.patch.object(matio, "BLOCK_BYTES", 2 * 4 * 8), MatrixReader(path) as reader:
+        for _ in range(2):
+            first, *rest = reader.blocks()  # each one read over the last
+            assert [len(b) for b in (first, *rest)] == [2, 2, 2, 1]
+            assert all(np.shares_memory(first, b) for b in rest)
+            assert rest[-1].tobytes() == x[6:].tobytes()
 
 
 @pytest.mark.parametrize("cols", [2, 4])

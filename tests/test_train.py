@@ -513,11 +513,20 @@ def test_training_on_inputs_packed_from_row_blocks_equals_training_on_the_array(
     assert [e.loss for e in ours_log] == [e.loss for e in ref_log]
 
 
-def test_a_non_finite_entry_in_a_later_row_block_is_refused_naming_its_whole_matrix_row():
+def test_a_non_finite_entry_in_a_later_row_block_is_refused_naming_its_whole_matrix_row(tmp_path, monkeypatch):
+    # the train read refuses each row block as the split's files read it
+    from evcoref import matio
+    from evcoref.cli import SplitFiles
+    from evcoref.errors import ParseError
+
     x = np.ones((6, 4))
     x[4, 2] = np.inf
-    with pytest.raises(IntegrityError, match=r"train feature row 4 .* value inf in column 2"):
-        movable_w1_rows([x[:3], x[3:]], 4)
+    files = SplitFiles(tmp_path, "train")
+    files.folder.mkdir()
+    matio.write_matrix(files.matrix_path, x)
+    monkeypatch.setattr(matio, "BLOCK_BYTES", 3 * 4 * 8)  # rows 0-2, then 3-5
+    with files.reader() as reader, pytest.raises(ParseError, match=r"train feature row 4 .* value inf in column 2"):
+        movable_w1_rows(files.blocks(reader), 4)
 
 
 @pytest.mark.parametrize(
