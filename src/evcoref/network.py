@@ -110,6 +110,16 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _network_inputs(params: NetParams, inputs) -> np.ndarray:
+    """`inputs` as float64, refused unless a matrix of the network's input width."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2 or inputs.shape[1] != params.w1.shape[0]:
+        raise ModelMismatchError(
+            f"input width {inputs.shape[-1]} != network input {params.w1.shape[0]}"
+        )
+    return inputs
+
+
 def forward(
     params: NetParams,
     inputs: np.ndarray,
@@ -126,11 +136,7 @@ def forward(
     when None). It must be the cache of an earlier train-mode call on as
     many inputs; every array of it is overwritten, so nothing of that call
     is read."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != params.w1.shape[0]:
-        raise ModelMismatchError(
-            f"input width {inputs.shape[-1]} != network input {params.w1.shape[0]}"
-        )
+    inputs = _network_inputs(params, inputs)
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
@@ -165,8 +171,19 @@ def forward(
     return out
 
 
-def embed(params: NetParams, inputs: np.ndarray) -> np.ndarray:
-    return forward(params, inputs, mode="infer").embeddings
+def embed(params: NetParams, inputs: np.ndarray, rest: np.ndarray | None = None) -> np.ndarray:
+    """The embeddings of `inputs`: the narrow layer's post-ReLU activations
+    without dropout, the bits of forward's infer mode, computed no further.
+    `rest`, when given, is the first-layer product of input columns that
+    params.w1 holds no rows for; it is added to inputs @ w1 before the bias."""
+    hidden = _network_inputs(params, inputs) @ params.w1
+    if rest is not None:
+        hidden += rest
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    embeddings = hidden @ params.w2
+    embeddings += params.b2
+    return np.maximum(embeddings, 0.0, out=embeddings)
 
 
 def make_dropout_masks(
@@ -332,20 +349,9 @@ def row_runs(mask: np.ndarray) -> Runs:
     return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def _packed_runs(runs: Runs):
-    """(rows, packed rows) slices for each run: the run's rows, and where
-    they sit in a compact array that holds the runs' rows back to back, as
-    loss_and_grad's w1 gradient does. The same slices pick the columns of
-    an input matrix and of its compact copy."""
-    at = 0
-    for lo, hi in runs:
-        yield slice(lo, hi), slice(at, at + hi - lo)
-        at += hi - lo
-
-
 def loss_and_grad(
     params: NetParams, cache: ForwardCache, labels, chain_codes, lambda1: float, lambda2: float,
-    use_cce: bool = True, out: NetParams | None = None, w1_inputs: np.ndarray | None = None,
+    use_cce: bool = True, out: NetParams | None = None,
 ) -> tuple[LossBreakdown, NetParams]:
     """loss_total's breakdown and the exact gradients of its total for every
     parameter, both read off one pair geometry of the cached embeddings. The
@@ -355,24 +361,11 @@ def loss_and_grad(
     routes through the same dropout masks the forward pass used. One delta
     is alive at a time: each layer's is one new array, taken through the
     layer's steps in place, and it is freed when the layer below makes its
-    own. Nothing of params, cache or its masks is written.
-
-    `w1_inputs` (batch x m, at least one column) is some of the batch's
-    input columns, back to back; out.w1 then holds only the gradients of
-    their first-layer weight rows, in that order: a compact (m, hidden1)
-    buffer. Each row still sums over the whole batch, so it equals the same
-    row of the full gradient wherever the BLAS computes a row of a product
-    independently of how many rows the product has. OpenBLAS 0.3.31's
-    Haswell kernels do when hidden1 is a multiple of 8 and two or more rows
-    are taken; otherwise the last hidden1 % 8 columns can differ in the last
-    bits. None takes every column of cache.inputs: the full gradient."""
+    own. Nothing of params, cache or its masks is written."""
     pairs = _core_pairs(cache.embeddings, chain_codes, lambda1, lambda2)
     loss = _breakdown(cache.probs, labels, pairs, lambda1, lambda2, use_cce)
-    w1_inputs = cache.inputs if w1_inputs is None else w1_inputs
     if out is None:
-        shapes = [(w1_inputs.shape[1], params.w1.shape[1])]
-        shapes += [a.shape for a in params.arrays()[1:]]
-        out = NetParams(*[np.empty(shape) for shape in shapes])
+        out = NetParams(*[np.empty(a.shape) for a in params.arrays()])
     n = cache.inputs.shape[0]
     train = cache.masks is not None
     scale = 1.0 / (1.0 - cache.dropout) if train else 1.0
@@ -394,7 +387,7 @@ def loss_and_grad(
     layers = (
         (params.w4, 2, cache.d3, cache.d2, out.w3, out.b3),
         (params.w3, 1, cache.embeddings, cache.d1, out.w2, out.b2),
-        (params.w2, 0, cache.d1, w1_inputs, out.w1, out.b1),
+        (params.w2, 0, cache.d1, cache.inputs, out.w1, out.b1),
     )
     for w_above, layer, a, inputs, grad_w, grad_b in layers:
         d = d @ w_above.T
@@ -428,11 +421,11 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: NetParams) -> "AdamState":
-        """Zero moments of `params`' shapes; the training loop passes its
-        compact gradients, so w1's moments are (movable rows, hidden1).
-        Unwritten rows of a large np.zeros array are not free: numpy asks
-        for 2 MB transparent huge pages on it, so writing one row maps the
-        whole 2 MB page around it."""
+        """Zero moments of `params`' shapes; the training loop's network
+        holds only the movable first-layer rows, so w1's moments are
+        (movable rows, hidden1). Unwritten rows of a large np.zeros array
+        are not free: numpy asks for 2 MB transparent huge pages on it, so
+        writing one row maps the whole 2 MB page around it."""
         return cls(
             m=[np.zeros(a.shape) for a in params.arrays()],
             v=[np.zeros(a.shape) for a in params.arrays()],
@@ -448,13 +441,7 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def adam_step(
-    params: NetParams,
-    state: AdamState,
-    grads: NetParams,
-    lr: float,
-    w1_runs: Runs | None = None,
-) -> None:
+def adam_step(params: NetParams, state: AdamState, grads: NetParams, lr: float) -> None:
     """In-place Adam update with bias correction.
 
     Per element, in exactly this floating-point order:
@@ -462,47 +449,40 @@ def adam_step(
     param -= (lr*(m/(1-BETA1**t))) / (sqrt(v/(1-BETA2**t)) + EPS).
     m, v and the parameters are updated where they are, ADAM_BLOCK elements
     at a time through two scratch blocks, so a step allocates nothing the
-    size of a parameter.
-
-    The moments have the gradients' shapes. With `w1_runs`, grads.w1 is
-    loss_and_grad's compact gradient of those first-layer rows, and only
-    those rows of w1 are updated. A row whose gradient has been +-0 on every
-    step so far has m = v = +0, so its update is exactly 0 and skipping it
-    changes no bit."""
-    for grad, m, v in zip(grads.arrays(), state.m, state.v):
-        if not grad.shape == m.shape == v.shape:
-            raise ValueError(f"Adam moments of shape {m.shape} for a gradient of shape {grad.shape}")
+    size of a parameter. The moments and gradients have the parameters'
+    shapes."""
+    for param, grad, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        if not param.shape == grad.shape == m.shape == v.shape:
+            raise ValueError(
+                f"Adam moments of shape {m.shape} for a parameter of shape {param.shape}"
+                f" and a gradient of shape {grad.shape}"
+            )
     state.t += 1
     t = state.t
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
-    w1_runs = ((0, params.w1.shape[0]),) if w1_runs is None else w1_runs
-    runs = [w1_runs] + [((0, len(a)),) for a in params.arrays()[1:]]
-    for param, grad, m, v, rows in zip(params.arrays(), grads.arrays(), state.m, state.v, runs):
-        for run, packed in _packed_runs(rows):
-            # the run's rows of param, and the rows of grad, m and v that hold them
-            param_s, grad_s = _flat(param[run]), grad[packed].reshape(-1)
-            m_s, v_s = _flat(m[packed]), _flat(v[packed])
-            for lo in range(0, param_s.size, ADAM_BLOCK):
-                hi = lo + ADAM_BLOCK
-                p_b, g_b, m_b, v_b = param_s[lo:hi], grad_s[lo:hi], m_s[lo:hi], v_s[lo:hi]
-                a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
-                m_b *= BETA1
-                np.multiply(g_b, 1.0 - BETA1, out=a)
-                m_b += a
-                np.multiply(g_b, 1.0 - BETA2, out=a)
-                a *= g_b
-                v_b *= BETA2
-                v_b += a
-                np.divide(m_b, c1, out=a)
-                a *= lr
-                np.divide(v_b, c2, out=b)
-                np.sqrt(b, out=b)
-                b += EPS
-                a /= b
-                p_b -= a
+    for param, grad, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
+        param_s, grad_s, m_s, v_s = _flat(param), grad.reshape(-1), _flat(m), _flat(v)
+        for lo in range(0, param_s.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            p_b, g_b, m_b, v_b = param_s[lo:hi], grad_s[lo:hi], m_s[lo:hi], v_s[lo:hi]
+            a, b = scratch1[: len(p_b)], scratch2[: len(p_b)]
+            m_b *= BETA1
+            np.multiply(g_b, 1.0 - BETA1, out=a)
+            m_b += a
+            np.multiply(g_b, 1.0 - BETA2, out=a)
+            a *= g_b
+            v_b *= BETA2
+            v_b += a
+            np.divide(m_b, c1, out=a)
+            a *= lr
+            np.divide(v_b, c2, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            p_b -= a
 
 
 # ---------------------------------------------------------------------------

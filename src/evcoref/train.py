@@ -26,7 +26,6 @@ from .network import (
     LossBreakdown,
     NetParams,
     Runs,
-    _packed_runs,
     adam_step,
     embed,
     forward,
@@ -197,13 +196,29 @@ def movable_w1_rows(blocks, width: int) -> Runs:
     return row_runs(nonzero)
 
 
-def _snapshot(params: NetParams, best: NetParams, w1_runs: Runs) -> None:
-    """Copy the current parameters into the compact best-epoch buffers; of
-    w1 only the rows of `w1_runs`, the only ones training moves."""
-    for rows, packed in _packed_runs(w1_runs):
-        np.copyto(best.w1[packed], params.w1[rows])
-    for src, dst in zip(params.arrays()[1:], best.arrays()[1:]):
-        np.copyto(dst, src)
+def _packed_runs(runs: Runs):
+    """(rows, packed rows) slices for each run: the run's rows, and where
+    they sit in an array that holds the runs' rows back to back, as the
+    training network's first layer does."""
+    at = 0
+    for lo, hi in runs:
+        yield slice(lo, hi), slice(at, at + hi - lo)
+        at += hi - lo
+
+
+def _rest_product(val_features: np.ndarray, w1: np.ndarray, runs: Runs) -> np.ndarray | None:
+    """The first-layer product of the validation columns outside `runs`
+    that are nonzero in some row (None when there are none): one product a
+    run of such columns, on slice views of the matrix and of w1, summed in
+    column order, so no w1-sized gather is made."""
+    outside = (val_features != 0.0).any(axis=0)
+    for rows, _ in _packed_runs(runs):
+        outside[rows] = False
+    rest = None
+    for lo, hi in row_runs(outside):
+        part = np.matmul(val_features[:, lo:hi], w1[lo:hi])
+        rest = part if rest is None else np.add(rest, part, out=rest)
+    return rest
 
 
 def train(
@@ -225,20 +240,27 @@ def train(
     EpochLog is passed to `progress`, when given.
 
     Training works in the movable-row space: the m input columns nonzero in
-    some train row, and their first-layer rows, packed back to back.
-    `features` is either the n x width train matrix, refused if an entry
-    is non-finite, whose movable columns are copied once into an n x m
-    matrix (it is never written, and a caller that keeps no reference of
-    its own frees it here), or that packed matrix as MovableInputs, packed
-    from row blocks that the caller has refused (cli.SplitFiles). Besides
-    the parameters, the loop holds the compact gradient, Adam's moments and
-    the compact best-epoch snapshot (of w1, each only the movable rows), all
-    allocated once, and one compact batch, one full-width forward input and
-    one forward cache that every step overwrites. The forward input's other
-    columns stay +0.0. Each step draws new boolean dropout masks, and its
-    backward pass holds one delta at a time (loss_and_grad). At the end the
-    snapshot's rows are copied into params.w1, which becomes
-    best_params.w1."""
+    some train row, and their first-layer rows, packed back to back. The
+    network that trains is w1's movable rows (one copy, made after
+    init_params) with the other parameters, so every step's forward and
+    backward pass runs on the packed batch as it is. `features` is either
+    the n x width train matrix, refused if an entry is non-finite, whose
+    movable columns are copied once into an n x m matrix (it is never
+    written, and a caller that keeps no reference of its own frees it
+    here), or that packed matrix as MovableInputs, packed from row blocks
+    that the caller has refused (cli.SplitFiles). Besides the parameters,
+    the loop holds the compact gradient, Adam's moments and copies of the
+    best epoch's parameters other than w1, all allocated once, and one
+    compact batch and one forward cache that every step overwrites. Each
+    step draws new boolean dropout masks, and its backward pass holds one
+    delta at a time (loss_and_grad). The whole w1 made by init_params holds
+    the best epoch's first layer: its other rows never move, and each new
+    best epoch copies the movable rows into it; it becomes best_params.w1.
+
+    The validation embedding is that of val_features[:, movable] @ w1m plus
+    the product of the other validation columns, made once before the first
+    epoch (_rest_product): equal to val_features @ w1 in exact arithmetic,
+    as `cluster` computes it, but not always in its last bits."""
     if not isinstance(features, MovableInputs):
         features = np.asarray(features, dtype=np.float64)
         n, width = features.shape
@@ -250,6 +272,7 @@ def train(
     # the validation split is refused before the first step, not at the first epoch's end
     if len(val_mention_ids) == 0:
         raise IntegrityError("the validation split has no mentions to select an epoch on")
+    val_features = np.asarray(val_features, dtype=np.float64)
     if val_features.ndim != 2 or val_features.shape[1] != width:
         raise ModelMismatchError(
             f"validation input width {val_features.shape[-1]} != train input width {width}"
@@ -264,18 +287,20 @@ def train(
     dims = params.dims
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
 
-    # allocated once: every step writes its gradients into `grads` and each
-    # new best epoch is copied into `best` (at first the initial parameters),
-    # of w1 both only the movable rows; the first step allocates `batch`,
-    # `inputs` and `cache`, which later steps overwrite
-    compact = lambda: NetParams(
-        np.empty((packed_features.shape[1], params.w1.shape[1])),
-        *[np.empty_like(a) for a in params.arrays()[1:]],
+    # allocated once: the training network (its w1 packed from params.w1),
+    # the gradients every step writes, and the best epoch's parameters other
+    # than w1 (at first the initial ones); the first step allocates `batch`
+    # and `cache`, which later steps overwrite
+    net = NetParams(
+        np.concatenate([params.w1[rows] for rows, _ in _packed_runs(w1_runs)]),
+        *params.arrays()[1:],
     )
-    grads, best = compact(), compact()
+    grads = NetParams(*[np.empty_like(a) for a in net.arrays()])
     adam = AdamState.for_params(grads)
-    _snapshot(params, best, w1_runs)
-    batch = inputs = cache = None
+    best = [a.copy() for a in net.arrays()[1:]]
+    val_packed = MovableInputs.pack([val_features], len(val_features), width, w1_runs).packed
+    val_rest = _rest_product(val_features, params.w1, w1_runs)
+    batch = cache = None
     best_tau = best_b3 = -math.inf  # B3 is in [0, 1]: the first epoch is always kept
     best_epoch = 0
 
@@ -286,22 +311,17 @@ def train(
                 packed_features, class_labels, chain_codes, rng, dims,
                 size=config.batch_size, dropout=config.dropout, out=batch,
             )
-            if inputs is None:
-                inputs = np.zeros((len(batch.inputs), width))
-            for cols, packed_cols in _packed_runs(w1_runs):
-                inputs[:, cols] = batch.inputs[:, packed_cols]
             cache = forward(
-                params,
-                inputs,
+                net,
+                batch.inputs,
                 mode="train",
                 masks=batch.dropout_masks,
                 dropout=config.dropout,
                 out=cache,
             )
             breakdown, _ = loss_and_grad(
-                params, cache, batch.class_labels, batch.chain_codes,
+                net, cache, batch.class_labels, batch.chain_codes,
                 config.lambda1, config.lambda2, use_cce=config.use_cce, out=grads,
-                w1_inputs=batch.inputs,
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDivergedError(
@@ -309,12 +329,15 @@ def train(
                     f"attract={breakdown.attract!r} repulse={breakdown.repulse!r} "
                     f"(lr={config.lr}, lambda1={config.lambda1}, lambda2={config.lambda2})"
                 )
-            adam_step(params, adam, grads, config.lr, w1_runs=w1_runs)
+            adam_step(net, adam, grads, config.lr)
             sums += (breakdown.total, breakdown.cce, breakdown.attract, breakdown.repulse)
 
-        tau, b3 = tune_tau(embed(params, val_features), val_mention_ids, val_gold)
+        tau, b3 = tune_tau(embed(net, val_packed, val_rest), val_mention_ids, val_gold)
         if b3 > best_b3:
-            _snapshot(params, best, w1_runs)
+            for rows, packed in _packed_runs(w1_runs):
+                np.copyto(params.w1[rows], net.w1[packed])
+            for src, dst in zip(net.arrays()[1:], best):
+                np.copyto(dst, src)
             best_tau, best_b3, best_epoch = tau, b3, epoch
         if progress is not None:
             mean = sums / batches_per_epoch
@@ -330,8 +353,4 @@ def train(
                 tau=tau,
             ))
 
-    # params.w1 becomes the best epoch's: no second whole w1 is made
-    for rows, packed in _packed_runs(w1_runs):
-        np.copyto(params.w1[rows], best.w1[packed])
-    best_params = NetParams(params.w1, *best.arrays()[1:])
-    return TrainResult(best_params, best_tau, best_b3, best_epoch)
+    return TrainResult(NetParams(params.w1, *best), best_tau, best_b3, best_epoch)

@@ -396,13 +396,16 @@ def core_embedding_grad(embeddings, codes, lam1, lam2):
     return grad
 
 
-def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
+def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True, cols=None):
     """The training step as two separate computations, the loss and then the
     gradients, each building its own pair geometry: ((total, cce, attract,
     repulse), [eight gradients]) from a forward cache. Every operation keeps
     the package's floating-point order, so its results are the reference
     for the one-geometry step bit for bit. Empty pair sets give 0 without a
-    warning."""
+    warning. `cols`, when given, are the input columns whose product the
+    forward pass's first layer took (with w1's same rows); the first-layer
+    pre-activation is recomputed from them, while the w1 gradient still
+    takes every row."""
 
     # the loss
     n = cache.inputs.shape[0]
@@ -428,7 +431,8 @@ def two_call_step(params, cache, labels, codes, lam1, lam2, use_cce=True):
     else:
         d_z4[:] = 0.0
     # the pre-activations, recomputed from the cached layer inputs
-    z1, z2, z3 = cache.inputs @ w1 + b1, cache.d1 @ w2 + b2, cache.d2 @ w3 + b3
+    z1 = cache.inputs @ w1 + b1 if cols is None else cache.inputs[:, cols] @ w1[cols] + b1
+    z2, z3 = cache.d1 @ w2 + b2, cache.d2 @ w3 + b3
     d_d3 = d_z4 @ w4.T
     d_z3 = (d_d3 * cache.masks[2] * scale if train else d_d3) * (z3 > 0.0)
     d_d2 = d_z3 @ w3.T
@@ -466,22 +470,40 @@ def adam_step_expression(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps
 
 
 def full_row_train(features, class_labels, chain_ids, n_classes, config, val):
-    """The training loop as it was before any first-layer row was skipped:
-    every step computes the whole first-layer gradient (two_call_step), runs
-    the whole-array Adam update on every parameter (adam_step_expression)
-    and every new best epoch copies every parameter array. Batches, forward
-    passes and the validation tau search are the package's
-    (train.sample_batch, network.forward, clustering.tune_tau), drawn from
-    one generator in the same order as train.train, so its results are the
-    reference for the row-restricted loop bit for bit. `val` is (features,
-    mention ids, gold clustering). Returns a dict of the final parameters and moments
-    (lists of arrays), the Adam step count, the best epoch's parameters and
-    one (epoch, total, cce, attract, repulse, val_b3, tau) row per epoch."""
+    """The training loop as it was before any first-layer row was skipped,
+    except for the first layer's forward products: every step computes the
+    whole first-layer gradient (two_call_step), runs the whole-array Adam
+    update on every parameter (adam_step_expression) and every new best
+    epoch copies every parameter array. The forward pass multiplies only
+    the movable columns (those nonzero in some train row, or all of them
+    when fewer than two are) by w1's same rows, and the validation
+    embedding adds to that product the products of the runs of other
+    columns nonzero in some validation row, summed in column order.
+    Batches, forward passes, embeddings and the validation tau search are
+    the package's (train.sample_batch, network.forward, network.embed,
+    clustering.tune_tau), drawn from one generator in the same order as
+    train.train, so its results are the reference for the row-restricted
+    loop bit for bit. `val` is (features, mention ids, gold clustering).
+    Returns a dict of the final parameters and moments (lists of arrays),
+    the Adam step count, the best epoch's parameters and one (epoch, total,
+    cce, attract, repulse, val_b3, tau) row per epoch."""
     from evcoref.clustering import tune_tau
-    from evcoref.network import NetParams, forward, init_params
+    from evcoref.network import NetParams, embed, forward, init_params
     from evcoref.train import encode_chains, sample_batch
 
     features = np.asarray(features, dtype=np.float64)
+    movable = np.array([any(x != 0.0 for x in column) for column in features.T])
+    if movable.sum() < 2:
+        movable[:] = True
+    cols = np.flatnonzero(movable)
+    val_x, val_ids, val_gold = val
+    outside = [not movable[c] and any(x != 0.0 for x in val_x[:, c]) for c in range(len(movable))]
+    rest_runs = []
+    for c, out in enumerate(outside):
+        if out and rest_runs and rest_runs[-1][1] == c:
+            rest_runs[-1][1] = c + 1
+        elif out:
+            rest_runs.append([c, c + 1])
     codes = encode_chains(chain_ids)
     rng = np.random.default_rng(config.seed)
     net = init_params(rng, features.shape[1], n_classes, config.hidden1, config.embed, config.hidden3)
@@ -500,19 +522,23 @@ def full_row_train(features, class_labels, chain_ids, n_classes, config, val):
                 dropout=config.dropout,
             )
             cache = forward(
-                NetParams(*params), batch.inputs, mode="train", masks=batch.dropout_masks,
-                dropout=config.dropout,
+                NetParams(params[0][cols], *params[1:]), batch.inputs[:, cols], mode="train",
+                masks=batch.dropout_masks, dropout=config.dropout,
             )
+            cache.inputs = batch.inputs  # the whole first-layer gradient reads every column
             loss, grads = two_call_step(
                 NetParams(*params), cache, batch.class_labels, batch.chain_codes,
-                config.lambda1, config.lambda2, config.use_cce,
+                config.lambda1, config.lambda2, config.use_cce, cols=cols,
             )
             t += 1
             params, m, v = adam_step_expression(params, m, v, grads, t, config.lr)
             sums += loss
         mean = sums / steps
-        val_x, val_ids, val_gold = val
-        emb = forward(NetParams(*params), val_x, mode="infer").embeddings
+        rest = None
+        for lo, hi in rest_runs:
+            part = val_x[:, lo:hi] @ params[0][lo:hi]
+            rest = part if rest is None else rest + part
+        emb = embed(NetParams(params[0][cols], *params[1:]), val_x[:, cols], rest)
         tau, val_b3 = tune_tau(emb, val_ids, val_gold)
         if best is None or val_b3 > best["best_b3"]:
             best = {

@@ -86,6 +86,16 @@ def test_inference_is_deterministic(rng):
     assert np.array_equal(embed(params, x), embed(params, x))
 
 
+def test_embed_gives_the_bytes_of_the_infer_forwards_embeddings(rng):
+    # embed stops at the embedding layer; the layers above it change no bit
+    # of the embeddings, and neither does embed's refusal of another width
+    params = tiny_params(rng, d=7, h1=9, he=5, h3=6, k=4)
+    x = rng.normal(size=(11, 7))
+    assert embed(params, x).tobytes() == forward(params, x).embeddings.tobytes()
+    with pytest.raises(ModelMismatchError):
+        embed(params, x[:, :6])
+
+
 def test_forward_rejects_wrong_width(rng):
     params = tiny_params(rng)
     with pytest.raises(ModelMismatchError):
@@ -493,7 +503,12 @@ W1_RUNS = [((0, 40),), ((3, 4), (10, 12)), ((0, 1), (39, 40)), ((5, 6), (7, 8), 
 @pytest.mark.parametrize("runs", W1_RUNS)
 @pytest.mark.parametrize("dropout", [None, 0.25])
 def test_compact_w1_gradient_is_the_rows_of_the_full_gradient(rng, runs, dropout):
-    # hidden1 a multiple of 8 and two or more rows: see loss_and_grad
+    # the packed network of the training loop (w1's rows of some input
+    # columns, back to back) on the same activations: each row of its w1
+    # gradient still sums over the whole batch. It equals the full row where
+    # the BLAS computes a row of a product independently of how many rows
+    # the product has; OpenBLAS 0.3.31's Haswell kernels do when hidden1 is
+    # a multiple of 8 and two or more rows are taken
     params = init_params(rng, 40, 3, hidden1=16, embed=8, hidden3=16)
     x = rng.normal(size=(9, 40))
     labels, codes = rng.integers(0, 3, size=9), rng.integers(0, 3, size=9)
@@ -501,7 +516,10 @@ def test_compact_w1_gradient_is_the_rows_of_the_full_gradient(rng, runs, dropout
     cache = forward(params, x, mode="train" if masks else "infer", masks=masks)
     full_loss, full = loss_and_grad(params, cache, labels, codes, 2.0, 0.5)
     rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
-    loss, compact = loss_and_grad(params, cache, labels, codes, 2.0, 0.5, w1_inputs=x[:, rows])
+    packed = NetParams(params.w1[rows], *params.arrays()[1:])
+    loss, compact = loss_and_grad(
+        packed, dataclasses.replace(cache, inputs=x[:, rows]), labels, codes, 2.0, 0.5
+    )
     assert compact.w1.shape == (len(rows), 16)
     assert compact.w1.tobytes() == full.w1[rows].tobytes()
     for ours, ref in zip(compact.arrays()[1:], full.arrays()[1:]):
@@ -599,55 +617,54 @@ def test_adam_step_bit_identical_to_expression_form(rng):
 
 
 def test_row_run_adam_step_equals_the_full_step_over_zero_gradient_rows(rng):
-    # the w1 rows outside the runs get +0.0 or -0.0 gradients on every step;
-    # a run of 60 rows of 700 spans two Adam blocks
+    # the w1 rows outside the runs get +0.0 or -0.0 gradients on every step,
+    # so the full step leaves them as they were, and the step of the packed
+    # network (the runs' rows back to back) moves the others as the full
+    # step does; a run of 60 rows of 700 spans two Adam blocks
     runs = ((1, 3), (6, 66), (70, 71))
     rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
     arrays = [rng.normal(size=(80, 700))] + [rng.normal(size=s) for s in (7, (7, 5), 5, 3, 4, (4, 2), 2)]
     arrays[0][75] = -0.0
     others = np.setdiff1d(np.arange(80), rows)
-    full, restricted = NetParams(*[a.copy() for a in arrays]), NetParams(*[a.copy() for a in arrays])
-    full_state = AdamState.for_params(full)
-    state = AdamState.for_params(NetParams(arrays[0][rows], *arrays[1:]))  # the compact shapes
+    full = NetParams(*[a.copy() for a in arrays])
+    packed = NetParams(arrays[0][rows], *[a.copy() for a in arrays[1:]])
+    full_state, state = AdamState.for_params(full), AdamState.for_params(packed)
     for _ in range(6):
         grads = [rng.normal(size=a.shape) for a in arrays]
         grads[0][others] = 0.0
         grads[0] *= np.where(rng.random((80, 1)) < 0.5, -1.0, 1.0)  # signed zeros
         adam_step(full, full_state, NetParams(*grads), lr=0.003)
-        compact = NetParams(grads[0][rows], *grads[1:])
-        adam_step(restricted, state, compact, lr=0.003, w1_runs=runs)
+        adam_step(packed, state, NetParams(grads[0][rows], *grads[1:]), lr=0.003)
         assert state.t == full_state.t
-        for ours, ref in zip(restricted.arrays(), full.arrays()):
+        assert full.w1[others].tobytes() == arrays[0][others].tobytes()
+        for ours, ref in zip(packed.arrays(), [full.w1[rows], *full.arrays()[1:]]):
             assert ours.tobytes() == ref.tobytes()
         for ours, ref in zip(state.m + state.v, full_state.m + full_state.v):
             ref = ref[rows] if ref.shape == arrays[0].shape else ref
             assert ours.tobytes() == ref.tobytes()
         for moment in (full_state.m[0], full_state.v[0]):
             assert moment[others].tobytes() == bytes(8 * len(others) * 700)
-    assert np.signbit(restricted.w1[75]).all()
+    assert np.signbit(full.w1[75]).all()
 
 
 def test_adam_step_allocates_no_parameter_sized_array(rng):
-    for w1_runs in (None, ((0, 300), (400, 1000))):
-        params = NetParams(rng.normal(size=(1000, 500)), *[rng.normal(size=3) for _ in range(7)])
-        grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
-        if w1_runs is not None:
-            grads.w1 = np.concatenate([grads.w1[lo:hi] for lo, hi in w1_runs])
-        state = AdamState.for_params(grads)
-        tracemalloc.start()
-        try:
-            adam_step(params, state, grads, lr=0.01, w1_runs=w1_runs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
+    params = NetParams(rng.normal(size=(1000, 500)), *[rng.normal(size=3) for _ in range(7)])
+    grads = NetParams(*[rng.normal(size=a.shape) for a in params.arrays()])
+    state = AdamState.for_params(grads)
+    tracemalloc.start()
+    try:
+        adam_step(params, state, grads, lr=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.w1.nbytes / 4  # two scratch blocks, not 4 MB temporaries
 
 
 def test_adam_step_refuses_moments_of_other_shapes_than_the_gradients(rng):
     params = NetParams(rng.normal(size=(6, 4)), *[rng.normal(size=2) for _ in range(7)])
     grads = NetParams(rng.normal(size=(2, 4)), *[rng.normal(size=2) for _ in range(7)])
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, AdamState.for_params(params), grads, lr=0.01, w1_runs=((1, 3),))
+        adam_step(params, AdamState.for_params(params), grads, lr=0.01)
 
 
 def test_adam_step_refuses_a_non_contiguous_parameter(rng):

@@ -153,12 +153,19 @@ def train_logged(*args, **kwargs):
     return train(*args, progress=log.append, **kwargs), log
 
 
-def copied_state(params, state, grads, w1_runs):
-    """Copies of the parameters and of Adam's compact moments, Adam's step
-    count and the step's w1 runs."""
+def copied_state(params, state, grads, w1_runs, whole_w1):
+    """Copies of the parameters, with w1 whole: the training network's
+    movable rows at their runs and `whole_w1`'s rows elsewhere, which no
+    step moves; copies of Adam's compact moments, Adam's step count and the
+    step's w1 runs."""
     copies = lambda arrays: [a.copy() for a in arrays]
+    w1 = whole_w1.copy()
+    at = 0
+    for lo, hi in w1_runs:
+        w1[lo:hi] = params.w1[at : at + hi - lo]
+        at += hi - lo
     return SimpleNamespace(
-        params=copies(params.arrays()), m=copies(state.m), v=copies(state.v),
+        params=[w1, *copies(params.arrays()[1:])], m=copies(state.m), v=copies(state.v),
         t=state.t, w1_runs=w1_runs,
     )
 
@@ -166,16 +173,36 @@ def copied_state(params, state, grads, w1_runs):
 class AdamSpy:
     """Stands in for the training loop's Adam update (evcoref.train.adam_step):
     runs the real one, then appends keep(params, state, grads, w1_runs) to
-    `steps`. train returns only the best epoch's parameters, so this is how
-    a test sees the state after each step."""
+    `steps`, where w1_runs are the runs train took from movable_w1_rows.
+    train returns only the best epoch's parameters, so this is how a test
+    sees the state after each step. The default keep is copied_state, whose
+    rows outside the runs are read off the whole w1 of train's init_params,
+    never moved by a step."""
 
-    def __init__(self, monkeypatch, keep=copied_state):
+    def __init__(self, monkeypatch, keep=None):
         self.steps = []
+        self.runs = self.initial = None
+        movable, init = train_module.movable_w1_rows, train_module.init_params
 
-        def step(params, state, grads, lr, w1_runs=None):
-            adam_step(params, state, grads, lr, w1_runs=w1_runs)
-            self.steps.append(keep(params, state, grads, w1_runs))
+        def runs(blocks, width):
+            self.runs = movable(blocks, width)
+            return self.runs
 
+        def made(*args):
+            self.initial = init(*args)
+            return self.initial
+
+        if keep is None:
+            keep = lambda params, state, grads, w1_runs: copied_state(
+                params, state, grads, w1_runs, self.initial.w1
+            )
+
+        def step(params, state, grads, lr):
+            adam_step(params, state, grads, lr)
+            self.steps.append(keep(params, state, grads, self.runs))
+
+        monkeypatch.setattr(train_module, "movable_w1_rows", runs)
+        monkeypatch.setattr(train_module, "init_params", made)
         monkeypatch.setattr(train_module, "adam_step", step)
 
     @property
@@ -450,6 +477,9 @@ def sparse_columns_case(kind):
     return x, labels, chains, (val_x, val_ids, val_gold)
 
 
+SPARSE_KINDS = ["val-only", "one-mention", "negative-zero", "all-active", "best-not-last", "one-column"]
+
+
 def _train_both(case, monkeypatch, **config):
     """train's result, its epoch logs and its last step's state
     (copied_state), and full_row_train's results."""
@@ -463,9 +493,7 @@ def _train_both(case, monkeypatch, **config):
     return ours, log, spy.last, full_row_train(x, labels, chains, 4, cfg, val)
 
 
-@pytest.mark.parametrize(
-    "kind", ["val-only", "one-mention", "negative-zero", "all-active", "best-not-last", "one-column"]
-)
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
 def test_training_equals_the_full_row_loop(kind, monkeypatch):
     case = sparse_columns_case(kind)
     ours, log, last, ref = _train_both(case, monkeypatch, epochs=6)
@@ -552,6 +580,70 @@ def test_unmovable_w1_rows_keep_their_initial_weights_and_zero_moments(monkeypat
     assert m[still].tobytes() == v[still].tobytes() == bytes(8 * 4 * 16)
     moved = [0, 1, 3, 4]
     assert np.all(last.params[0][moved] != initial.w1[moved])
+
+
+def test_every_training_forward_takes_the_packed_batch(monkeypatch):
+    # 4 of 12 columns are zero in every train row: each step's forward pass
+    # multiplies a batch of the 8 movable columns by the packed first layer
+    x, labels, chains, (val_x, val_ids, val_gold) = sparse_columns_case("val-only")
+    widths, real = [], train_module.forward
+
+    def spy(params, inputs, **kwargs):
+        widths.append((inputs.shape, params.w1.shape))
+        return real(params, inputs, **kwargs)
+
+    monkeypatch.setattr(train_module, "forward", spy)
+    train(
+        x, labels, chains, n_classes=4, config=tiny_config(batch_size=16, epochs=2),
+        val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+    )
+    assert widths == [((16, 8), (8, 16))] * 6  # 3 steps an epoch
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+def test_the_split_validation_product_is_the_full_product(kind, monkeypatch):
+    # the validation embedding's first layer is the movable columns times
+    # the packed rows plus the product of the other columns made before
+    # epoch 1: val_x @ w1 in exact arithmetic, whatever the last bits
+    x, labels, chains, (val_x, val_ids, val_gold) = sparse_columns_case(kind)
+    products, real = [], train_module.embed
+
+    def spy(params, inputs, rest=None):
+        products.append(inputs @ params.w1 + (0.0 if rest is None else rest))
+        return real(params, inputs, rest)
+
+    monkeypatch.setattr(train_module, "embed", spy)
+    steps = AdamSpy(monkeypatch).steps
+    train(
+        x, labels, chains, n_classes=4, config=tiny_config(batch_size=16, epochs=2),
+        val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+    )
+    assert len(products) == 2
+    for epoch, product in enumerate(products, 1):
+        w1 = steps[3 * epoch - 1].params[0]  # the whole w1 after the epoch's last step
+        np.testing.assert_allclose(product, val_x @ w1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+def test_the_returned_w1_is_the_initial_still_rows_and_the_best_epochs_movable_rows(kind, monkeypatch):
+    # the whole w1 of init_params holds the best epoch: its still rows are
+    # never written, and each new best epoch copies the movable rows in
+    x, labels, chains, (val_x, val_ids, val_gold) = sparse_columns_case(kind)
+    spy = AdamSpy(monkeypatch)
+    cfg = tiny_config(batch_size=16, lambda1=2.0, lambda2=0.5, epochs=6)  # 3 steps an epoch
+    ours, log = train_logged(
+        x, labels, chains, n_classes=4, config=cfg,
+        val_features=val_x, val_mention_ids=val_ids, val_gold=val_gold,
+    )
+    initial = init_params(np.random.default_rng(cfg.seed), 12, 4, cfg.hidden1, cfg.embed, cfg.hidden3)
+    moved = np.concatenate([np.arange(lo, hi) for lo, hi in spy.runs])
+    still = np.setdiff1d(np.arange(12), moved)
+    assert ours.best_params.w1[still].tobytes() == initial.w1[still].tobytes()
+    at_best = spy.steps[3 * ours.best_epoch - 1].params[0]
+    assert ours.best_params.w1[moved].tobytes() == at_best[moved].tobytes()
+    if kind == "best-not-last":
+        assert 1 < ours.best_epoch < len(log) and len(still) == 4
+        assert not np.array_equal(ours.best_params.w1, spy.last.params[0])
 
 
 def test_training_holds_one_whole_first_layer_matrix():
