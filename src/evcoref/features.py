@@ -277,22 +277,25 @@ def _count_matrix(bags: list[tuple[str, ...]]) -> np.ndarray:
     return counts
 
 
-def _overlap_means(counts: np.ndarray, doc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mean_overlap(counts: np.ndarray) -> np.ndarray:
     """Each row's mean multiset Dice overlap 2|A&B| / (|A|+|B|) (0 where
-    both bags are empty) with the other rows of its document (equal `doc`
-    codes) and with all other rows; a mean over no other row is 0.
+    both bags are empty) with the other rows, a bag per row; 0 for a lone row.
 
-    Rows go COMPARE_BLOCK at a time, so the scratch is O(block x n), and
-    each row's entries do not depend on the block it falls in:
+    Rows go COMPARE_BLOCK at a time, so the scratch is O(block x n), and no
+    entry depends on the block, rows or columns it is made with:
     |A&B| = sum_k (C >= k)(C >= k)^T over k = 1..max count sums 0/1
-    products, an exact integer whatever rows a product has, and so is each
-    quotient; each mean adds its terms left to right (np.add.accumulate, not
-    the pairwise np.sum) with excluded terms set to +0.0, which adds exactly.
+    products, an exact integer, and so is each quotient. Each mean adds its
+    non-negative terms left to right (np.add.accumulate, not the pairwise
+    np.sum), the row's own term as +0.0, which adds exactly. So the means
+    over a document's rows alone equal the pool-wide sums with the other
+    rows' terms set to +0.0, bit for bit, wherever those rows lie.
     """
     n = counts.shape[0]
+    if n < 2:
+        return np.zeros(n)
     levels = [(counts >= k).astype(np.float64) for k in range(1, int(counts.max(initial=0.0)) + 1)]
     sizes = counts.sum(axis=1)
-    doc_means, pool_means = np.zeros(n), np.zeros(n)
+    means = np.empty(n)
     for start in range(0, n, COMPARE_BLOCK):
         stop = min(start + COMPARE_BLOCK, n)
         inter = np.zeros((stop - start, n))
@@ -301,15 +304,9 @@ def _overlap_means(counts: np.ndarray, doc: np.ndarray) -> tuple[np.ndarray, np.
         total = sizes[start:stop, None] + sizes[None, :]
         inter *= 2.0  # both bags empty: inter and total are 0, and the entry stays 0
         dice = np.divide(inter, total, out=inter, where=total > 0)
-        own = (np.arange(stop - start), np.arange(start, stop))
-        same_doc = doc[start:stop, None] == doc[None, :]
-        for keep, means in ((same_doc, doc_means), (np.ones_like(same_doc), pool_means)):
-            keep[own] = False
-            terms = np.where(keep, dice, 0.0)
-            sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-            kept = keep.sum(axis=1)
-            np.divide(sums, kept, out=means[start:stop], where=kept > 0)
-    return doc_means, pool_means
+        np.fill_diagonal(dice[:, start:], 0.0)  # each row's own term
+        means[start:stop] = np.add.accumulate(dice, axis=1, out=dice)[:, -1] / (n - 1)
+    return means
 
 
 def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
@@ -321,7 +318,8 @@ def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
     mentions of the same document and of the clustering pool: the whole split
     for pool "global", the mentions sharing the document's topic for "topic".
     The mention itself is excluded from both averages; an empty comparison set
-    gives 0.
+    gives 0. Only the pool means need a whole pool group: each document's
+    means come from its own mentions (a Corpus document has one topic).
     """
     if pool not in ("global", "topic"):
         raise ValueError(f"unknown pool scope {pool!r}")
@@ -331,16 +329,18 @@ def comparative_features(views: list[MentionView], pool: str) -> np.ndarray:
     out[:, 0] = rank == 1
     out[:, 1] = rank / n_in_doc
     out[:, 2] = rank == n_in_doc
-    # a document lies inside one topic, so a topic's mentions are all the
-    # comparison sets its mentions need; the pairwise work stays per topic
-    groups: dict[str, list[int]] = {}
+    pools: dict[str, tuple[list[int], dict[str, list[int]]]] = {}
     for i, v in enumerate(views):
-        groups.setdefault(v.topic_id if pool == "topic" else "", []).append(i)
-    for rows in groups.values():
-        doc = np.unique([views[i].doc_id for i in rows], return_inverse=True)[1]
+        rows, docs = pools.setdefault(v.topic_id if pool == "topic" else "", ([], {}))
+        docs.setdefault(v.doc_id, []).append(len(rows))  # its positions in the pool group
+        rows.append(i)
+    for rows, docs in pools.values():
+        rows = np.array(rows)
         for col, attr in ((3, "words"), (4, "lemmas")):
             counts = _count_matrix([getattr(views[i], attr) for i in rows])
-            out[rows, col], out[rows, col + 2] = _overlap_means(counts, doc)
+            out[rows, col + 2] = _mean_overlap(counts)
+            for members in docs.values():
+                out[rows[members], col] = _mean_overlap(counts[members])
     return out
 
 
@@ -394,11 +394,11 @@ def extract_split(
     "global" compares against all mentions of the split, "topic" against
     mentions sharing the document's topic.
 
-    The comparative block, which needs the whole split, is made first; then
-    each document's rows are made in one buffer and written to `out`, a row
-    sink of n rows such as a `matio.MatrixWriter`, so no whole matrix is
-    held. When `out` is None the rows fill a new n x dim array, which is
-    returned in its place.
+    The comparative block, whose pool means need each whole pool group, is
+    made first; then each document's rows are made in one buffer and
+    written to `out`, a row sink of n rows such as a `matio.MatrixWriter`,
+    so no whole matrix is held. When `out` is None the rows fill a new
+    n x dim array, which is returned in its place.
     """
     views = [
         MentionView.of(mention, doc, rank)

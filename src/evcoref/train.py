@@ -115,8 +115,7 @@ def sample_batch(
     # default mode="raise" copies through a batch-sized temporary (idx is
     # always in range). On the learned benchmark (seed 1, 3 corpora) the
     # train stage's median peak RSS is 249.0 MB with "clip" against 252.5 MB
-    # with "raise", at about the same minor faults (30.5k against 29.7k);
-    # with the full-width batch it had measured 96k faults against 39k
+    # with "raise", at about the same minor faults (30.5k against 29.7k)
     np.take(features, idx, axis=0, out=out.inputs, mode="clip")
     np.take(class_labels, idx, out=out.class_labels)
     np.take(chain_codes, idx, out=out.chain_codes)

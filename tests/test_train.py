@@ -674,11 +674,11 @@ def test_training_holds_one_whole_first_layer_matrix():
 
 
 def test_training_holds_no_other_first_layer_sized_array(monkeypatch):
-    # 30 of 3000 input columns are nonzero: the gradient, Adam's moments,
-    # the best-epoch snapshot, the train features and the batch all hold
-    # only those 30 columns or rows, so besides w1 itself the peak is the
-    # full-width forward input and small arrays. Two whole-w1 moments would
-    # add 2.0 to the ratio.
+    # 30 of 3000 input columns are nonzero: the trained first layer, the
+    # gradient, Adam's moments, the train features and the batch all hold
+    # only those 30 columns or rows, so besides w1 itself, which holds the
+    # best epoch, the peak is small arrays. Two whole-w1 moments would add
+    # 2.0 to the ratio.
     rng = np.random.default_rng(11)
     width, active = 3000, np.sort(rng.choice(3000, size=30, replace=False))
     x30, labels, chains = blob_data(rng, n_per=20, d=30)  # n = 60
